@@ -24,8 +24,10 @@ import (
 	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
-// greensBasisMagic heads every persisted basis file.
-const greensBasisMagic = "XYGB1"
+// greensBasisMagic heads every persisted basis file. XYGB2 stores the
+// coefficients column-major; an XYGB1 (cell-major) file fails the magic
+// check as ErrCkptMismatch and is rebuilt, never misread.
+const greensBasisMagic = "XYGB2"
 
 // fastPathMode normalises Options.FastPath to its canonical spelling
 // ("" and "off" are the same mode and must sign identically).

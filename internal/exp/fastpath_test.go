@@ -7,8 +7,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/perf"
+	"github.com/xylem-sim/xylem/internal/power"
 	"github.com/xylem-sim/xylem/internal/stack"
+	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
 // fastPathOpts is the reduced configuration the fast-path sweep tests
@@ -68,9 +71,9 @@ func TestFastPathSweepTables(t *testing.T) {
 
 // Persisted bases: a checkpointed fast-path run writes one basis file
 // per scheme, a rerun loads them instead of rebuilding, and a stale
-// file — a different stack content under the same path — is rejected
-// with ErrCkptMismatch by the loader and transparently rebuilt by the
-// runner.
+// file — a different stack content, or the old XYGB1 layout, under the
+// same path — is rejected with ErrCkptMismatch by the loader and
+// transparently rebuilt by the runner.
 func TestFastPathBasisPersistence(t *testing.T) {
 	dir := t.TempDir()
 	o := fastPathOpts()
@@ -149,6 +152,64 @@ func TestFastPathBasisPersistence(t *testing.T) {
 	}
 	if _, err := LoadGreensBasis(path, key); err != nil {
 		t.Fatalf("rebuilt basis file unreadable: %v", err)
+	}
+
+	// A basis persisted in the old cell-major XYGB1 layout — even under
+	// the right content key — must be rejected as a mismatch, never read
+	// as column-major, then rebuilt and overwritten; the rewritten file
+	// must serve bit-identically to a fresh build.
+	n := gb.Cells()
+	cellMajor := *gb
+	cellMajor.G = make([]float64, len(gb.G))
+	for b := 0; b < gb.B; b++ {
+		for i := 0; i < n; i++ {
+			cellMajor.G[i*gb.B+b] = gb.G[b*n+i]
+		}
+	}
+	var old ckpt.Enc
+	old.Str("XYGB1")
+	old.Str(key)
+	thermal.EncodeGreensBasis(&old, &cellMajor)
+	if err := os.WriteFile(path, old.Data(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadGreensBasis(path, key); !errors.Is(err, ErrCkptMismatch) {
+		t.Fatalf("XYGB1 basis load returned %v, want ErrCkptMismatch", err)
+	}
+	r5, err := NewRunner(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r5.Sys.Ev.Stats().BasisBuilds; got != 1 {
+		t.Fatalf("XYGB1 basis: %d rebuilds, want 1", got)
+	}
+	r6, err := NewRunner(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r6.Sys.Ev.Stats().BasisBuilds; got != 0 {
+		t.Fatalf("rewritten basis file was not loaded (%d rebuilds)", got)
+	}
+	procBP := make([]power.BlockPower, len(st.Proc.Blocks))
+	for i, blk := range st.Proc.Blocks {
+		procBP[i] = power.BlockPower{Name: blk.Name, Watts: 0.25 + 0.01*float64(i)}
+	}
+	sliceP := make([]power.SlicePower, len(st.DRAMMetalLayers))
+	sliceP[0].BackgroundW = 1.5
+	fresh, err := r.Sys.Ev.SolveGreens(t.Context(), st, procBP, sliceP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := r6.Sys.Ev.SolveGreens(t.Context(), r6.Sys.Stack(stack.Bank), procBP, sliceP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li := range fresh {
+		for c := range fresh[li] {
+			if math.Float64bits(served[li][c]) != math.Float64bits(fresh[li][c]) {
+				t.Fatalf("reloaded basis serves layer %d cell %d as %v, fresh build %v", li, c, served[li][c], fresh[li][c])
+			}
+		}
 	}
 
 	// Garbage on disk must error, not decode.

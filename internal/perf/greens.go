@@ -72,14 +72,20 @@ func (f FastPath) String() string {
 	return "off"
 }
 
-// greensEntry pairs a basis with the name→column index the power
-// coefficient mapping uses. Columns are addressed by qualified names —
+// greensEntry pairs a basis with the column tables the power coefficient
+// mapping uses, resolved once from the qualified column names —
 // "proc:<block>" for processor blocks, "dram<s>:bg" and
 // "dram<s>:bank_ch<c>b<b>" for the DRAM die terms — so identical bank
-// rects on different dies stay distinct columns.
+// rects on different dies stay distinct columns and a query formats no
+// names.
 type greensEntry struct {
-	gb  *thermal.GreensBasis
-	idx map[string]int
+	gb *thermal.GreensBasis
+	// proc maps a processor block name to its column.
+	proc map[string]int
+	// dramBg[s] is DRAM die s's background column; dramBank[s][c][b] is
+	// its bank_ch<c>b<b> column.
+	dramBg   []int
+	dramBank [][][]int
 }
 
 // basisCall is one singleflight basis build, same shape as activityCall:
@@ -203,7 +209,35 @@ func newGreensEntry(st *stack.Stack, gb *thermal.GreensBasis) (*greensEntry, err
 		}
 		idx[s.Name] = i
 	}
-	return &greensEntry{gb: gb, idx: idx}, nil
+	ent := &greensEntry{
+		gb:       gb,
+		proc:     make(map[string]int, len(st.Proc.Blocks)),
+		dramBg:   make([]int, len(st.DRAMMetalLayers)),
+		dramBank: make([][][]int, len(st.DRAMMetalLayers)),
+	}
+	for _, b := range st.Proc.Blocks {
+		ent.proc[b.Name] = idx["proc:"+b.Name]
+	}
+	// unitSources lists every die's background and its banks as dense
+	// channel/bank runs from zero, so the walk below finds them all.
+	for s := range st.DRAMMetalLayers {
+		ent.dramBg[s] = idx[fmt.Sprintf("dram%d:bg", s)]
+		for ch := 0; ; ch++ {
+			var banks []int
+			for b := 0; ; b++ {
+				c, ok := idx[fmt.Sprintf("dram%d:bank_ch%db%d", s, ch, b)]
+				if !ok {
+					break
+				}
+				banks = append(banks, c)
+			}
+			if banks == nil {
+				break
+			}
+			ent.dramBank[s] = append(ent.dramBank[s], banks)
+		}
+	}
+	return ent, nil
 }
 
 // bases returns the evaluator's basis cache, creating it on first use.
@@ -248,11 +282,17 @@ func (e *Evaluator) InstallBasis(st *stack.Stack, gb *thermal.GreensBasis) error
 }
 
 // greensFor is the singleflight core behind GreensBasisFor: resolve the
-// stack's content key, join an in-flight build if one exists, otherwise
-// build and publish. A failed build is removed before its waiters wake
-// so a later request retries rather than caching the failure.
+// stack's content key (hashed once per solver slot), join an in-flight
+// build if one exists, otherwise build and publish. A failed build is
+// removed before its waiters wake so a later request retries rather than
+// caching the failure.
 func (e *Evaluator) greensFor(ctx context.Context, st *stack.Stack) (*greensEntry, error) {
-	key := BasisKey(st)
+	sl, err := e.slot(st)
+	if err != nil {
+		return nil, err
+	}
+	sl.keyOnce.Do(func() { sl.key = BasisKey(st) })
+	key := sl.key
 	e.mu.Lock()
 	cache := e.bases()
 	if call, ok := cache[key]; ok {
@@ -268,7 +308,7 @@ func (e *Evaluator) greensFor(ctx context.Context, st *stack.Stack) (*greensEntr
 	cache[key] = call
 	e.mu.Unlock()
 
-	call.ent, call.err = e.buildBasis(ctx, st)
+	call.ent, call.err = e.buildBasis(ctx, st, sl)
 	if call.err != nil {
 		e.mu.Lock()
 		delete(e.basisCache, key)
@@ -280,11 +320,7 @@ func (e *Evaluator) greensFor(ctx context.Context, st *stack.Stack) (*greensEntr
 
 // buildBasis runs the wide batched unit solves for a stack's source list
 // on its cached solver.
-func (e *Evaluator) buildBasis(ctx context.Context, st *stack.Stack) (*greensEntry, error) {
-	sl, err := e.slot(st)
-	if err != nil {
-		return nil, err
-	}
+func (e *Evaluator) buildBasis(ctx context.Context, st *stack.Stack, sl *solverSlot) (*greensEntry, error) {
 	m := e.metrics()
 	sp := m.trace.Start("perf.basis_build")
 	sl.mu.Lock()
@@ -309,7 +345,7 @@ func (ent *greensEntry) powerCoeffs(st *stack.Stack, procBP []power.BlockPower, 
 		p[i] = 0
 	}
 	for _, bp := range procBP {
-		c, ok := ent.idx["proc:"+bp.Name]
+		c, ok := ent.proc[bp.Name]
 		if !ok {
 			return fmt.Errorf("perf: power for proc block %q outside the basis", bp.Name)
 		}
@@ -319,21 +355,17 @@ func (ent *greensEntry) powerCoeffs(st *stack.Stack, procBP []power.BlockPower, 
 		return fmt.Errorf("perf: %d slice powers for %d DRAM dies", len(sliceP), len(st.DRAMMetalLayers))
 	}
 	for s, sp := range sliceP {
-		c, ok := ent.idx[fmt.Sprintf("dram%d:bg", s)]
-		if !ok {
-			return fmt.Errorf("perf: no background column for DRAM die %d in the basis", s)
-		}
-		p[c] += sp.BackgroundW
+		p[ent.dramBg[s]] += sp.BackgroundW
+		banks := ent.dramBank[s]
 		for ch := range sp.BankW {
 			for b, w := range sp.BankW[ch] {
 				if w == 0 {
 					continue
 				}
-				c, ok := ent.idx[fmt.Sprintf("dram%d:bank_ch%db%d", s, ch, b)]
-				if !ok {
+				if ch >= len(banks) || b >= len(banks[ch]) {
 					return fmt.Errorf("perf: no bank column ch%d b%d for DRAM die %d in the basis", ch, b, s)
 				}
-				p[c] += w
+				p[banks[ch][b]] += w
 			}
 		}
 	}

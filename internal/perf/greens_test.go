@@ -3,9 +3,11 @@ package perf
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/floorplan"
+	"github.com/xylem-sim/xylem/internal/power"
 	"github.com/xylem-sim/xylem/internal/stack"
 	"github.com/xylem-sim/xylem/internal/thermal"
 )
@@ -311,5 +313,126 @@ func TestInstallBasisValidates(t *testing.T) {
 	}
 	if d := ev.Stats().Sub(before); d.BasisBuilds != 0 {
 		t.Fatalf("installed basis was rebuilt (%d builds)", d.BasisBuilds)
+	}
+}
+
+// greensTestPowers is an explicit power set for SolveGreens: every
+// processor block powered, DRAM die 0's background and one bank.
+func greensTestPowers(st *stack.Stack, scale float64) ([]power.BlockPower, []power.SlicePower) {
+	procBP := make([]power.BlockPower, len(st.Proc.Blocks))
+	for i, b := range st.Proc.Blocks {
+		procBP[i] = power.BlockPower{Name: b.Name, Watts: scale * (0.2 + 0.01*float64(i%7))}
+	}
+	sliceP := make([]power.SlicePower, len(st.DRAMMetalLayers))
+	sliceP[0] = power.SlicePower{BackgroundW: scale, BankW: [][]float64{{0, scale / 4}}}
+	return procBP, sliceP
+}
+
+// A warm fast-path query must not re-derive anything per stack: the
+// content key is hashed once per solver slot and the column tables are
+// resolved once per basis, so neither the SHA-256 over the λ fields nor
+// any name formatting can creep back into the query path. A warm
+// SolveGreens allocates only its coefficient vector, its output field,
+// the GEMV's column list and the kernel closures (six in all; hashing
+// the key alone costs hundreds).
+func TestSolveGreensWarmAllocs(t *testing.T) {
+	st := smallStack(t, stack.Bank)
+	ev := NewEvaluator()
+	procBP, sliceP := greensTestPowers(st, 1)
+	if _, err := ev.SolveGreens(t.Context(), st, procBP, sliceP); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ev.SolveGreens(t.Context(), st, procBP, sliceP); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("warm SolveGreens allocates %v times per call, want at most 8", allocs)
+	}
+}
+
+// Memoising the key per slot must not pin the slot to the first basis
+// it served: InstallBasis publishes by content key, so a stack whose
+// slot already answered a query serves the installed basis from then on.
+func TestInstallBasisAfterServedQuery(t *testing.T) {
+	st := smallStack(t, stack.Bank)
+	ev := NewEvaluator()
+	procBP, sliceP := greensTestPowers(st, 1)
+	built, err := ev.GreensBasisFor(t.Context(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.SolveGreens(t.Context(), st, procBP, sliceP); err != nil {
+		t.Fatal(err)
+	}
+	// A basis with every response doubled serves the same query as the
+	// built basis at doubled power.
+	doubled := *built
+	doubled.G = make([]float64, len(built.G))
+	for i, v := range built.G {
+		doubled.G[i] = 2 * v
+	}
+	if err := ev.InstallBasis(st, &doubled); err != nil {
+		t.Fatal(err)
+	}
+	if gb, err := ev.GreensBasisFor(t.Context(), st); err != nil || gb != &doubled {
+		t.Fatalf("GreensBasisFor after InstallBasis returned %p (%v), want the installed basis %p", gb, err, &doubled)
+	}
+	got, err := ev.SolveGreens(t.Context(), st, procBP, sliceP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewEvaluator()
+	procBP2, sliceP2 := greensTestPowers(st, 2)
+	want, err := ref.SolveGreens(t.Context(), st, procBP2, sliceP2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li := range want {
+		for c := range want[li] {
+			if d := math.Abs(got[li][c] - want[li][c]); d > 1e-9 {
+				t.Fatalf("layer %d cell %d: installed basis served %v, want %v", li, c, got[li][c], want[li][c])
+			}
+		}
+	}
+}
+
+// Concurrent first queries on a fresh evaluator race on the slot's key
+// memo and the singleflight build: every caller must get the one basis
+// built, and every field must be bitwise identical.
+func TestSolveGreensConcurrentFirstQueries(t *testing.T) {
+	st := smallStack(t, stack.Bank)
+	ev := NewEvaluator()
+	procBP, sliceP := greensTestPowers(st, 1)
+	const callers = 4
+	fields := make([]thermal.Temperature, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			temps, err := ev.SolveGreens(t.Context(), st, procBP, sliceP)
+			if err != nil {
+				t.Error(err)
+			}
+			fields[i] = temps
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := ev.Stats().BasisBuilds; got != 1 {
+		t.Fatalf("%d concurrent first queries built %d bases, want 1", callers, got)
+	}
+	for i := 1; i < callers; i++ {
+		for li := range fields[0] {
+			for c, v := range fields[0][li] {
+				if math.Float64bits(fields[i][li][c]) != math.Float64bits(v) {
+					t.Fatalf("caller %d layer %d cell %d: %v, caller 0 %v", i, li, c, fields[i][li][c], v)
+				}
+			}
+		}
 	}
 }

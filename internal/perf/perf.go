@@ -194,6 +194,12 @@ func (e *Evaluator) ShareActivityCache(src *Evaluator) {
 type solverSlot struct {
 	mu sync.Mutex
 	s  *thermal.Solver
+	// keyOnce guards key, the stack's BasisKey (greens.go), hashed on the
+	// slot's first fast-path query. The slot is bound to one *stack.Stack
+	// whose model its solver was built from, so the content hash is as
+	// fixed as the solver itself.
+	keyOnce sync.Once
+	key     string
 }
 
 // NewEvaluator returns an evaluator with the paper's architecture.

@@ -2,8 +2,11 @@ package thermal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
@@ -300,4 +303,218 @@ func TestBatchDeflationCountsOnlyEnteredColumns(t *testing.T) {
 		t.Fatalf("Deflated = %d, want %d (iters %v; the hook-rejected column must not count)",
 			res.Deflated, wantDeflated, res.Iters)
 	}
+}
+
+// greensOracle is the dense cell-major GEMV the column-major kernel
+// replaced, kept as its bitwise oracle: every column of the transposed
+// row G[i·B+b] folds into four partial accumulators over the body,
+// combined as (a0+a1)+(a2+a3), then the tail adds in order.
+func greensOracle(gb *GreensBasis, p []float64, lo, hi int) []float64 {
+	B, n := gb.B, gb.Cells()
+	out := make([]float64, hi-lo)
+	row := make([]float64, B)
+	for i := lo; i < hi; i++ {
+		for b := range row {
+			row[b] = gb.G[b*n+i]
+		}
+		var a0, a1, a2, a3 float64
+		j := 0
+		for ; j+4 <= B; j += 4 {
+			a0 += row[j] * p[j]
+			a1 += row[j+1] * p[j+1]
+			a2 += row[j+2] * p[j+2]
+			a3 += row[j+3] * p[j+3]
+		}
+		acc := (a0 + a1) + (a2 + a3)
+		for ; j < B; j++ {
+			acc += row[j] * p[j]
+		}
+		out[i-lo] = gb.Ambient + acc
+	}
+	return out
+}
+
+// randomBasis fills a basis for m's shape with finite coefficients that
+// span forty binades, with exact zeros, negative zeros and subnormals
+// mixed in, so any change in per-cell operation order shows in the bits.
+func randomBasis(rng *rand.Rand, m *Model, B int) *GreensBasis {
+	gb := &GreensBasis{
+		Rows: m.Grid.Rows, Cols: m.Grid.Cols, Layers: len(m.Layers),
+		B: B, Ambient: m.Ambient, Names: make([]string, B),
+	}
+	gb.G = make([]float64, gb.Cells()*B)
+	for i := range gb.G {
+		switch rng.Intn(16) {
+		case 0:
+			gb.G[i] = 0
+		case 1:
+			gb.G[i] = math.Copysign(0, -1)
+		case 2:
+			gb.G[i] = -rng.Float64() * 1e-310
+		default:
+			gb.G[i] = (rng.Float64() - 0.25) * math.Exp2(float64(rng.Intn(40)-20))
+		}
+	}
+	return gb
+}
+
+// The zero-skipping tiled kernel must reproduce the dense cell-major
+// kernel bit for bit — full field and every layer's sub-range, at one
+// and four workers — across the coefficient patterns that exercise its
+// slot grouping: dense, the serve request shape (processor blocks and
+// one DRAM die powered, the other dies idle), an accumulator slot with
+// no nonzero column, nonzero and zero tail columns, B < 4 and B not a
+// multiple of 4. The grid's 23×23 layers split 512-cell tiles and its
+// 32 layers span three 8192-cell chunks.
+func TestGreensKernelMatchesDenseOracle(t *testing.T) {
+	m := slabModel(23, 23, 32, 100e-6, 120, 25000)
+	s, err := NewSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(29))
+	coeff := func() float64 { return (rng.Float64() - 0.1) * math.Exp2(float64(rng.Intn(12)-6)) }
+	pattern := func(B int, on func(b int) bool) []float64 {
+		p := make([]float64, B)
+		for b := range p {
+			if on(b) {
+				p[b] = coeff()
+			} else if b%3 == 0 {
+				p[b] = math.Copysign(0, -1)
+			}
+		}
+		return p
+	}
+	cases := []struct {
+		name string
+		B    int
+		on   func(b int) bool
+	}{
+		{"dense", 245, func(int) bool { return true }},
+		// 109 processor blocks, die 0's background and every other bank.
+		{"serve-shape", 245, func(b int) bool { return b <= 109 || (b < 126 && b%2 == 0) }},
+		{"empty-slot", 245, func(b int) bool { return b%4 != 2 }},
+		{"all-zero", 245, func(int) bool { return false }},
+		{"tail-nonzero", 7, func(b int) bool { return b != 1 && b != 4 }},
+		{"tail-zero", 10, func(b int) bool { return b < 8 }},
+		{"B1", 1, func(int) bool { return true }},
+		{"B2", 2, func(b int) bool { return b == 1 }},
+		{"B3", 3, func(int) bool { return true }},
+		{"B13", 13, func(b int) bool { return b%5 != 0 }},
+	}
+	n, npl := s.n, m.Grid.NumCells()
+	bases := map[int]*GreensBasis{}
+	for _, tc := range cases {
+		gb, ok := bases[tc.B]
+		if !ok {
+			gb = randomBasis(rng, m, tc.B)
+			bases[tc.B] = gb
+		}
+		p := pattern(tc.B, tc.on)
+		want := greensOracle(gb, p, 0, n)
+		for _, workers := range []int{1, 4} {
+			s.Workers = workers
+			got := make([]float64, n)
+			if err := s.GreensApply(gb, p, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s workers=%d cell %d: %x, dense oracle %x", tc.name, workers, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			layer := make([]float64, npl)
+			for li := range m.Layers {
+				if err := s.GreensApplyLayer(gb, p, li, layer); err != nil {
+					t.Fatal(err)
+				}
+				for c, v := range layer {
+					if math.Float64bits(v) != math.Float64bits(want[li*npl+c]) {
+						t.Fatalf("%s workers=%d layer %d cell %d: %x, dense oracle %x", tc.name, workers, li, c,
+							math.Float64bits(v), math.Float64bits(want[li*npl+c]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// encodedTestBasis is a small valid basis in EncodeGreensBasis's layout.
+func encodedTestBasis() []byte {
+	gb := &GreensBasis{Rows: 2, Cols: 2, Layers: 1, B: 3, Ambient: 45, Names: []string{"a", "b", "c"}}
+	for i := 0; i < gb.Cells()*gb.B; i++ {
+		gb.G = append(gb.G, 0.125*float64(i))
+	}
+	var e ckpt.Enc
+	EncodeGreensBasis(&e, gb)
+	return e.Data()
+}
+
+// DecodeGreensBasis must reject hostile headers before allocating for
+// them, and must reject non-finite coefficients with a typed error.
+func TestDecodeGreensBasisRejects(t *testing.T) {
+	header := func(rows, cols, layers, B uint32) *ckpt.Enc {
+		var e ckpt.Enc
+		e.U32(rows)
+		e.U32(cols)
+		e.U32(layers)
+		e.U32(B)
+		e.F64(45)
+		return &e
+	}
+	// 24 bytes claiming 2^32-1 columns: rejected before the name table.
+	if _, err := DecodeGreensBasis(ckpt.NewDec(header(1, 1, 1, math.MaxUint32).Data())); err == nil {
+		t.Fatal("huge column count decoded")
+	}
+	// A shape whose coefficient count exceeds any storable slice.
+	e := header(math.MaxUint32, math.MaxUint32, 2, 1)
+	e.Str("a")
+	e.F64s([]float64{1})
+	if _, err := DecodeGreensBasis(ckpt.NewDec(e.Data())); err == nil {
+		t.Fatal("overflowing shape decoded")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := header(2, 1, 1, 1)
+		e.Str("a")
+		e.F64s([]float64{1, bad})
+		_, err := DecodeGreensBasis(ckpt.NewDec(e.Data()))
+		var nf *NonFiniteBasisError
+		if !errors.Is(err, ErrNonFiniteBasis) || !errors.As(err, &nf) || nf.Column != 0 || nf.Cell != 1 {
+			t.Fatalf("coefficient %v: got %v, want a NonFiniteBasisError at column 0 cell 1", bad, err)
+		}
+	}
+	if _, err := DecodeGreensBasis(ckpt.NewDec(encodedTestBasis())); err != nil {
+		t.Fatalf("valid basis rejected: %v", err)
+	}
+}
+
+// FuzzDecodeGreensBasis feeds arbitrary bytes to the basis decoder: it
+// must never panic, must return either an error or an internally
+// consistent finite basis, and must allocate no more than a constant
+// times the input length.
+func FuzzDecodeGreensBasis(f *testing.F) {
+	f.Add(encodedTestBasis())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		gb, err := DecodeGreensBasis(ckpt.NewDec(data))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if len(gb.Names) != gb.B || len(gb.G) != gb.Cells()*gb.B {
+			t.Fatalf("inconsistent basis: %d names, %d coefficients for %dx%dx%d with %d columns",
+				len(gb.Names), len(gb.G), gb.Rows, gb.Cols, gb.Layers, gb.B)
+		}
+		for i, v := range gb.G {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("coefficient %d decoded as %v", i, v)
+			}
+		}
+	})
 }
