@@ -470,12 +470,21 @@ func decodeChainState(b []byte) (rung int, cols [][]TempPoint, warms []thermal.T
 	if err = d.Err(); err != nil {
 		return 0, nil, nil, err
 	}
+	// Bound every count by the bytes left before allocating for it: a
+	// column costs at least its point count and its field's layer count
+	// (8 bytes), a point at least two string lengths and three f64s (32).
+	if ncols > d.Remaining()/8 {
+		return 0, nil, nil, fmt.Errorf("exp: checkpoint claims %d columns, only %d bytes left", ncols, d.Remaining())
+	}
 	cols = make([][]TempPoint, ncols)
 	warms = make([]thermal.Temperature, ncols)
 	for a := 0; a < ncols; a++ {
 		npts := int(d.U32())
 		if err = d.Err(); err != nil {
 			return 0, nil, nil, err
+		}
+		if npts > d.Remaining()/32 {
+			return 0, nil, nil, fmt.Errorf("exp: checkpoint column %d claims %d points, only %d bytes left", a, npts, d.Remaining())
 		}
 		pts := make([]TempPoint, 0, npts)
 		for j := 0; j < npts; j++ {

@@ -296,17 +296,12 @@ func (s *Solver) SteadyStateBatch(ctx context.Context, pms []PowerMap, opts Batc
 	injected := make([]bool, k)
 	live := make([]int, 0, len(act))
 	for _, j := range act {
-		maxIter[j] = s.MaxIter
-		if s.Hook != nil {
-			mi, err := s.Hook()
-			if err != nil {
-				res.Errs[j] = fmt.Errorf("thermal: %w", err)
-				continue
-			}
-			if mi > 0 && mi < maxIter[j] {
-				maxIter[j], injected[j] = mi, true
-			}
+		bud, err := s.drawBudget()
+		if err != nil {
+			res.Errs[j] = fmt.Errorf("thermal: %w", err)
+			continue
 		}
+		maxIter[j], injected[j] = bud.maxIter, bud.injected
 		live = append(live, j)
 	}
 	if err := ctx.Err(); err != nil {

@@ -37,15 +37,21 @@ package thermal
 // Basis construction is one wide multi-RHS solve per bounded-width chunk
 // of columns (the batch scratch is ~6·n·k floats, so an unbounded-width
 // build over a few hundred sources would dwarf the solver itself), run
-// through the same lockstep cgBatch as SteadyStateBatch — deflation,
-// per-column budgets and the solve hook behave exactly as k sequential
-// solves would.
+// through the same lockstep cgBatch as SteadyStateBatch — deflation and
+// per-column budgets behave exactly as k sequential solves would. The
+// chunks are independent, so they run on the receiver plus as many
+// Clones as there are free cores; the hook is drawn for every column up
+// front on the calling goroutine, so the basis, the hook's call sequence
+// and the build's error are the same on any number of solvers.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/geom"
@@ -125,12 +131,59 @@ func (s *Solver) unitRHS(src UnitSource, b []float64) error {
 	return nil
 }
 
+// greensClones counts the clone solvers that in-flight basis builds
+// hold across the process. Concurrent builds share one budget of
+// GOMAXPROCS−1 extra solvers (each build's own receiver is the +1).
+var greensClones atomic.Int64
+
+// tryAcquireGreensClone takes one extra-solver slot if one is free. It
+// never blocks, so a build always makes progress on its own receiver.
+func tryAcquireGreensClone() bool {
+	for {
+		held := greensClones.Load()
+		if held >= int64(runtime.GOMAXPROCS(0)-1) {
+			return false
+		}
+		if greensClones.CompareAndSwap(held, held+1) {
+			return true
+		}
+	}
+}
+
 // BuildGreensBasis precomputes the unit-power response field of every
 // source by chunked multi-RHS solves at the solver's tolerance and
-// default preconditioner. The solve hook is consulted once per column,
-// exactly as B sequential solves would consult it; any column's failure
-// fails the build (callers fall back to per-query CG).
+// default preconditioner. The chunks run on the receiver plus as many
+// clones as there are free cores (see buildGreensBasis); a receiver
+// whose kernels already run on a worker pool takes none. Any column's
+// failure fails the build (callers fall back to per-query CG).
 func (s *Solver) BuildGreensBasis(ctx context.Context, sources []UnitSource) (*GreensBasis, error) {
+	p := 1
+	if s.effectiveWorkers() <= 1 {
+		chunks := (len(sources) + greensBuildWidth - 1) / greensBuildWidth
+		for p < chunks && tryAcquireGreensClone() {
+			p++
+		}
+		defer greensClones.Add(int64(1 - p))
+	}
+	return s.buildGreensBasis(ctx, sources, p)
+}
+
+// buildGreensBasis builds the basis on p solvers: the receiver plus p−1
+// clones, each taking the next unsolved chunk of greensBuildWidth
+// columns [16c, 16c+16) until none are left. A chunk's columns are
+// solved identically on whichever solver takes it, so the basis is
+// bitwise the same at every p.
+//
+// The solve hook is consulted here, on the calling goroutine, once per
+// column in column order, before any chunk solves; each chunk gets its
+// pre-drawn budgets and clones never call the hook. A hook failure at
+// column h leaves h's chunk and every later one unsolved. A failing
+// chunk does not cancel its siblings, but no chunk is handed out after
+// it; every lower chunk was handed out earlier and runs to completion,
+// so the error returned — the lowest-indexed failing column's — is the
+// same at every p. Clones and the receiver's batch scratch are dropped
+// before returning.
+func (s *Solver) buildGreensBasis(ctx context.Context, sources []UnitSource, p int) (*GreensBasis, error) {
 	B := len(sources)
 	if B == 0 {
 		return nil, fmt.Errorf("thermal: greens basis needs at least one source")
@@ -144,24 +197,73 @@ func (s *Solver) BuildGreensBasis(ctx context.Context, sources []UnitSource) (*G
 	for i, src := range sources {
 		gb.Names[i] = src.Name
 	}
-	for lo := 0; lo < B; lo += greensBuildWidth {
-		hi := lo + greensBuildWidth
-		if hi > B {
-			hi = B
+
+	buds := make([]budget, 0, B)
+	var hookErr error
+	for _, src := range sources {
+		bud, err := s.drawBudget()
+		if err != nil {
+			hookErr = fmt.Errorf("thermal: greens column %q: %w", src.Name, err)
+			break
 		}
-		if err := s.solveUnitChunk(ctx, sources[lo:hi], gb, lo); err != nil {
+		buds = append(buds, bud)
+	}
+	// Only chunks wholly before a hook failure are solved.
+	chunks := (len(buds) + greensBuildWidth - 1) / greensBuildWidth
+	if hookErr != nil {
+		chunks = len(buds) / greensBuildWidth
+	}
+
+	errs := make([]error, chunks)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(w *Solver) {
+		for !failed.Load() {
+			c := int(next.Add(1) - 1)
+			if c >= chunks {
+				return
+			}
+			lo := c * greensBuildWidth
+			hi := min(lo+greensBuildWidth, B)
+			if err := w.solveUnitChunk(ctx, sources[lo:hi], buds[lo:hi], gb, lo); err != nil {
+				errs[c] = err
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(p, chunks) - 1 {
+		c := s.Clone()
+		c.Hook = nil
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Close()
+			work(c)
+		}()
+	}
+	work(s)
+	wg.Wait()
+	s.batch = nil
+
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
+	}
+	if hookErr != nil {
+		return nil, hookErr
 	}
 	return gb, nil
 }
 
 // solveUnitChunk solves G·x = e_b for one contiguous chunk of sources
-// and writes the solutions into gb's columns colBase, colBase+1, ….
+// under their pre-drawn budgets and writes the solutions into gb's
+// columns colBase, colBase+1, ….
 // Right-hand sides carry no ambient term and iterates cold-start at zero
 // (the response-field formulation above), so it assembles the batch
 // directly instead of going through SteadyStateBatch.
-func (s *Solver) solveUnitChunk(ctx context.Context, sources []UnitSource, gb *GreensBasis, colBase int) error {
+func (s *Solver) solveUnitChunk(ctx context.Context, sources []UnitSource, buds []budget, gb *GreensBasis, colBase int) error {
 	k := len(sources)
 	n := s.n
 	if k == 1 {
@@ -172,7 +274,7 @@ func (s *Solver) solveUnitChunk(ctx context.Context, sources []UnitSource, gb *G
 			return err
 		}
 		x := gb.G[colBase*n : (colBase+1)*n : (colBase+1)*n]
-		if _, err := s.cg(ctx, b, x, 0, SolveOpts{}); err != nil {
+		if _, err := s.cg(ctx, b, x, 0, SolveOpts{budget: &buds[0]}); err != nil {
 			return fmt.Errorf("thermal: greens column %q: %w", sources[0].Name, err)
 		}
 		return nil
@@ -201,19 +303,9 @@ func (s *Solver) solveUnitChunk(ctx context.Context, sources []UnitSource, gb *G
 	}
 	maxIter := make([]int, k)
 	injected := make([]bool, k)
-	live := make([]int, 0, k)
-	for j := range sources {
-		maxIter[j] = s.MaxIter
-		if s.Hook != nil {
-			mi, err := s.Hook()
-			if err != nil {
-				return fmt.Errorf("thermal: greens column %q: %w", sources[j].Name, err)
-			}
-			if mi > 0 && mi < maxIter[j] {
-				maxIter[j], injected[j] = mi, true
-			}
-		}
-		live = append(live, j)
+	live := make([]int, k)
+	for j, bud := range buds {
+		maxIter[j], injected[j], live[j] = bud.maxIter, bud.injected, j
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("thermal: greens build cancelled: %w", err)

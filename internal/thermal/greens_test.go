@@ -7,9 +7,14 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
+	"github.com/xylem-sim/xylem/internal/fault"
 	"github.com/xylem-sim/xylem/internal/geom"
 )
 
@@ -302,6 +307,211 @@ func TestBatchDeflationCountsOnlyEnteredColumns(t *testing.T) {
 	if res.Deflated != wantDeflated {
 		t.Fatalf("Deflated = %d, want %d (iters %v; the hook-rejected column must not count)",
 			res.Deflated, wantDeflated, res.Iters)
+	}
+}
+
+// fanOutSolver is a fresh solver for the basis fan-out tests, with B
+// unit sources on a 16×16×5 slab: at B = 37 the chunks are 16, 16 and 5
+// columns, at B = 17 the second chunk is the one-column CG path.
+func fanOutSolver(t *testing.T, B int) (*Solver, []UnitSource) {
+	t.Helper()
+	m := slabModel(16, 16, 5, 100e-6, 120, 25000)
+	s, err := NewSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, greensTestSources(m, 0, B)
+}
+
+// The basis is bitwise the same on any number of solvers, and a build
+// leaves no batch scratch behind: a later SteadyStateBatch reallocates
+// at its own width and answers bitwise as on a solver that never built.
+func TestGreensBuildFanOutBitwise(t *testing.T) {
+	for _, B := range []int{37, 17} {
+		var ref *GreensBasis
+		for _, p := range []int{1, 2, 3, 5} {
+			s, srcs := fanOutSolver(t, B)
+			gb, err := s.buildGreensBasis(context.Background(), srcs, p)
+			if err != nil {
+				t.Fatalf("B=%d p=%d: %v", B, p, err)
+			}
+			if s.batch != nil {
+				t.Fatalf("B=%d p=%d: build left %d-wide batch scratch on the solver", B, p, s.batch.k)
+			}
+			if ref == nil {
+				ref = gb
+				continue
+			}
+			for i, v := range gb.G {
+				if math.Float64bits(v) != math.Float64bits(ref.G[i]) {
+					t.Fatalf("B=%d p=%d: column %d cell %d is %v, p=1 gave %v", B, p, i/s.n, i%s.n, v, ref.G[i])
+				}
+			}
+		}
+	}
+
+	s, srcs := fanOutSolver(t, 37)
+	if _, err := s.BuildGreensBasis(context.Background(), srcs); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := fanOutSolver(t, 37)
+	pms := make([]PowerMap, 3)
+	for j := range pms {
+		pms[j] = s.m.NewPowerMap()
+		for b, src := range srcs[j : j+5] {
+			pms[j].AddBlock(s.m.Grid, src.Layer, src.Rect, float64(b+j)+0.5)
+		}
+	}
+	got, err := s.SteadyStateBatch(context.Background(), pms, BatchOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.SteadyStateBatch(context.Background(), pms, BatchOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range pms {
+		if got.Errs[j] != nil || want.Errs[j] != nil {
+			t.Fatalf("column %d: %v / %v", j, got.Errs[j], want.Errs[j])
+		}
+		for li := range want.Temps[j] {
+			for c, v := range want.Temps[j][li] {
+				if math.Float64bits(got.Temps[j][li][c]) != math.Float64bits(v) {
+					t.Fatalf("batch column %d layer %d cell %d after a build: %v, fresh solver %v", j, li, c, got.Temps[j][li][c], v)
+				}
+			}
+		}
+	}
+}
+
+// The hook is drawn on the calling goroutine in column order, so a
+// failure at column 20 makes the same number of calls and returns the
+// same error at every p; chunk 1, which holds column 20, is never solved.
+func TestGreensBuildHookErrorIndependentOfP(t *testing.T) {
+	errHook := errors.New("injected hook failure")
+	var wantMsg string
+	for _, p := range []int{1, 2, 3, 5} {
+		s, srcs := fanOutSolver(t, 37)
+		calls := 0
+		s.Hook = func() (int, error) {
+			calls++
+			if calls == 21 {
+				return 0, errHook
+			}
+			return 0, nil
+		}
+		_, err := s.buildGreensBasis(context.Background(), srcs, p)
+		if !errors.Is(err, errHook) {
+			t.Fatalf("p=%d: got %v, want the hook's error", p, err)
+		}
+		if calls != 21 {
+			t.Fatalf("p=%d: hook called %d times, want 21", p, calls)
+		}
+		if wantMsg == "" {
+			wantMsg = err.Error()
+		} else if err.Error() != wantMsg {
+			t.Fatalf("p=%d: error %q, p=1 gave %q", p, err, wantMsg)
+		}
+	}
+}
+
+// Budget failures in chunks 0 and 2 always report chunk 0's, although
+// at p ≥ 3 the short chunk 2 finishes (and fails) first.
+func TestGreensBuildLowestChunkErrorWins(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5} {
+		s, srcs := fanOutSolver(t, 37)
+		col := 0
+		s.Hook = func() (int, error) {
+			col++
+			if col-1 == 3 || col-1 == 35 {
+				return 1, nil
+			}
+			return 0, nil
+		}
+		_, err := s.buildGreensBasis(context.Background(), srcs, p)
+		var be *fault.BudgetError
+		if !errors.As(err, &be) || !be.Injected {
+			t.Fatalf("p=%d: got %v, want an injected budget error", p, err)
+		}
+		if want := fmt.Sprintf("greens column %q", srcs[3].Name); !strings.Contains(err.Error(), want) {
+			t.Fatalf("p=%d: error %q does not name column 3 (%s)", p, err, want)
+		}
+	}
+}
+
+// Concurrent builds share the process's clone budget: whatever slots
+// each one wins, every basis is bitwise the serial one, and every slot
+// is returned once the builds are done.
+func TestGreensBuildConcurrentBuildsShareBudget(t *testing.T) {
+	s, srcs := fanOutSolver(t, 37)
+	want, err := s.buildGreensBasis(context.Background(), srcs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*GreensBasis, 3)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		si, _ := fanOutSolver(t, 37)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = si.BuildGreensBasis(context.Background(), srcs)
+		}()
+	}
+	wg.Wait()
+	if held := greensClones.Load(); held != 0 {
+		t.Fatalf("%d clone slots still held after the builds", held)
+	}
+	for i, gb := range got {
+		if errs[i] != nil {
+			t.Fatalf("build %d: %v", i, errs[i])
+		}
+		for j, v := range gb.G {
+			if math.Float64bits(v) != math.Float64bits(want.G[j]) {
+				t.Fatalf("build %d: coefficient %d is %v, serial build gave %v", i, j, v, want.G[j])
+			}
+		}
+	}
+}
+
+// cancelOnErr cancels its context on the n-th poll of Err, so a build
+// is cancelled deterministically while its chunks are solving.
+type cancelOnErr struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func (c *cancelOnErr) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// Cancelling mid-build returns the ctx error at every p, and every
+// clone's goroutine is gone once the build returns.
+func TestGreensBuildCancelled(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5} {
+		s, srcs := fanOutSolver(t, 37)
+		start := runtime.NumGoroutine()
+		base, cancel := context.WithCancel(context.Background())
+		ctx := &cancelOnErr{Context: base, cancel: cancel}
+		ctx.left.Store(2)
+		_, err := s.buildGreensBasis(ctx, srcs, p)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("p=%d: got %v, want context.Canceled", p, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > start {
+			if time.Now().After(deadline) {
+				t.Fatalf("p=%d: %d goroutines after the build, %d before", p, runtime.NumGoroutine(), start)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

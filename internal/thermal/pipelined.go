@@ -461,16 +461,11 @@ func (s *Solver) cgPipelined(ctx context.Context, b, x []float64, shift float64,
 				obs.A("residual", residual))
 		}()
 	}
-	maxIter, injected := s.MaxIter, false
-	if s.Hook != nil {
-		mi, herr := s.Hook()
-		if herr != nil {
-			return 0, fmt.Errorf("thermal: %w", herr)
-		}
-		if mi > 0 && mi < maxIter {
-			maxIter, injected = mi, true
-		}
+	bud, herr := s.solveBudget(opts)
+	if herr != nil {
+		return 0, fmt.Errorf("thermal: %w", herr)
 	}
+	maxIter, injected := bud.maxIter, bud.injected
 	if cerr := ctx.Err(); cerr != nil {
 		return 0, fmt.Errorf("thermal: solve cancelled: %w", cerr)
 	}

@@ -353,16 +353,11 @@ func (s *Solver) cg(ctx context.Context, b, x []float64, shift float64, opts Sol
 				obs.A("residual", residual))
 		}()
 	}
-	maxIter, injected := s.MaxIter, false
-	if s.Hook != nil {
-		mi, err := s.Hook()
-		if err != nil {
-			return 0, fmt.Errorf("thermal: %w", err)
-		}
-		if mi > 0 && mi < maxIter {
-			maxIter, injected = mi, true
-		}
+	bud, herr := s.solveBudget(opts)
+	if herr != nil {
+		return 0, fmt.Errorf("thermal: %w", herr)
 	}
+	maxIter, injected := bud.maxIter, bud.injected
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("thermal: solve cancelled: %w", err)
 	}
@@ -572,6 +567,43 @@ type SolveOpts struct {
 	// Solver.DefaultCG, which defaults to the classic recurrence). See
 	// pipelined.go for the single-reduction variant.
 	CG CGVariant
+	// budget, when non-nil, is this solve's iteration budget drawn
+	// beforehand, and the hook is not consulted. Only the Green's basis
+	// build sets it: it draws every column's budget on one goroutine
+	// before fanning the solves out (see greens.go).
+	budget *budget
+}
+
+// budget is one solve's iteration budget as the hook granted it:
+// maxIter, and whether the hook collapsed it (the Injected bit of the
+// fault.BudgetError that exhausting it returns).
+type budget struct {
+	maxIter  int
+	injected bool
+}
+
+// drawBudget consults the solve hook once and returns the budget it
+// grants: the solver's MaxIter, or the hook's smaller override.
+func (s *Solver) drawBudget() (budget, error) {
+	b := budget{maxIter: s.MaxIter}
+	if s.Hook != nil {
+		mi, err := s.Hook()
+		if err != nil {
+			return b, err
+		}
+		if mi > 0 && mi < b.maxIter {
+			b.maxIter, b.injected = mi, true
+		}
+	}
+	return b, nil
+}
+
+// solveBudget is drawBudget unless opts carries a pre-drawn budget.
+func (s *Solver) solveBudget(opts SolveOpts) (budget, error) {
+	if opts.budget != nil {
+		return *opts.budget, nil
+	}
+	return s.drawBudget()
 }
 
 // SteadyStateOpts is SteadyStateCtx with per-solve options.

@@ -27,7 +27,10 @@ func EncodeTemperature(e *ckpt.Enc, t Temperature) {
 // DecodeTemperature reads EncodeTemperature's layout back. layers and
 // cells, when non-zero, pin the expected shape — a checkpoint written
 // for a different stack spec or grid fails here with a typed error
-// instead of seeding solves with a mis-shaped field.
+// instead of seeding solves with a mis-shaped field. The layer count is
+// bounded by the bytes left before the field is made (each layer costs
+// at least its 4-byte length), so a hostile count cannot allocate more
+// than a small multiple of the input.
 func DecodeTemperature(d *ckpt.Dec, layers, cells int) (Temperature, error) {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
@@ -38,6 +41,9 @@ func DecodeTemperature(d *ckpt.Dec, layers, cells int) (Temperature, error) {
 	}
 	if layers > 0 && n != layers {
 		return nil, fmt.Errorf("thermal: checkpointed field has %d layers, stack has %d", n, layers)
+	}
+	if n > d.Remaining()/4 {
+		return nil, fmt.Errorf("thermal: checkpointed field claims %d layers, only %d bytes left", n, d.Remaining())
 	}
 	t := make(Temperature, n)
 	for i := range t {

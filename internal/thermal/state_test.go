@@ -1,7 +1,9 @@
 package thermal
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
@@ -54,4 +56,42 @@ func TestTemperatureCodecShapeMismatch(t *testing.T) {
 	if _, err := DecodeTemperature(ckpt.NewDec(e.Data()[:5]), 2, 2); err == nil {
 		t.Fatal("truncated field accepted")
 	}
+}
+
+// FuzzDecodeTemperature feeds arbitrary bytes and shape pins to the
+// field decoder: it must never panic, must allocate no more than a
+// constant times the input length, and must return either an error or a
+// field of the pinned shape that re-encodes to exactly the bytes it
+// consumed.
+func FuzzDecodeTemperature(f *testing.F) {
+	var e ckpt.Enc
+	EncodeTemperature(&e, Temperature{{300.15, 301.5, 45}, {46, 47, 48}})
+	f.Add(e.Data(), uint16(2), uint16(3))
+	f.Add(e.Data(), uint16(0), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, layers, cells uint16) {
+		d := ckpt.NewDec(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		field, err := DecodeTemperature(d, int(layers), int(cells))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if field != nil && layers > 0 && len(field) != int(layers) {
+			t.Fatalf("field has %d layers, pinned %d", len(field), layers)
+		}
+		for li, l := range field {
+			if cells > 0 && len(l) != int(cells) {
+				t.Fatalf("layer %d has %d cells, pinned %d", li, len(l), cells)
+			}
+		}
+		var re ckpt.Enc
+		EncodeTemperature(&re, field)
+		if used := data[:len(data)-d.Remaining()]; !bytes.Equal(re.Data(), used) {
+			t.Fatalf("field re-encodes to %x, decoded from %x", re.Data(), used)
+		}
+	})
 }
