@@ -448,7 +448,8 @@ func BenchmarkStencilApply(b *testing.B) {
 
 // BenchmarkThomasSweep prices one red-black line-smoothing sweep: a
 // tridiagonal Thomas solve per planar column through the stack's
-// layers, grouped four columns wide. The multigrid V-cycle is a handful
+// layers, run layer-outer across each interior row's columns so the
+// independent recurrences pipeline. The multigrid V-cycle is a handful
 // of these per level, so smoother cost bounds the preconditioner cost.
 func BenchmarkThomasSweep(b *testing.B) {
 	kernelBench(b, func(k thermal.KernelBench) { k.ThomasSweep() })

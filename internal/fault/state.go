@@ -29,7 +29,10 @@ func (in *Injector) EncodeState(e *ckpt.Enc) {
 }
 
 // DecodeState reads EncodeState's layout back into an injector built
-// with the same Config.
+// with the same Config. The stuck-map layer count is bounded by the
+// bytes left before the map is made (each layer costs at least its
+// 4-byte length), so a hostile count cannot allocate more than a small
+// multiple of the input.
 func (in *Injector) DecodeState(d *ckpt.Dec) error {
 	powerStep := d.U64()
 	solve := d.U64()
@@ -37,6 +40,9 @@ func (in *Injector) DecodeState(d *ckpt.Dec) error {
 	nLayers := int(d.U32())
 	if err := d.Err(); err != nil {
 		return err
+	}
+	if nLayers > d.Remaining()/4 {
+		return fmt.Errorf("fault: injector state claims %d stuck-map layers, only %d bytes left", nLayers, d.Remaining())
 	}
 	var stuck [][]float64
 	if nLayers > 0 {

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
@@ -156,4 +158,39 @@ func TestSensorBankDecodeRejectsMismatch(t *testing.T) {
 	if err := inj.DecodeState(ckpt.NewDec([]byte{1, 2})); err == nil {
 		t.Fatal("truncated injector state accepted")
 	}
+}
+
+// FuzzInjectorDecodeState feeds arbitrary bytes to the injector's
+// checkpoint decoder. It must never panic, must allocate in proportion
+// to its input (a hostile stuck-map layer count is rejected before the
+// map is made), and an accepted state must re-encode to exactly the
+// bytes it consumed.
+func FuzzInjectorDecodeState(f *testing.F) {
+	in := New(faultyCfg(3))
+	for i := 0; in.stuckMap == nil; i++ {
+		in.PerturbPower(testMap(i))
+		in.SolveFault()
+	}
+	var e ckpt.Enc
+	in.EncodeState(&e)
+	f.Add(e.Data())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := ckpt.NewDec(data)
+		got := New(faultyCfg(3))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := got.DecodeState(d)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		var re ckpt.Enc
+		got.EncodeState(&re)
+		if used := data[:len(data)-d.Remaining()]; !bytes.Equal(re.Data(), used) {
+			t.Fatalf("state re-encodes to %x, decoded from %x", re.Data(), used)
+		}
+	})
 }

@@ -753,105 +753,92 @@ func (s *Solver) cgBatch(ctx context.Context, bs *batchScratch, res *BatchResult
 }
 
 // applyRangeBatch is applyRange over k interleaved columns: the cell's
-// conductances and index decomposition are computed once and applied to
-// every column in cols. The per-column multiply/add chain — including
-// the zero-conductance guard structure — replicates applyRange exactly.
+// conductances are loaded once and applied to every column in cols. It
+// splits [lo, hi) into the same cell classes as applyRange — the
+// interior layers take the unguarded seven-term expression, the bottom
+// and top layers applyCellsBatch's guarded walk — so each column is
+// bitwise the serial apply by construction.
 func (l *mgLevel) applyRangeBatch(x, y []float64, k int, cols []int, lo, hi int) {
-	kcols := k * l.cols
-	knpl := k * l.nPerLayer
-	dense := len(cols) == k
-	// Walk the cell's (layer, row, col) decomposition incrementally —
-	// one div/mod set at lo instead of per cell. The values match the
-	// per-cell decomposition exactly, so nothing downstream changes.
+	npl := l.nPerLayer
+	a, b := max(lo, npl), min(hi, l.n-npl)
+	if a >= b {
+		l.applyCellsBatch(x, y, k, cols, lo, hi)
+		return
+	}
+	l.applyCellsBatch(x, y, k, cols, lo, a)
+	kcols, knpl := k*l.cols, k*npl
+	for i := a; i < b; i++ {
+		sd, gr, gf, gu := l.sdiag[i], l.gRight[i], l.gFront[i], l.gUp[i]
+		grL, gfB, gd := l.gRight[i-1], l.gFront[i-l.cols], l.gUp[i-npl]
+		base := i * k
+		if len(cols) == k {
+			// All columns live: exact-length windows drop the bounds
+			// checks and the cols indirection.
+			y0 := y[base:][:k]
+			x0 := x[base:][:k]
+			xr := x[base+k:][:k]
+			xf := x[base+kcols:][:k]
+			xl := x[base-k:][:k]
+			xk := x[base-kcols:][:k]
+			xu := x[base+knpl:][:k]
+			xd := x[base-knpl:][:k]
+			for j := range y0 {
+				y0[j] = sd*x0[j] - gr*xr[j] - gf*xf[j] - grL*xl[j] - gfB*xk[j] - gu*xu[j] - gd*xd[j]
+			}
+			continue
+		}
+		for _, j := range cols {
+			c := base + j
+			y[c] = sd*x[c] - gr*x[c+k] - gf*x[c+kcols] - grL*x[c-k] - gfB*x[c-kcols] - gu*x[c+knpl] - gd*x[c-knpl]
+		}
+	}
+	l.applyCellsBatch(x, y, k, cols, b, hi)
+}
+
+// applyCellsBatch is applyCells over k interleaved columns: the same
+// guarded per-cell walk, for the bottom and top layers.
+func (l *mgLevel) applyCellsBatch(x, y []float64, k int, cols []int, lo, hi int) {
+	kcols, knpl := k*l.cols, k*l.nPerLayer
 	c := lo % l.nPerLayer
 	lay := lo / l.nPerLayer
 	row, col := c/l.cols, c%l.cols
 	for i := lo; i < hi; i++ {
 		base := i * k
-		sd := l.sdiag[i]
-		gr, gf := l.gRight[i], l.gFront[i]
-		var grL, gfB float64
+		sd, gr, gf := l.sdiag[i], l.gRight[i], l.gFront[i]
+		var grL, gfB, gu, gd float64
 		if col > 0 {
 			grL = l.gRight[i-1]
 		}
 		if row > 0 {
 			gfB = l.gFront[i-l.cols]
 		}
-		var gu, gd float64
 		if lay+1 < l.layers {
 			gu = l.gUp[i]
 		}
 		if lay > 0 {
 			gd = l.gUp[i-l.nPerLayer]
 		}
-		if dense {
-			// All columns live: same per-column operation sequence —
-			// diag, right, front, left, back, up, down — as the sparse
-			// loop below, minus the cols indirection, so the two variants
-			// are bitwise-interchangeable.
-			y0 := y[base : base+k : base+k]
-			if gr != 0 && gf != 0 && col > 0 && row > 0 && gu != 0 && gd != 0 {
-				// Fully interior cell: all six couplings present.
-				// Exact-length windows drop the bounds checks; the
-				// branch-free sum keeps the left-to-right subtraction
-				// order bit for bit.
-				x0 := x[base : base+k : base+k]
-				xr := x[base+k : base+2*k : base+2*k]
-				xf := x[base+kcols : base+kcols+k : base+kcols+k]
-				xl := x[base-k : base : base]
-				xk := x[base-kcols : base-kcols+k : base-kcols+k]
-				xu := x[base+knpl : base+knpl+k : base+knpl+k]
-				xd := x[base-knpl : base-knpl+k : base-knpl+k]
-				for j := range y0 {
-					y0[j] = sd*x0[j] - gr*xr[j] - gf*xf[j] - grL*xl[j] - gfB*xk[j] - gu*xu[j] - gd*xd[j]
-				}
-			} else {
-				for j := range y0 {
-					acc := sd * x[base+j]
-					if gr != 0 {
-						acc -= gr * x[base+k+j]
-					}
-					if gf != 0 {
-						acc -= gf * x[base+kcols+j]
-					}
-					if col > 0 {
-						acc -= grL * x[base-k+j]
-					}
-					if row > 0 {
-						acc -= gfB * x[base-kcols+j]
-					}
-					if gu != 0 {
-						acc -= gu * x[base+knpl+j]
-					}
-					if gd != 0 {
-						acc -= gd * x[base-knpl+j]
-					}
-					y0[j] = acc
-				}
+		for _, j := range cols {
+			acc := sd * x[base+j]
+			if gr != 0 {
+				acc -= gr * x[base+k+j]
 			}
-		} else {
-			for _, j := range cols {
-				acc := sd * x[base+j]
-				if gr != 0 {
-					acc -= gr * x[base+k+j]
-				}
-				if gf != 0 {
-					acc -= gf * x[base+kcols+j]
-				}
-				if col > 0 {
-					acc -= grL * x[base-k+j]
-				}
-				if row > 0 {
-					acc -= gfB * x[base-kcols+j]
-				}
-				if gu != 0 {
-					acc -= gu * x[base+knpl+j]
-				}
-				if gd != 0 {
-					acc -= gd * x[base-knpl+j]
-				}
-				y[base+j] = acc
+			if gf != 0 {
+				acc -= gf * x[base+kcols+j]
 			}
+			if col > 0 {
+				acc -= grL * x[base-k+j]
+			}
+			if row > 0 {
+				acc -= gfB * x[base-kcols+j]
+			}
+			if gu != 0 {
+				acc -= gu * x[base+knpl+j]
+			}
+			if gd != 0 {
+				acc -= gd * x[base-knpl+j]
+			}
+			y[base+j] = acc
 		}
 		col++
 		if col == l.cols {
@@ -916,11 +903,13 @@ func (s *Solver) smoothLevelBatch(l *mgLevel, ls *batchLevel, b, x []float64, k 
 // independent, so the old per-column refactorisation (two divisions per
 // cell per column) was k-fold redundant work. Per-column arithmetic —
 // rhs assembly order, Thomas recurrences, back substitution — matches
-// solveColumn exactly: the pivots are the very values the sequential
-// solver divides by.
+// the serial smoother on the same cell classes: columns with interior
+// planar coordinates take solveRow's unguarded right-hand side, edge
+// columns solveColumn's guarded one.
 func (l *mgLevel) solveColumnBatch(ls *batchLevel, b, x []float64, k int, cols []int, p, row, col int) {
-	if len(cols) == k {
-		l.solveColumnDense(ls, b, x, k, p, row, col)
+	interior := row > 0 && row < l.rows-1 && col > 0 && col < l.cols-1
+	if interior && len(cols) == k {
+		l.solveColumnDense(ls, b, x, k, p)
 		return
 	}
 	npl, kcols, knpl := l.nPerLayer, k*l.cols, k*l.nPerLayer
@@ -941,24 +930,30 @@ func (l *mgLevel) solveColumnBatch(ls *batchLevel, b, x []float64, k int, cols [
 		}
 		fd := l.fden[i]
 		for _, j := range cols {
-			rhs := b[base+j]
-			if gr != 0 {
-				rhs += gr * x[base+k+j]
-			}
-			if col > 0 && grL != 0 {
-				rhs += grL * x[base-k+j]
-			}
-			if gf != 0 {
-				rhs += gf * x[base+kcols+j]
-			}
-			if row > 0 && gfB != 0 {
-				rhs += gfB * x[base-kcols+j]
+			c := base + j
+			var rhs float64
+			if interior {
+				rhs = b[c] + gr*x[c+k] + grL*x[c-k] + gf*x[c+kcols] + gfB*x[c-kcols]
+			} else {
+				rhs = b[c]
+				if gr != 0 {
+					rhs += gr * x[c+k]
+				}
+				if grL != 0 {
+					rhs += grL * x[c-k]
+				}
+				if gf != 0 {
+					rhs += gf * x[c+kcols]
+				}
+				if gfB != 0 {
+					rhs += gfB * x[c-kcols]
+				}
 			}
 			var rpPrev float64
 			if lay > 0 {
-				rpPrev = ls.rp[base-knpl+j]
+				rpPrev = ls.rp[c-knpl]
 			}
-			ls.rp[base+j] = (rhs - sub*rpPrev) / fd
+			ls.rp[c] = (rhs - sub*rpPrev) / fd
 		}
 		i += npl
 	}
@@ -977,92 +972,41 @@ func (l *mgLevel) solveColumnBatch(ls *batchLevel, b, x []float64, k int, cols [
 	}
 }
 
-// solveColumnDense is solveColumnBatch's all-columns-live fast path:
-// one fused pass per layer assembles the right-hand side and runs the
-// Thomas recurrence for every column, with the neighbour conductances
-// and the precomputed pivot loaded once per cell. Unlike the sequential
-// solveColumn, whose forward recurrence is one dependent division chain
-// through the layers, the k columns' chains here are independent, so
-// their divisions pipeline. The per-column operation sequence — rhs
-// accumulation order, recurrence, back substitution — is bit-for-bit
-// the sparse path's.
-func (l *mgLevel) solveColumnDense(ls *batchLevel, b, x []float64, k, p, row, col int) {
+// solveColumnDense is solveColumnBatch's fast path for an interior
+// planar column with every batch column live: one fused pass per layer
+// assembles the unguarded right-hand side and runs the Thomas recurrence
+// for all k columns over exact-length windows, with the conductances
+// and pivot loaded once per cell. The k recurrences are independent, so
+// their divisions pipeline like solveRow's. The per-column operation
+// sequence is bit for bit the sparse path's.
+func (l *mgLevel) solveColumnDense(ls *batchLevel, b, x []float64, k, p int) {
 	npl, kcols, knpl := l.nPerLayer, k*l.cols, k*l.nPerLayer
 	rp := ls.rp
 	i := p
 	for lay := 0; lay < l.layers; lay++ {
 		base := i * k
-		gr, gf := l.gRight[i], l.gFront[i]
-		var grL, gfB float64
-		if col > 0 {
-			grL = l.gRight[i-1]
-		}
-		if row > 0 {
-			gfB = l.gFront[i-l.cols]
-		}
+		gr, gf, grL, gfB := l.gRight[i], l.gFront[i], l.gRight[i-1], l.gFront[i-l.cols]
 		fd := l.fden[i]
-		bb := b[base : base+k : base+k]
-		if gr != 0 && grL != 0 && gf != 0 && gfB != 0 {
-			// Interior planar column: all four lateral couplings present.
-			// Exact-length windows let the compiler drop the per-element
-			// bounds checks, and the branch-free sum keeps the sequential
-			// left-to-right accumulation order (b, right, left, front,
-			// back) bit for bit.
-			xr := x[base+k : base+2*k : base+2*k]
-			xl := x[base-k : base : base]
-			xf := x[base+kcols : base+kcols+k : base+kcols+k]
-			xk := x[base-kcols : base-kcols+k : base-kcols+k]
-			rpb := rp[base : base+k : base+k]
-			if lay > 0 {
-				sub := -l.gUp[i-npl]
-				rpp := rp[base-knpl : base-knpl+k : base-knpl+k]
-				for j := range bb {
-					rhs := bb[j] + gr*xr[j] + grL*xl[j] + gf*xf[j] + gfB*xk[j]
-					rpb[j] = (rhs - sub*rpp[j]) / fd
-				}
-			} else {
-				// sub == 0 on the bottom layer, where the pivot is sdiag
-				// itself and the rhs correction vanishes, exactly as the
-				// guarded form computes with rpPrev = 0.
-				for j := range bb {
-					rhs := bb[j] + gr*xr[j] + grL*xl[j] + gf*xf[j] + gfB*xk[j]
-					rpb[j] = rhs / fd
-				}
-			}
-		} else if lay > 0 {
+		bb := b[base:][:k]
+		xr := x[base+k:][:k]
+		xl := x[base-k:][:k]
+		xf := x[base+kcols:][:k]
+		xk := x[base-kcols:][:k]
+		rpb := rp[base:][:k]
+		if lay > 0 {
 			sub := -l.gUp[i-npl]
+			rpp := rp[base-knpl:][:k]
 			for j := range bb {
-				rhs := bb[j]
-				if gr != 0 {
-					rhs += gr * x[base+k+j]
-				}
-				if grL != 0 {
-					rhs += grL * x[base-k+j]
-				}
-				if gf != 0 {
-					rhs += gf * x[base+kcols+j]
-				}
-				if gfB != 0 {
-					rhs += gfB * x[base-kcols+j]
-				}
-				rp[base+j] = (rhs - sub*rp[base-knpl+j]) / fd
+				rhs := bb[j] + gr*xr[j] + grL*xl[j] + gf*xf[j] + gfB*xk[j]
+				rpb[j] = (rhs - sub*rpp[j]) / fd
 			}
 		} else {
+			// sub == 0 on the bottom layer, where the rhs correction
+			// vanishes, exactly as the guarded form computes with
+			// rpPrev = 0.
 			for j := range bb {
-				rhs := bb[j]
-				if gr != 0 {
-					rhs += gr * x[base+k+j]
-				}
-				if grL != 0 {
-					rhs += grL * x[base-k+j]
-				}
-				if gf != 0 {
-					rhs += gf * x[base+kcols+j]
-				}
-				if gfB != 0 {
-					rhs += gfB * x[base-kcols+j]
-				}
-				rp[base+j] = rhs / fd
+				rhs := bb[j] + gr*xr[j] + grL*xl[j] + gf*xf[j] + gfB*xk[j]
+				rpb[j] = rhs / fd
 			}
 		}
 		i += npl
@@ -1074,9 +1018,9 @@ func (l *mgLevel) solveColumnDense(ls *batchLevel, b, x []float64, k, p, row, co
 		i -= npl
 		base = i * k
 		fc := l.fcp[i]
-		xb := x[base : base+k : base+k]
-		rpb := rp[base:]
-		xn := x[base+knpl:]
+		xb := x[base:][:k]
+		rpb := rp[base:][:k]
+		xn := x[base+knpl:][:k]
 		for j := range xb {
 			xb[j] = rpb[j] - fc*xn[j]
 		}

@@ -53,8 +53,10 @@ func (k KernelBench) StencilApply() {
 
 // ThomasSweep runs one red-black line-smoothing sweep (forward colour
 // order) on the finest level: per planar column, one tridiagonal Thomas
-// solve through the stack's layers, grouped four columns wide
-// (solveColumns4). This is the multigrid smoother's unit of work.
+// solve through the stack's layers. Interior rows sweep their interior
+// columns layer-outer (solveRow), so the columns' recurrences pipeline;
+// edge rows and columns solve one column at a time (solveColumn). This
+// is the multigrid smoother's unit of work.
 func (k KernelBench) ThomasSweep() {
 	s := k.s
 	s.smoothLevel(s.levels[0], s.r, s.z, false)

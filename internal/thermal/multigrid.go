@@ -121,9 +121,12 @@ type mgLevel struct {
 	gUp, gRight, gFront, gAmb, diag, capacity []float64
 
 	// Scratch. sdiag is diag + shift·capacity for the current shift
-	// (see ensureShifted); r holds smoothing residuals; x/b are the
-	// level's correction and right-hand side (nil at level 0, where
-	// cg's own vectors serve).
+	// (see ensureShifted); x/b are the level's correction and
+	// right-hand side (nil at level 0, where cg's own vectors serve).
+	// r holds the residual from residualRange until restrictTo
+	// consumes it, and during a smoothing sweep the line smoother's
+	// eliminated right-hand sides (solveRow). A V-cycle never smooths
+	// between those two calls, so the uses cannot overlap.
 	sdiag, r, x, b []float64
 
 	// Precomputed Thomas factorisation of the vertical tridiagonals
@@ -317,151 +320,79 @@ func (l *mgLevel) factorRange(lo, hi int) {
 // applyRange computes y[lo:hi] = ((G + shift·C)·x)[lo:hi] on this level,
 // reading the precomputed shifted diagonal. The stencil reads x outside
 // [lo, hi) (neighbour cells) but only writes inside it, so disjoint
-// ranges run concurrently. Rows whose every cell has interior (layer,
-// row) coordinates are peeled onto applyRowInterior's window kernel;
-// boundary rows, partial rows at the range edges, and degenerate grids
-// take the generic per-cell walk of applyCells. Per-cell arithmetic is
-// identical either way, so the split changes no bits.
+// ranges run concurrently. Cells of the interior layers run as one
+// exact-length window loop with the full seven-term expression and no
+// guards: assemble and coarsen leave gRight zero on the last column,
+// gFront zero on the last row and gUp zero on the top layer, so every
+// read stays in the array and a missing coupling adds a ±0 product.
+// Only the bottom and top layers, whose vertical neighbours would leave
+// the array, take applyCells's guarded walk.
 func (l *mgLevel) applyRange(x, y []float64, lo, hi int) {
-	cols, npl, rows, layers := l.cols, l.nPerLayer, l.rows, l.layers
-	if cols < 4 || rows < 3 || layers < 3 {
+	cols, npl := l.cols, l.nPerLayer
+	a, b := max(lo, npl), min(hi, l.n-npl)
+	if a >= b {
 		l.applyCells(x, y, lo, hi)
 		return
 	}
-	i := lo
-	if r := i % cols; r != 0 {
-		end := i + cols - r
-		if end > hi {
-			end = hi
-		}
-		l.applyCells(x, y, i, end)
-		i = end
-	}
-	for i+cols <= hi {
-		c := i % npl
-		lay := i / npl
-		row := c / cols
-		if row == 0 || row == rows-1 || lay == 0 || lay == layers-1 {
-			l.applyCells(x, y, i, i+cols)
-		} else {
-			l.applyRowInterior(x, y, i)
-		}
-		i += cols
-	}
-	if i < hi {
-		l.applyCells(x, y, i, hi)
-	}
-}
-
-// applyRowInterior applies the stencil to one full row whose layer and
-// row coordinates are both interior: every cell except the row's two
-// ends has all four planar neighbours in range, and the vertical
-// couplings exist on both sides. The middle cells run over exact-length
-// slice windows — bounds checks and coordinate tests gone — with the
-// same seven-point expression and guarded fallback as applyCells, so
-// each cell computes bit-identical values. rs is the row's first cell.
-func (l *mgLevel) applyRowInterior(x, y []float64, rs int) {
-	cols, npl := l.cols, l.nPerLayer
-	l.applyCells(x, y, rs, rs+1)
-	l.applyCells(x, y, rs+cols-1, rs+cols)
-	i0 := rs + 1
-	n := cols - 2
-	yc := y[i0 : i0+n : i0+n]
-	sdg := l.sdiag[i0 : i0+n : i0+n]
-	grs := l.gRight[i0 : i0+n : i0+n]
-	gls := l.gRight[i0-1 : i0-1+n : i0-1+n]
-	gfs := l.gFront[i0 : i0+n : i0+n]
-	gbs := l.gFront[i0-cols : i0-cols+n : i0-cols+n]
-	gus := l.gUp[i0 : i0+n : i0+n]
-	gds := l.gUp[i0-npl : i0-npl+n : i0-npl+n]
-	xc := x[i0 : i0+n : i0+n]
-	xr := x[i0+1 : i0+1+n : i0+1+n]
-	xl := x[i0-1 : i0-1+n : i0-1+n]
-	xf := x[i0+cols : i0+cols+n : i0+cols+n]
-	xb := x[i0-cols : i0-cols+n : i0-cols+n]
-	xu := x[i0+npl : i0+npl+n : i0+npl+n]
-	xd := x[i0-npl : i0-npl+n : i0-npl+n]
+	l.applyCells(x, y, lo, a)
+	m := b - a
+	yc := y[a:][:m]
+	sdg := l.sdiag[a:][:m]
+	grs := l.gRight[a:][:m]
+	gls := l.gRight[a-1:][:m]
+	gfs := l.gFront[a:][:m]
+	gbs := l.gFront[a-cols:][:m]
+	gus := l.gUp[a:][:m]
+	gds := l.gUp[a-npl:][:m]
+	xc := x[a:][:m]
+	xr := x[a+1:][:m]
+	xl := x[a-1:][:m]
+	xf := x[a+cols:][:m]
+	xb := x[a-cols:][:m]
+	xu := x[a+npl:][:m]
+	xd := x[a-npl:][:m]
 	for j := range yc {
-		gr, gf, gu, gd := grs[j], gfs[j], gus[j], gds[j]
-		if gr != 0 && gf != 0 && gu != 0 && gd != 0 {
-			yc[j] = sdg[j]*xc[j] - gr*xr[j] - gf*xf[j] - gls[j]*xl[j] - gbs[j]*xb[j] - gu*xu[j] - gd*xd[j]
-			continue
-		}
-		acc := sdg[j] * xc[j]
-		if gr != 0 {
-			acc -= gr * xr[j]
-		}
-		if gf != 0 {
-			acc -= gf * xf[j]
-		}
-		acc -= gls[j] * xl[j]
-		acc -= gbs[j] * xb[j]
-		if gu != 0 {
-			acc -= gu * xu[j]
-		}
-		if gd != 0 {
-			acc -= gd * xd[j]
-		}
-		yc[j] = acc
+		yc[j] = sdg[j]*xc[j] - grs[j]*xr[j] - gfs[j]*xf[j] - gls[j]*xl[j] - gbs[j]*xb[j] - gus[j]*xu[j] - gds[j]*xd[j]
 	}
+	l.applyCells(x, y, b, hi)
 }
 
-// applyCells is applyRange's generic per-cell walk: the (layer, row,
-// col) decomposition advances incrementally — one div/mod set at lo
-// instead of three per cell — and fully-interior cells take a
-// branch-free seven-point path whose left-to-right subtraction order
-// matches the guarded form bit for bit (the same structure as
-// applyRangeBatch, so the serial and batched stencils stay
-// interchangeable).
+// applyCells is applyRange's guarded per-cell walk for the bottom and
+// top layers: a term is added only where its neighbour exists and its
+// conductance is non-zero, in the interior loop's order (diag, right,
+// front, left, back, up, down). The (layer, row, col) decomposition
+// advances incrementally — one div/mod set at lo instead of three per
+// cell.
 func (l *mgLevel) applyCells(x, y []float64, lo, hi int) {
 	cols, npl := l.cols, l.nPerLayer
 	c := lo % npl
 	lay := lo / npl
 	row, col := c/cols, c%cols
 	for i := lo; i < hi; i++ {
-		sd := l.sdiag[i]
-		gr, gf := l.gRight[i], l.gFront[i]
-		var grL, gfB float64
+		acc := l.sdiag[i] * x[i]
+		if g := l.gRight[i]; g != 0 {
+			acc -= g * x[i+1]
+		}
+		if g := l.gFront[i]; g != 0 {
+			acc -= g * x[i+cols]
+		}
 		if col > 0 {
-			grL = l.gRight[i-1]
+			acc -= l.gRight[i-1] * x[i-1]
 		}
 		if row > 0 {
-			gfB = l.gFront[i-cols]
+			acc -= l.gFront[i-cols] * x[i-cols]
 		}
-		var gu, gd float64
 		if lay+1 < l.layers {
-			gu = l.gUp[i]
+			if g := l.gUp[i]; g != 0 {
+				acc -= g * x[i+npl]
+			}
 		}
 		if lay > 0 {
-			gd = l.gUp[i-npl]
+			if g := l.gUp[i-npl]; g != 0 {
+				acc -= g * x[i-npl]
+			}
 		}
-		if gr != 0 && gf != 0 && col > 0 && row > 0 && gu != 0 && gd != 0 {
-			// Fully interior cell: all six couplings present. The
-			// unconditional grL/gfB multiplies mirror the guarded form,
-			// which also multiplies them unconditionally once col/row > 0.
-			y[i] = sd*x[i] - gr*x[i+1] - gf*x[i+cols] - grL*x[i-1] - gfB*x[i-cols] - gu*x[i+npl] - gd*x[i-npl]
-		} else {
-			acc := sd * x[i]
-			if gr != 0 {
-				acc -= gr * x[i+1]
-			}
-			if gf != 0 {
-				acc -= gf * x[i+cols]
-			}
-			if col > 0 {
-				acc -= grL * x[i-1]
-			}
-			if row > 0 {
-				acc -= gfB * x[i-cols]
-			}
-			if gu != 0 {
-				acc -= gu * x[i+npl]
-			}
-			if gd != 0 {
-				acc -= gd * x[i-npl]
-			}
-			y[i] = acc
-		}
+		y[i] = acc
 		col++
 		if col == cols {
 			col = 0
@@ -513,33 +444,37 @@ func (s *Solver) smoothLevel(l *mgLevel, b, x []float64, reverse bool) {
 
 // smoothSpan solves every column of the given colour with planar index
 // in [lo, hi). It walks rows directly — same-colour columns sit at
-// stride 2 within a row — instead of testing every cell's parity, and
-// fuses groups of four columns so their Thomas division chains pipeline
-// (a single column's forward recurrence is one dependent division chain;
-// four interleaved chains hide most of the divider latency). Columns are
-// processed in ascending planar order and each column's arithmetic is
-// untouched by the grouping, so the sweep is bit-for-bit the naive
-// cell-parity loop.
+// stride 2 within a row. On the interior rows the columns 1..cols−2 go
+// to solveRow in one layer-outer sweep; the first and last rows and the
+// row-end columns keep the guarded solveColumn, because there the
+// unguarded neighbour reads would leave the array or, at a row end,
+// read a same-colour cell of the next row that another chunk may be
+// writing. Same-colour columns are independent, so the result does not
+// depend on the chunking.
 func (l *mgLevel) smoothSpan(b, x []float64, color, lo, hi int) {
 	cols := l.cols
 	for p := lo; p < hi; {
 		row := p / cols
-		rowStart := row * cols
-		bound := rowStart + cols
-		if bound > hi {
-			bound = hi
-		}
-		col := p - rowStart
+		rs := row * cols
+		end := min(rs+cols, hi)
+		col := p - rs
 		if (row+col)&1 != color {
 			col++
 		}
-		for ; rowStart+col+6 < bound; col += 8 {
-			l.solveColumns4(b, x, rowStart+col, row, col)
+		if row > 0 && row < l.rows-1 {
+			if col == 0 {
+				l.solveColumn(b, x, rs, row, 0)
+				col = 2
+			}
+			if c1 := min(end-rs, cols-1); col < c1 {
+				l.solveRow(b, x, rs+col, rs+c1)
+				col += (c1 - col + 1) &^ 1
+			}
 		}
-		for ; rowStart+col < bound; col += 2 {
-			l.solveColumn(b, x, rowStart+col, row, col)
+		for ; rs+col < end; col += 2 {
+			l.solveColumn(b, x, rs+col, row, col)
 		}
-		p = bound
+		p = end
 	}
 }
 
@@ -550,6 +485,8 @@ func (l *mgLevel) smoothSpan(b, x []float64, color, lo, hi int) {
 // forward pass is one division per cell; the eliminated right-hand side
 // lives in a stack array, so the column touches no level-sized scratch
 // and writes only its own cells — same-colour columns are independent.
+// A lateral term is added only where the neighbour exists and its
+// conductance is non-zero, so the column may sit on any grid edge.
 func (l *mgLevel) solveColumn(b, x []float64, p, row, col int) {
 	npl, cols := l.nPerLayer, l.cols
 	var rp [mgMaxLayers]float64
@@ -591,63 +528,58 @@ func (l *mgLevel) solveColumn(b, x []float64, p, row, col int) {
 	}
 }
 
-// solveColumns4 runs solveColumn for the four same-colour columns at
-// planar offsets p, p+2, p+4, p+6 of one row, with the four Thomas
-// recurrences interleaved per layer. Same-colour columns never read each
-// other's cells and each column's multiply/divide sequence is exactly
-// solveColumn's, so the fusion changes scheduling only: the four
-// dependent division chains pipeline through the divider instead of
-// serialising, which is where the sequential smoother spends most of its
-// time (the batched smoother already gets this for free from its k
-// interleaved right-hand sides).
-func (l *mgLevel) solveColumns4(b, x []float64, p, row, col int) {
-	npl, cols := l.nPerLayer, l.cols
-	i := [4]int{p, p + 2, p + 4, p + 6}
-	var rp [mgMaxLayers][4]float64
-	var rpPrev [4]float64
-	for lay := 0; lay < l.layers; lay++ {
-		var rhs, sub [4]float64
-		for q := 0; q < 4; q++ {
-			iq := i[q]
-			r := b[iq]
-			if g := l.gRight[iq]; g != 0 {
-				r += g * x[iq+1]
+// solveRow runs solveColumn's Thomas solve for the same-colour columns
+// p0, p0+2, … below p1 of one row, all with interior planar coordinates
+// (1 ≤ row ≤ rows−2, 1 ≤ col ≤ cols−2), layer-outer: one forward loop
+// per layer over the row's columns, writing the eliminated right-hand
+// sides to the level's r scratch, then one back-substitution loop per
+// layer. The columns' recurrences are independent, so their divisions
+// pipeline at any row width. Every lateral neighbour is in range and
+// belongs to the other colour, so the right-hand side is the full
+// unguarded four-term sum — solveColumn's expression plus a ±0 product
+// wherever a conductance is zero.
+func (l *mgLevel) solveRow(b, x []float64, p0, p1 int) {
+	npl, cols, m := l.nPerLayer, l.cols, p1-p0
+	rp := l.r
+	for i0 := p0; i0 < l.n; i0 += npl {
+		bb := b[i0:][:m]
+		grs := l.gRight[i0:][:m]
+		gls := l.gRight[i0-1:][:m]
+		gfs := l.gFront[i0:][:m]
+		gbs := l.gFront[i0-cols:][:m]
+		fds := l.fden[i0:][:m]
+		xr := x[i0+1:][:m]
+		xl := x[i0-1:][:m]
+		xf := x[i0+cols:][:m]
+		xb := x[i0-cols:][:m]
+		rps := rp[i0:][:m]
+		if i0 < npl {
+			for j := 0; j < m; j += 2 {
+				rhs := bb[j] + grs[j]*xr[j] + gls[j]*xl[j] + gfs[j]*xf[j] + gbs[j]*xb[j]
+				rps[j] = rhs / fds[j]
 			}
-			if col+2*q > 0 {
-				if g := l.gRight[iq-1]; g != 0 {
-					r += g * x[iq-1]
-				}
-			}
-			if g := l.gFront[iq]; g != 0 {
-				r += g * x[iq+cols]
-			}
-			if row > 0 {
-				if g := l.gFront[iq-cols]; g != 0 {
-					r += g * x[iq-cols]
-				}
-			}
-			rhs[q] = r
-			if lay > 0 {
-				sub[q] = -l.gUp[iq-npl]
-			}
+			continue
 		}
-		for q := 0; q < 4; q++ {
-			rpPrev[q] = (rhs[q] - sub[q]*rpPrev[q]) / l.fden[i[q]]
-			rp[lay][q] = rpPrev[q]
-			i[q] += npl
+		gds := l.gUp[i0-npl:][:m]
+		rpd := rp[i0-npl:][:m]
+		for j := 0; j < m; j += 2 {
+			rhs := bb[j] + grs[j]*xr[j] + gls[j]*xl[j] + gfs[j]*xf[j] + gbs[j]*xb[j]
+			sub := -gds[j]
+			rps[j] = (rhs - sub*rpd[j]) / fds[j]
 		}
 	}
-	var xi [4]float64
-	for q := 0; q < 4; q++ {
-		i[q] -= npl
-		xi[q] = rp[l.layers-1][q]
-		x[i[q]] = xi[q]
+	top := l.n - npl + p0
+	xt, rpt := x[top:][:m], rp[top:][:m]
+	for j := 0; j < m; j += 2 {
+		xt[j] = rpt[j]
 	}
-	for lay := l.layers - 2; lay >= 0; lay-- {
-		for q := 0; q < 4; q++ {
-			i[q] -= npl
-			xi[q] = rp[lay][q] - l.fcp[i[q]]*xi[q]
-			x[i[q]] = xi[q]
+	for i0 := top - npl; i0 >= 0; i0 -= npl {
+		xs := x[i0:][:m]
+		xu := x[i0+npl:][:m]
+		rps := rp[i0:][:m]
+		fcs := l.fcp[i0:][:m]
+		for j := 0; j < m; j += 2 {
+			xs[j] = rps[j] - fcs[j]*xu[j]
 		}
 	}
 }
@@ -655,62 +587,66 @@ func (l *mgLevel) solveColumns4(b, x []float64, p, row, col int) {
 // restrictTo transfers the fine residual to the coarse right-hand side:
 // each coarse cell sums its (up to four) fine children in fixed
 // row-major order, so the result is independent of chunk scheduling.
+// It walks coarse rows, locating each row's fine row pair once instead
+// of advancing a (layer, row, col) triple per cell.
 func (s *Solver) restrictTo(f, c *mgLevel) {
 	s.runSpan(c.n, chunkCells, c.n, func(lo, hi int) {
-		// Incremental (layer, R, C) walk — one div/mod set per chunk.
 		p0 := lo % c.nPerLayer
 		lay := lo / c.nPerLayer
 		R, C := p0/c.cols, p0%c.cols
-		for ci := lo; ci < hi; ci++ {
-			base := lay * f.nPerLayer
-			acc := 0.0
-			for dr := 0; dr < 2; dr++ {
-				fr := 2*R + dr
-				if fr >= f.rows {
-					break
-				}
-				rowBase := base + fr*f.cols
-				for dc := 0; dc < 2; dc++ {
-					fc := 2*C + dc
-					if fc >= f.cols {
-						break
-					}
-					acc += f.r[rowBase+fc]
-				}
+		pairs := f.cols / 2 // coarse columns with two fine children
+		for ci := lo; ci < hi; {
+			end := min(hi, ci-C+c.cols)
+			fb := lay*f.nPerLayer + 2*R*f.cols
+			r0 := f.r[fb:][:f.cols]
+			r1 := r0
+			two := 2*R+1 < f.rows
+			if two {
+				r1 = f.r[fb+f.cols:][:f.cols]
 			}
-			c.b[ci] = acc
-			C++
-			if C == c.cols {
-				C = 0
-				R++
-				if R == c.rows {
-					R = 0
-					lay++
+			for ; ci < end; ci, C = ci+1, C+1 {
+				fc := 2 * C
+				acc := 0.0
+				acc += r0[fc]
+				if C < pairs {
+					acc += r0[fc+1]
 				}
+				if two {
+					acc += r1[fc]
+					if C < pairs {
+						acc += r1[fc+1]
+					}
+				}
+				c.b[ci] = acc
+			}
+			C = 0
+			if R++; R == c.rows {
+				R = 0
+				lay++
 			}
 		}
 	})
 }
 
 // prolongFrom adds the coarse correction back into the fine iterate by
-// aggregate injection (the transpose of restrictTo's sum).
+// aggregate injection (the transpose of restrictTo's sum), one fine row
+// at a time against its parent coarse row.
 func (s *Solver) prolongFrom(f, c *mgLevel, x []float64) {
 	s.runSpan(f.n, chunkCells, f.n, func(lo, hi int) {
-		// Incremental fine-cell (layer, row, col) walk; the coarse parent
-		// coordinates are the halved row/col, recomputed by shift.
 		p0 := lo % f.nPerLayer
 		lay := lo / f.nPerLayer
-		frow, fcol := p0/f.cols, p0%f.cols
-		for i := lo; i < hi; i++ {
-			x[i] += c.x[lay*c.nPerLayer+(frow>>1)*c.cols+(fcol>>1)]
-			fcol++
-			if fcol == f.cols {
-				fcol = 0
-				frow++
-				if frow == f.rows {
-					frow = 0
-					lay++
-				}
+		row, col := p0/f.cols, p0%f.cols
+		for i := lo; i < hi; {
+			end := min(hi, i-col+f.cols)
+			cx := c.x[lay*c.nPerLayer+(row>>1)*c.cols:][:c.cols]
+			xs := x[i:end]
+			for j := range xs {
+				xs[j] += cx[(col+j)>>1]
+			}
+			i, col = end, 0
+			if row++; row == f.rows {
+				row = 0
+				lay++
 			}
 		}
 	})

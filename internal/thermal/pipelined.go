@@ -186,7 +186,7 @@ func (l *mgLevel) solveColumnFast(b, x []float64, p, row, col int) {
 }
 
 // solveColumns4Fast interleaves four same-colour solveColumnFast solves
-// (the solveColumns4 grouping on the reciprocal pivots).
+// per layer, so their recurrences pipeline.
 func (l *mgLevel) solveColumns4Fast(b, x []float64, p, row, col int) {
 	npl, cols := l.nPerLayer, l.cols
 	i := [4]int{p, p + 2, p + 4, p + 6}
