@@ -3,10 +3,13 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -303,4 +306,47 @@ func TestWriteFileAtomic(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("%d directory entries after atomic write, want 1", len(ents))
 	}
+}
+
+// frame wraps body in a valid snapshot header: magic, body CRC and body
+// length.
+func frame(body []byte) []byte {
+	var hdr Enc
+	hdr.U32(crc32.Checksum(body, castagnoli))
+	hdr.U64(uint64(len(body)))
+	return append(append([]byte(Magic), hdr.Data()...), body...)
+}
+
+// FuzzDecodeSnapshot feeds DecodeSnapshot arbitrary bodies under a
+// correct header, so mutations get past the length and CRC checks into
+// section parsing. It must never panic, reject only with *CorruptError,
+// allocate in proportion to its input, and decode what it accepts to a
+// snapshot that survives an encode/decode round trip unchanged.
+func FuzzDecodeSnapshot(f *testing.F) {
+	f.Add(testSnap("seed").Encode()[headerLen:])
+	f.Add(NewSnapshot().Encode()[headerLen:])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		raw := frame(body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, err := DecodeSnapshot("fuzz", raw)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(raw))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(raw), alloc)
+		}
+		if err != nil {
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("rejection %v (%T) is not a *CorruptError", err, err)
+			}
+			return
+		}
+		again, err := DecodeSnapshot("fuzz", snap.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		if again.Seq != snap.Seq || !reflect.DeepEqual(again.sections, snap.sections) {
+			t.Fatalf("snapshot changed across an encode/decode round trip")
+		}
+	})
 }

@@ -62,8 +62,11 @@ func (e *Evaluator) noteBatch(res thermal.BatchResult, k int) {
 // ThermalBatchCtx runs the power/thermal fixed point of every point in
 // lockstep on one stack and returns their outcomes in order. Outcome i
 // equals ThermalWarmCtx(ctx, st, pts[i].Freqs, pts[i].Res, pts[i].Warm)
-// exactly. Any point's unrecoverable failure fails the call — the same
-// first-error semantics the per-point drivers have.
+// exactly. The active columns of an iteration share its scheduled
+// tolerance (leakTol); points that converge on a loose solve retire and
+// re-solve at full tolerance together, in a second batched call. Any
+// point's unrecoverable failure fails the call — the same first-error
+// semantics the per-point drivers have.
 func (e *Evaluator) ThermalBatchCtx(ctx context.Context, st *stack.Stack, pts []ThermalBatchPoint) ([]Outcome, error) {
 	k := len(pts)
 	outs := make([]Outcome, k)
@@ -154,8 +157,42 @@ func (e *Evaluator) ThermalBatchCtx(ctx context.Context, st *stack.Stack, pts []
 	for i := range pts {
 		active = append(active, i)
 	}
+	base := sl.baseTol(ctx)
+	prec := degradeFrom(ctx).Precond
+	// solve runs one batched solve at tol over maps, warm from starts, and
+	// returns each column's field, routing failed columns through the
+	// relaxed-retry ladder. The batched attempt is bitwise-equal to the
+	// sequential first attempt, so the ladder picks up exactly where the
+	// per-point path would.
+	solve := func(maps []thermal.PowerMap, starts []thermal.Temperature, tol float64) ([]thermal.Temperature, error) {
+		sl.mu.Lock()
+		bres, err := sl.s.SteadyStateBatch(ctx, maps, thermal.BatchOpts{
+			Warm: starts, Tol: tol, Precond: prec,
+		})
+		e.noteBatch(bres, len(maps))
+		if fellBack {
+			m.greensMisses.Add(int64(len(maps)))
+		}
+		sl.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		for c, cerr := range bres.Errs {
+			if cerr == nil {
+				continue
+			}
+			if bres.Temps[c], err = e.retryRelaxed(ctx, sl, maps[c], starts[c], tol, cerr); err != nil {
+				return nil, err
+			}
+		}
+		return bres.Temps, nil
+	}
+
 	pms := make([]thermal.PowerMap, 0, k)
 	warms := make([]thermal.Temperature, 0, k)
+	var rpms []thermal.PowerMap
+	var rwarms []thermal.Temperature
+	var rpts []int
 	for iter := 0; iter < e.LeakageIters && len(active) > 0; iter++ {
 		// Build each active point's power map against its own current
 		// temperature field — the same leakage feedback the sequential
@@ -181,31 +218,17 @@ func (e *Evaluator) ThermalBatchCtx(ctx context.Context, st *stack.Stack, pts []
 			outs[i].DRAMPowerW = power.TotalDRAM(sliceP)
 		}
 
-		deg := degradeFrom(ctx)
-		sl.mu.Lock()
-		bres, err := sl.s.SteadyStateBatch(ctx, pms, thermal.BatchOpts{
-			Warm: warms, Tol: deg.tol(sl.s.Tol), Precond: deg.Precond,
-		})
-		e.noteBatch(bres, len(active))
-		if fellBack {
-			m.greensMisses.Add(int64(len(active)))
-		}
-		sl.mu.Unlock()
+		// Lockstep: every active column solves at this iteration's
+		// scheduled tolerance.
+		tol := leakTol(base, e.LeakageIters-1-iter)
+		ts, err := solve(pms, warms, tol)
 		if err != nil {
 			return nil, err
 		}
+		rpms, rwarms, rpts = rpms[:0], rwarms[:0], rpts[:0]
 		next := active[:0]
 		for c, i := range active {
-			t := bres.Temps[c]
-			if bres.Errs[c] != nil {
-				// The batched attempt is bitwise-equal to the sequential
-				// first attempt, so the relaxed-retry ladder picks up
-				// exactly where the per-point path would.
-				t, err = e.retryRelaxed(ctx, sl, pms[c], warms[c], bres.Errs[c])
-				if err != nil {
-					return nil, err
-				}
-			}
+			t := ts[c]
 			temps[i] = t
 			seed[i] = t
 			hot, _ := t.Max(st.ProcMetalLayer)
@@ -213,12 +236,29 @@ func (e *Evaluator) ThermalBatchCtx(ctx context.Context, st *stack.Stack, pts []
 			itersUsed[i], delta[i] = iter+1, math.Abs(hot-prevHot[i])
 			if delta[i] < e.ConvergeC {
 				converged[i] = true
+				if tol > base {
+					rpms, rwarms, rpts = append(rpms, pms[c]), append(rwarms, t), append(rpts, i)
+				}
 				continue // this point's fixed point has converged: retire it
 			}
 			prevHot[i] = hot
 			next = append(next, i)
 		}
 		active = next
+
+		// Points that converged on a loose solve re-solve their last power
+		// map at full tolerance, together, warm from their loose fields.
+		if len(rpts) > 0 {
+			ts, err := solve(rpms, rwarms, base)
+			if err != nil {
+				return nil, err
+			}
+			for c, i := range rpts {
+				temps[i] = ts[c]
+				outs[i].ProcHotC, _ = ts[c].Max(st.ProcMetalLayer)
+			}
+			m.leakResolves.Add(int64(len(rpts)))
+		}
 	}
 
 	nExhausted := 0

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/stack"
+	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
 // outcomesEqual checks the fields the experiment tables print, plus the
@@ -25,9 +26,14 @@ func outcomesEqual(a, b Outcome) bool {
 			return false
 		}
 	}
-	for li := range a.Temps {
-		for c := range a.Temps[li] {
-			if a.Temps[li][c] != b.Temps[li][c] {
+	return tempsEqual(a.Temps, b.Temps)
+}
+
+// tempsEqual checks two temperature fields for exact equality.
+func tempsEqual(a, b thermal.Temperature) bool {
+	for li := range a {
+		for c := range a[li] {
+			if a[li][c] != b[li][c] {
 				return false
 			}
 		}

@@ -20,8 +20,10 @@ import (
 // to every steady-state solve of the evaluation it is attached to.
 type Degrade struct {
 	// RelaxTol multiplies the solver's base CG tolerance when > 1.
-	// The evaluator's own relaxed-retry ladder (retryRelaxed) stacks on
-	// top: its per-attempt factors multiply this widened base.
+	// The leakage schedule (leakTol) loosens early iterations from this
+	// widened base, and the evaluator's relaxed-retry ladder
+	// (retryRelaxed) stacks on top: its per-attempt factors multiply
+	// the tolerance that failed.
 	RelaxTol float64
 	// Precond, when not PrecondAuto, overrides the preconditioner for
 	// every solve (e.g. thermal.PrecondJacobi when the supervisor

@@ -46,17 +46,17 @@ func (e *Evaluator) SolveBatch(ctx context.Context, st *stack.Stack, pms []therm
 	}
 	temps := make([]thermal.Temperature, k)
 	errs := make([]error, k)
+	tol := sl.baseTol(ctx)
 	if k == 1 {
 		// The batched solver short-circuits width 1 to the sequential
 		// path; routing it through steadyState keeps the solo/batched
 		// accounting split (noteSolve vs noteBatch) meaningful.
-		temps[0], errs[0] = e.steadyState(ctx, sl, pms[0], nil)
+		temps[0], errs[0] = e.steadyState(ctx, sl, pms[0], nil, tol)
 		return temps, errs, nil
 	}
-	deg := degradeFrom(ctx)
 	sl.mu.Lock()
 	bres, berr := sl.s.SteadyStateBatch(ctx, pms, thermal.BatchOpts{
-		Tol: deg.tol(sl.s.Tol), Precond: deg.Precond,
+		Tol: tol, Precond: degradeFrom(ctx).Precond,
 	})
 	e.noteBatch(bres, k)
 	sl.mu.Unlock()
@@ -71,7 +71,7 @@ func (e *Evaluator) SolveBatch(ctx context.Context, st *stack.Stack, pms []therm
 		// The batched attempt is bitwise-equal to a sequential first
 		// attempt, so the retry ladder resumes exactly where a solo
 		// solve's would.
-		t, rerr := e.retryRelaxed(ctx, sl, pms[j], nil, bres.Errs[j])
+		t, rerr := e.retryRelaxed(ctx, sl, pms[j], nil, tol, bres.Errs[j])
 		if rerr != nil {
 			temps[j], errs[j] = nil, rerr
 			continue

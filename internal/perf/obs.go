@@ -35,6 +35,10 @@ type evalMetrics struct {
 	leakIters     *obs.Histogram
 	leakDelta     *obs.Gauge
 	leakExhausted *obs.Counter
+	// leakResolves counts full-tolerance re-solves of points whose fixed
+	// point converged on a loose solve. It is registry-only: Stats (and
+	// so the checkpoint format) does not carry it.
+	leakResolves *obs.Counter
 
 	trace *obs.TraceRing
 }
@@ -66,6 +70,7 @@ func newEvalMetrics(r *obs.Registry, external bool) *evalMetrics {
 		leakIters:      r.Histogram("xylem_perf_leakage_iters", obs.PowerOfTwoBounds(6)),
 		leakDelta:      r.Gauge("xylem_perf_leakage_last_delta_c"),
 		leakExhausted:  r.Counter("xylem_perf_leakage_budget_exhausted_total"),
+		leakResolves:   r.Counter("xylem_perf_leakage_resolves_total"),
 	}
 	if external {
 		m.trace = r.Trace()

@@ -95,7 +95,7 @@ func TestNoRetryOnBadPowerOrDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ev.steadyState(context.Background(), sl, pm, nil)
+	_, err = ev.steadyState(context.Background(), sl, pm, nil, solver.Tol)
 	if !errors.Is(err, fault.ErrDiverged) || calls != 1 {
 		t.Fatalf("retries disabled: err = %v after %d solves, want 1 failed solve", err, calls)
 	}

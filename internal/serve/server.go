@@ -662,15 +662,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sp := s.m.trace.Start("serve.request")
 	start := time.Now()
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	req := &SolveRequest{}
-	if err := dec.Decode(req); err != nil {
-		s.writeError(w, badReq("body", "%v", err))
-		sp.End(obs.A("ok", 0))
-		return
-	}
-	if err := req.Validate(); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
 		s.writeError(w, err)
 		sp.End(obs.A("ok", 0))
 		return

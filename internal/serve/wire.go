@@ -21,8 +21,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -162,6 +164,22 @@ func (r *SolveRequest) normalize() {
 	if r.Mode == "" {
 		r.Mode = ModePower
 	}
+}
+
+// decodeRequest reads one /solve request from body: strict JSON that
+// rejects unknown fields, then Validate. Every rejection is a
+// *RequestError.
+func decodeRequest(body io.Reader) (*SolveRequest, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	req := &SolveRequest{}
+	if err := dec.Decode(req); err != nil {
+		return nil, badReq("body", "%v", err)
+	}
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	return req, nil
 }
 
 // Validate checks everything checkable without server state: scheme
