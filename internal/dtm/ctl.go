@@ -174,9 +174,10 @@ func (c *SensorCtl) EncodeState(e *ckpt.Enc) {
 }
 
 // DecodeState reads EncodeState's layout back into a controller built
-// with the same configuration.
+// with the same configuration. It commits only a fully validated state:
+// a rejected one leaves the controller unchanged.
 func (c *SensorCtl) DecodeState(d *ckpt.Dec) error {
-	c.interval = d.U64()
+	interval := d.U64()
 	lvl := int(d.U32())
 	lastRead := d.F64s()
 	n := int(d.U32())
@@ -196,6 +197,7 @@ func (c *SensorCtl) DecodeState(d *ckpt.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	c.interval = interval
 	c.Level = lvl
 	copy(c.lastRead, lastRead)
 	copy(c.stale, stale)

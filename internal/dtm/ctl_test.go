@@ -1,6 +1,7 @@
 package dtm
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
@@ -105,6 +106,54 @@ func TestSensorCtlDecodeRejectsMismatch(t *testing.T) {
 	trunc, _ := NewSensorCtl(GuardedPolicy, 3, 4, 12)
 	if err := trunc.DecodeState(ckpt.NewDec(e.Data()[:5])); err == nil {
 		t.Fatal("truncated state accepted")
+	}
+}
+
+// TestSensorCtlFailedDecodeLeavesStateUnchanged pins the decoder's
+// commit-on-success rule: a rejected snapshot — wrong site count, level
+// outside the DVFS table, or truncated mid-state — leaves every field of
+// the controller as it was.
+func TestSensorCtlFailedDecodeLeavesStateUnchanged(t *testing.T) {
+	const sites, levels = 4, 12
+	limits := []float64{100, 100, 100, 100}
+	live, err := NewSensorCtl(GuardedPolicy, 3, sites, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		live.Observe(limits, ctlRead(3, uint64(i)))
+	}
+	var before ckpt.Enc
+	live.EncodeState(&before)
+
+	// A later, different state of the same controller shape: decoding it
+	// whole would change the interval, level, last reads and stale counts.
+	other, _ := NewSensorCtl(GuardedPolicy, 3, sites, levels)
+	for i := 0; i < 23; i++ {
+		other.Observe(limits, ctlRead(8, uint64(i)))
+	}
+	var valid ckpt.Enc
+	other.EncodeState(&valid)
+	wide, _ := NewSensorCtl(GuardedPolicy, 3, sites+1, levels)
+	var wrongSites ckpt.Enc
+	wide.EncodeState(&wrongSites)
+	deep, _ := NewSensorCtl(NaivePolicy, 3, sites, levels+4) // starts at level 15
+	var badLevel ckpt.Enc
+	deep.EncodeState(&badLevel)
+
+	for name, data := range map[string][]byte{
+		"wrong sites": wrongSites.Data(),
+		"bad level":   badLevel.Data(),
+		"truncated":   valid.Data()[:len(valid.Data())-3],
+	} {
+		if err := live.DecodeState(ckpt.NewDec(data)); err == nil {
+			t.Fatalf("%s: snapshot accepted", name)
+		}
+		var after ckpt.Enc
+		live.EncodeState(&after)
+		if !bytes.Equal(after.Data(), before.Data()) {
+			t.Fatalf("%s: rejected decode changed the controller state", name)
+		}
 	}
 }
 

@@ -87,7 +87,11 @@ func (b *SensorBank) DecodeState(d *ckpt.Dec) error {
 	stuckSet := make([]bool, n)
 	stuckVal := make([]float64, n)
 	for s := 0; s < n; s++ {
-		stuckSet[s] = d.U32() != 0
+		flag := d.U32()
+		if flag > 1 {
+			return fmt.Errorf("fault: sensor bank site %d has stuck flag %d, want 0 or 1", s, flag)
+		}
+		stuckSet[s] = flag == 1
 		stuckVal[s] = d.F64()
 	}
 	if err := d.Err(); err != nil {

@@ -57,8 +57,9 @@ func (e *Engine) signature() []byte {
 	return enc.Data()
 }
 
-// save writes one snapshot and arms the crash-injection hook.
-func (e *Engine) save() error {
+// snapshot encodes the engine's checkpoint state: the sections save
+// writes and restore reads back.
+func (e *Engine) snapshot() *ckpt.Snapshot {
 	snap := ckpt.NewSnapshot()
 
 	var meta ckpt.Enc
@@ -81,7 +82,12 @@ func (e *Engine) save() error {
 		sts.F64(s.prevDRAMW)
 	}
 	snap.Put(secStacks, sts.Data())
+	return snap
+}
 
+// save writes one snapshot and arms the crash-injection hook.
+func (e *Engine) save() error {
+	snap := e.snapshot()
 	if _, err := e.store.Save(snap); err != nil {
 		return err
 	}
@@ -92,10 +98,25 @@ func (e *Engine) save() error {
 	return nil
 }
 
-// restore loads the newest intact snapshot into the engine. An empty
+// RestoreError reports a snapshot section the engine could not
+// restore: missing, undecodable, shaped for another fleet, or written by
+// a different replay configuration.
+type RestoreError struct {
+	// Section is the snapshot section that failed; Err why.
+	Section string
+	Err     error
+}
+
+func (e *RestoreError) Error() string {
+	return fmt.Sprintf("fleet: checkpoint section %s: %v", e.Section, e.Err)
+}
+
+func (e *RestoreError) Unwrap() error { return e.Err }
+
+// resume loads the newest intact snapshot into the engine. An empty
 // store is not an error: a -resume of a replay that never checkpointed
 // simply starts from the beginning, exactly like the sweep engine.
-func (e *Engine) restore() error {
+func (e *Engine) resume() error {
 	snap, err := e.store.Load()
 	if errors.Is(err, ckpt.ErrNoCheckpoint) {
 		return nil
@@ -103,41 +124,52 @@ func (e *Engine) restore() error {
 	if err != nil {
 		return err
 	}
+	return e.restore(snap)
+}
 
-	raw, ok := snap.Get(secMeta)
-	if !ok {
-		return fmt.Errorf("fleet: snapshot has no %s section", secMeta)
-	}
-	d := ckpt.NewDec(raw)
-	sig := d.Blob()
-	round := d.U64()
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if !bytes.Equal(sig, e.signature()) {
-		return fmt.Errorf("fleet: checkpoint was written by a different replay configuration")
-	}
-
-	raw, ok = snap.Get(secMetrics)
-	if !ok {
-		return fmt.Errorf("fleet: snapshot has no %s section", secMetrics)
-	}
+// restore decodes a snapshot's sections into the engine. Every failure
+// is a *RestoreError. A failed restore may leave some stacks restored;
+// New discards such an engine.
+func (e *Engine) restore(snap *ckpt.Snapshot) error {
+	var round uint64
 	met := newMetrics()
-	d = ckpt.NewDec(raw)
-	if err := met.decode(d); err != nil {
-		return err
+	for _, sec := range []struct {
+		name   string
+		decode func(*ckpt.Dec) error
+	}{
+		{secMeta, func(d *ckpt.Dec) error {
+			sig := d.Blob()
+			round = d.U64()
+			if d.Err() == nil && !bytes.Equal(sig, e.signature()) {
+				return errors.New("checkpoint was written by a different replay configuration")
+			}
+			return d.Err()
+		}},
+		{secMetrics, met.decode},
+		{secStacks, e.decodeStacks},
+	} {
+		raw, ok := snap.Get(sec.name)
+		if !ok {
+			return &RestoreError{Section: sec.name, Err: errors.New("section missing")}
+		}
+		d := ckpt.NewDec(raw)
+		err := sec.decode(d)
+		if err == nil {
+			err = d.Done()
+		}
+		if err != nil {
+			return &RestoreError{Section: sec.name, Err: err}
+		}
 	}
-	if err := d.Done(); err != nil {
-		return err
-	}
+	e.met = met
+	e.round = round
+	return nil
+}
 
-	raw, ok = snap.Get(secStacks)
-	if !ok {
-		return fmt.Errorf("fleet: snapshot has no %s section", secStacks)
-	}
-	d = ckpt.NewDec(raw)
+// decodeStacks reads the fleet/stacks section into the engine's stacks.
+func (e *Engine) decodeStacks(d *ckpt.Dec) error {
 	if n := int(d.U32()); n != len(e.stacks) || d.Err() != nil {
-		return fmt.Errorf("fleet: snapshot has %d stacks, engine has %d", n, len(e.stacks))
+		return fmt.Errorf("snapshot has %d stacks, engine has %d", n, len(e.stacks))
 	}
 	layers := len(e.st.Model.Layers)
 	cells := e.st.Model.Grid.Rows * e.st.Model.Grid.Cols
@@ -159,11 +191,5 @@ func (e *Engine) restore() error {
 		s.prevProcW = d.F64()
 		s.prevDRAMW = d.F64()
 	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-
-	e.met = met
-	e.round = round
 	return nil
 }

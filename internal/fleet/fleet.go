@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"time"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/core"
+	"github.com/xylem-sim/xylem/internal/cpusim"
 	"github.com/xylem-sim/xylem/internal/dtm"
 	"github.com/xylem-sim/xylem/internal/fault"
 	"github.com/xylem-sim/xylem/internal/geom"
@@ -56,6 +59,9 @@ type Config struct {
 	// columns are bitwise-equal to sequential solves and chunked solver
 	// parallelism is bitwise-deterministic — so they are pure
 	// throughput levers (and excluded from the checkpoint signature).
+	// Workers does not bound the activity lookahead: with two or more
+	// phases and GOMAXPROCS > 1, one more goroutine runs the next
+	// cohort's cpusim simulations beside each round's solve.
 	BatchWidth int
 	Workers    int
 	// Fault configures the per-stack injectors; each stack derives its
@@ -224,7 +230,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.store = store
 		if cfg.Resume {
-			if err := e.restore(); err != nil {
+			if err := e.resume(); err != nil {
 				return nil, err
 			}
 			e.obsH.seed(e.met)
@@ -281,19 +287,34 @@ type event struct {
 // then returns the rendered fleet report. The report is a pure function
 // of Config's replay-defining fields: worker count, batch width, and
 // checkpoint kills never change a byte of it.
+//
+// While a round samples and solves, one helper goroutine warms the
+// activity cache for the next round's cohort (see lookahead). Each round
+// joins its helper before applying its events, so no helper outlives
+// the round that started it: none runs across a snapshot, a kill, a
+// cancel or the return.
 func (e *Engine) Run(ctx context.Context) (string, error) {
 	for e.met.events < uint64(e.cfg.Events) {
 		if err := ctx.Err(); err != nil {
 			return "", err
 		}
-		due := make([]int, 0, e.cfg.Stacks)
-		for i := range e.stacks {
-			if e.phase(i) == e.round%uint64(e.cfg.Phases) {
-				due = append(due, i)
-			}
+		due := e.due(e.round)
+		var ahead sync.WaitGroup
+		if e.lookahead(len(due)) {
+			next, round := e.due(e.round+1), e.round+1
+			ahead.Add(1)
+			go func() {
+				defer ahead.Done()
+				e.prefetch(ctx, round, next)
+			}()
 		}
-		if err := e.processRound(ctx, due); err != nil {
+		evs, err := e.processRound(ctx, due)
+		ahead.Wait()
+		if err != nil {
 			return "", err
+		}
+		for _, ev := range evs {
+			e.apply(ev)
 		}
 		e.round++
 		e.obsH.round.Set(float64(e.round))
@@ -317,20 +338,82 @@ func (e *Engine) Run(ctx context.Context) (string, error) {
 	return e.report(), nil
 }
 
-// processRound replays one virtual control interval for every due
-// stack: trace generation, batched steady-state solves, sensor-driven
-// DVFS control, and metric accumulation (applied in ascending stack
-// order, so float sums are order-deterministic).
-func (e *Engine) processRound(ctx context.Context, due []int) error {
-	if len(due) == 0 {
-		return nil
+// due returns the stacks whose phase cohort falls due in a round, in
+// ascending order.
+func (e *Engine) due(round uint64) []int {
+	due := make([]int, 0, e.cfg.Stacks)
+	for i := range e.stacks {
+		if e.phase(i) == round%uint64(e.cfg.Phases) {
+			due = append(due, i)
+		}
 	}
-	tMs := e.round * uint64(e.cfg.PeriodMs)
+	return due
+}
+
+// lookahead reports whether the round about to run, with nDue due
+// stacks, should prefetch the next round's activity. It needs a second
+// cohort (with one phase the next round's stacks are this round's, whose
+// DVFS levels this round's apply still changes), a next round (the
+// budget check Run's loop makes after this round's nDue events), and a
+// free core to run on.
+func (e *Engine) lookahead(nDue int) bool {
+	return e.cfg.Phases > 1 &&
+		e.met.events+uint64(nDue) < uint64(e.cfg.Events) &&
+		runtime.GOMAXPROCS(0) > 1
+}
+
+// prefetch runs (or joins) the cpusim simulations that round's due
+// stacks will request, filling the evaluator's singleflight activity
+// cache. Those stacks are outside the running round's cohort, so every
+// input of their keys — load, application, thread count and DVFS level —
+// is already final, and processRound later derives the same keys through
+// the same activityInput. prefetch draws nothing from any injector or
+// sensor bank: it may request the key of a stack whose event a solver
+// fault will skip, which costs one cpusim run and changes no result. A
+// failed simulation is evicted from the cache, so its error is dropped
+// here and surfaces when processRound requests the key.
+func (e *Engine) prefetch(ctx context.Context, round uint64, due []int) {
+	for _, i := range due {
+		if ctx.Err() != nil {
+			return
+		}
+		_, freqs, assigns := e.activityInput(i, round)
+		_, _ = e.sys.Ev.Activity(e.st.Cfg.NumDRAMDies, freqs, assigns)
+	}
+}
+
+// activityInput derives stack i's control-event inputs for a round: the
+// offered load, and the cpusim key it implies — a uniform frequency
+// vector at the stack's DVFS level and one thread per loaded core of the
+// application the stack runs at that time.
+func (e *Engine) activityInput(i int, round uint64) (util float64, freqs []float64, assigns []cpusim.Assignment) {
+	tMs := round * uint64(e.cfg.PeriodMs)
+	s := e.stacks[i]
+	util = Util(s.shape, e.cfg.Seed, uint64(i), tMs)
 	cores := e.sys.Ev.SimCfg.Cores
+	nThreads := 1 + int(util*float64(cores-1)+0.5)
+	if nThreads > cores {
+		nThreads = cores
+	}
+	app := e.apps[appIndex(e.cfg.Seed, uint64(i), tMs, len(e.apps))]
+	return util, e.sys.Uniform(e.levels[s.ctl.Level]), perf.UniformAssignments(app, nThreads)
+}
+
+// processRound samples and solves one virtual control interval for
+// every due stack: trace generation and batched steady-state solves. It
+// returns the round's events in ascending stack order; Run applies them
+// in that order (sensor-driven DVFS control and metric accumulation), so
+// float sums are order-deterministic.
+func (e *Engine) processRound(ctx context.Context, due []int) ([]*event, error) {
+	if len(due) == 0 {
+		return nil, nil
+	}
+	t0 := time.Now()
 	evs := make([]*event, len(due))
 	for k, i := range due {
 		s := e.stacks[i]
-		ev := &event{stk: i, util: Util(s.shape, e.cfg.Seed, uint64(i), tMs)}
+		util, freqs, assigns := e.activityInput(i, e.round)
+		ev := &event{stk: i, util: util}
 		// The injector draws one solver-fault decision per control
 		// event. A fault skips the solve and replays the stack's warm
 		// temperatures — except on a cold stack, which has no field to
@@ -340,29 +423,22 @@ func (e *Engine) processRound(ctx context.Context, due []int) error {
 		if (ferr != nil || maxIter > 0) && s.warm != nil {
 			ev.skip = true
 		} else {
-			nThreads := 1 + int(ev.util*float64(cores-1)+0.5)
-			if nThreads > cores {
-				nThreads = cores
-			}
-			app := e.apps[appIndex(e.cfg.Seed, uint64(i), tMs, len(e.apps))]
-			freqs := e.sys.Uniform(e.levels[s.ctl.Level])
-			res, err := e.sys.Ev.Activity(e.st.Cfg.NumDRAMDies, freqs, perf.UniformAssignments(app, nThreads))
+			res, err := e.sys.Ev.Activity(e.st.Cfg.NumDRAMDies, freqs, assigns)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			ev.pt = perf.ThermalBatchPoint{Freqs: freqs, Res: res, Warm: s.warm}
 		}
 		evs[k] = ev
 	}
+	t1 := time.Now()
+	e.obsH.roundActivity.Observe(float64(t1.Sub(t0)) / float64(time.Millisecond))
 
 	if err := e.solveBatches(ctx, evs); err != nil {
-		return err
+		return nil, err
 	}
-
-	for _, ev := range evs {
-		e.apply(ev)
-	}
-	return nil
+	e.obsH.roundSolve.Observe(float64(time.Since(t1)) / float64(time.Millisecond))
+	return evs, nil
 }
 
 // solveBatches coalesces the round's non-skipped events into

@@ -12,6 +12,10 @@ import (
 // shared by the engine-owned histograms and their obs mirror.
 var latBoundsMs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 
+// roundBoundsMs bucket the per-round phase wall times (ms) of the obs
+// mirror; a 1000-stack round's batched solve runs for seconds.
+var roundBoundsMs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
+
 // metrics is the engine-owned fleet aggregate. It — not the obs
 // registry — is the source of truth for the end-of-run report: every
 // field checkpoints bit-exactly and floats accumulate in event order,
@@ -150,20 +154,26 @@ type fleetObs struct {
 	sloViol, throttles, boosts                        *obs.Counter
 	round                                             *obs.Gauge
 	latency                                           *obs.Histogram
+	// roundActivity and roundSolve time each round's two blocking
+	// phases: the activity sampling processRound waits on (what the
+	// next-cohort lookahead left uncached) and the batched solve.
+	roundActivity, roundSolve *obs.Histogram
 }
 
 func newFleetObs(r *obs.Registry) fleetObs {
 	return fleetObs{
-		events:       r.Counter("fleet_events_total"),
-		solves:       r.Counter("fleet_solves_total"),
-		solverFaults: r.Counter("fleet_solver_faults_total"),
-		dropouts:     r.Counter("fleet_sensor_dropouts_total"),
-		fallbacks:    r.Counter("fleet_fallbacks_total"),
-		sloViol:      r.Counter("fleet_slo_violations_total"),
-		throttles:    r.Counter("fleet_throttles_total"),
-		boosts:       r.Counter("fleet_boosts_total"),
-		round:        r.Gauge("fleet_round"),
-		latency:      r.Histogram("fleet_latency_ms", latBoundsMs),
+		events:        r.Counter("fleet_events_total"),
+		solves:        r.Counter("fleet_solves_total"),
+		solverFaults:  r.Counter("fleet_solver_faults_total"),
+		dropouts:      r.Counter("fleet_sensor_dropouts_total"),
+		fallbacks:     r.Counter("fleet_fallbacks_total"),
+		sloViol:       r.Counter("fleet_slo_violations_total"),
+		throttles:     r.Counter("fleet_throttles_total"),
+		boosts:        r.Counter("fleet_boosts_total"),
+		round:         r.Gauge("fleet_round"),
+		latency:       r.Histogram("fleet_latency_ms", latBoundsMs),
+		roundActivity: r.Histogram("xylem_fleet_round_activity_ms", roundBoundsMs),
+		roundSolve:    r.Histogram("xylem_fleet_round_solve_ms", roundBoundsMs),
 	}
 }
 

@@ -107,10 +107,10 @@ type batchLevel struct {
 }
 
 // batchScratch holds every buffer a batched solve needs, sized for one
-// batch width and reused across solves of that width (the lockstep
-// leakage fixed point in perf runs many same-width batches back to
-// back). It is lazily (re)allocated by ensureBatch and never shared
-// across Clone.
+// batch width and reused across solves (the lockstep leakage fixed
+// point in perf runs many same-width batches back to back; a fleet
+// alternates widths round by round). It is lazily allocated, and
+// resized in place, by ensureBatch and never shared across Clone.
 type batchScratch struct {
 	k int
 	// CG vectors, n*k interleaved.
@@ -119,41 +119,52 @@ type batchScratch struct {
 	partial []float64
 	// lvl mirrors Solver.levels.
 	lvl []batchLevel
-	// Pipelined-recurrence scratch, lazily allocated by
-	// ensurePipelinedBatch: w holds A·z interleaved; bank holds each cell
-	// chunk's banked-reduction accumulator rows (8k per chunk — four δ
-	// rows and four γ rows for the fused reduction; the update sweep uses
-	// the first four); pdot[c*k+j] is chunk c's γ partial for column j
+	// Pipelined-recurrence scratch, sized by ensurePipelinedBatch: w
+	// holds A·z interleaved; bank holds each cell chunk's
+	// banked-reduction accumulator rows (8k per chunk — four δ rows and
+	// four γ rows for the fused reduction; the update sweep uses the
+	// first four); pdot[c*k+j] is chunk c's γ partial for column j
 	// (partial carries δ).
 	w, bank, pdot []float64
 }
 
-// ensureBatch returns scratch for batch width k, reusing the cached one
-// when the width matches.
+// ensureBatch returns scratch for batch width k. A width change
+// reslices the cached buffers when their capacity covers the new width
+// and allocates only those that are too short. A solve writes every
+// scratch entry before reading it — same-width reuse has always relied
+// on that — so what an earlier batch left behind never reaches a result.
 func (s *Solver) ensureBatch(k int) *batchScratch {
-	if s.batch != nil && s.batch.k == k {
-		return s.batch
+	bs := s.batch
+	if bs == nil {
+		bs = &batchScratch{lvl: make([]batchLevel, len(s.levels))}
+		s.batch = bs
+	} else if bs.k == k {
+		return bs
 	}
-	bs := &batchScratch{k: k}
+	bs.k = k
 	nk := s.n * k
-	bs.bvec = make([]float64, nk)
-	bs.xvec = make([]float64, nk)
-	bs.r = make([]float64, nk)
-	bs.z = make([]float64, nk)
-	bs.p = make([]float64, nk)
-	bs.ap = make([]float64, nk)
-	bs.partial = make([]float64, numChunks(s.n)*k)
-	bs.lvl = make([]batchLevel, len(s.levels))
+	for _, v := range []*[]float64{&bs.bvec, &bs.xvec, &bs.r, &bs.z, &bs.p, &bs.ap} {
+		*v = resize(*v, nk)
+	}
+	bs.partial = resize(bs.partial, numChunks(s.n)*k)
 	for i, l := range s.levels {
-		bs.lvl[i].r = make([]float64, l.n*k)
-		bs.lvl[i].rp = make([]float64, l.n*k)
+		bs.lvl[i].r = resize(bs.lvl[i].r, l.n*k)
+		bs.lvl[i].rp = resize(bs.lvl[i].rp, l.n*k)
 		if i > 0 {
-			bs.lvl[i].x = make([]float64, l.n*k)
-			bs.lvl[i].b = make([]float64, l.n*k)
+			bs.lvl[i].x = resize(bs.lvl[i].x, l.n*k)
+			bs.lvl[i].b = resize(bs.lvl[i].b, l.n*k)
 		}
 	}
-	s.batch = bs
 	return bs
+}
+
+// resize returns buf resliced to length n, or a new zeroed slice when
+// buf's capacity is short.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 // runBatchChunks is runChunks for batched kernels: the chunk grid is

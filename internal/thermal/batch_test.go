@@ -391,3 +391,55 @@ func ExampleSolver_SteadyStateBatch() {
 	// column 0: err=<nil>
 	// column 1: err=<nil>
 }
+
+// A solver whose batch width changes (a fleet alternates cohort sizes)
+// reslices its cached scratch instead of reallocating it, and every
+// column still equals a fresh solver's bitwise: entries a wider or
+// narrower batch left behind must never reach a result. The widths grow
+// once (3 → 16, which must enlarge every buffer), then run 16 → 3 → 16
+// on the grown scratch.
+func TestBatchWidthChangeReusesScratch(t *testing.T) {
+	m := slabModel(16, 16, 3, 100e-6, 120, 30000)
+	ctx := context.Background()
+	for _, v := range []struct {
+		pc Precond
+		cg CGVariant
+	}{{PrecondMG, CGClassic}, {PrecondMG, CGPipelined}, {PrecondJacobi, CGClassic}} {
+		opts := BatchOpts{Precond: v.pc, CG: v.cg}
+		t.Run(v.pc.String()+"/"+v.cg.String(), func(t *testing.T) {
+			s, err := NewSolver(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var grown *float64
+			for step, k := range []int{3, 16, 3, 16} {
+				pms := batchPowers(m, k)
+				got, err := s.SteadyStateBatch(ctx, pms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewSolver(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.SteadyStateBatch(ctx, pms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range pms {
+					if got.Errs[j] != nil || want.Errs[j] != nil {
+						t.Fatalf("width %d column %d failed: %v / %v", k, j, got.Errs[j], want.Errs[j])
+					}
+					if !bitwiseEqual(got.Temps[j], want.Temps[j]) || got.Iters[j] != want.Iters[j] {
+						t.Fatalf("step %d width %d column %d differs from a fresh solver's", step, k, j)
+					}
+				}
+				if step == 1 {
+					grown = &s.batch.bvec[0]
+				} else if step > 1 && &s.batch.bvec[0] != grown {
+					t.Fatalf("step %d width %d reallocated the batch scratch", step, k)
+				}
+			}
+		})
+	}
+}

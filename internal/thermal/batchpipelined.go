@@ -21,16 +21,14 @@ import (
 	"github.com/xylem-sim/xylem/internal/fault"
 )
 
-// ensurePipelinedBatch lazily allocates the pipelined recurrence's batch
-// scratch on top of an ensureBatch-sized batchScratch.
+// ensurePipelinedBatch sizes the pipelined recurrence's batch scratch
+// on top of an ensureBatch-sized batchScratch, allocating it on first
+// use.
 func (s *Solver) ensurePipelinedBatch(bs *batchScratch) {
-	if bs.w != nil {
-		return
-	}
 	k := bs.k
-	bs.w = make([]float64, s.n*k)
-	bs.bank = make([]float64, numChunks(s.n)*8*k)
-	bs.pdot = make([]float64, numChunks(s.n)*k)
+	bs.w = resize(bs.w, s.n*k)
+	bs.bank = resize(bs.bank, numChunks(s.n)*8*k)
+	bs.pdot = resize(bs.pdot, numChunks(s.n)*k)
 }
 
 // solveColumnBatchFast is solveColumnBatch on the reciprocal pivots —
