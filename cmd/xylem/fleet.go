@@ -29,8 +29,7 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 	instr := fs.Int("instr", def.Instructions, "per-thread instruction budget")
 	grid := fs.Int("grid", def.Grid, "thermal grid resolution (NxN)")
 	schemeName := fs.String("scheme", "base", "scheme: base|bank|banke|isoCount|prior")
-	batch := fs.Int("batch", def.BatchWidth, "multi-RHS thermal batch width")
-	workers := fs.Int("workers", 0, "solver workers and batch-group dispatch width (0 = 1)")
+	workers := fs.Int("workers", 0, "CG kernel workers per solver; a round solves on GOMAXPROCS/workers solvers (0 = serial kernels, one solver per CPU)")
 	slo := fs.Float64("slo", def.SLOMs, "served-latency objective (ms)")
 	dropout := fs.Float64("dropout", def.Fault.SensorDropoutRate, "per-read sensor dropout rate")
 	solverFault := fs.Float64("solverfault", def.Fault.SolverDivergeRate, "per-solve injected solver fault rate")
@@ -43,7 +42,7 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 		cfg.Stacks, cfg.Events, cfg.Seed = *stacks, *events, *seed
 		cfg.PeriodMs, cfg.Phases = *period, *phases
 		cfg.GuardC, cfg.Instructions, cfg.Grid = *guard, *instr, *grid
-		cfg.BatchWidth, cfg.Workers, cfg.SLOMs = *batch, *workers, *slo
+		cfg.Workers, cfg.SLOMs = *workers, *slo
 		cfg.Checkpoint, cfg.Resume, cfg.CkptEveryRounds = *checkpoint, *resume, *ckptEvery
 		cfg.Fault.SensorDropoutRate = *dropout
 		cfg.Fault.SolverDivergeRate = *solverFault
@@ -101,7 +100,7 @@ func cmdFleet(args []string) error {
 // cmdFleetSmoke is the end-to-end determinism gate: replay a small
 // fleet uninterrupted, then replay the same fleet with checkpoints and
 // a crash injected at the second snapshot, resume it at a different
-// worker/batch setting, and require the two final reports to be
+// worker setting, and require the two final reports to be
 // byte-identical.
 func cmdFleetSmoke(args []string) error {
 	fs := flag.NewFlagSet("fleet-smoke", flag.ContinueOnError)
@@ -116,7 +115,6 @@ func cmdFleetSmoke(args []string) error {
 	cfg.Stacks, cfg.Events, cfg.Seed = *stacks, *events, *seed
 	cfg.Apps = []string{"fft"}
 	cfg.Instructions = 4000
-	cfg.BatchWidth = 4
 	cfg.Fault.SensorDropoutRate = 0.05
 	cfg.Fault.SolverDivergeRate = 0.05
 
@@ -146,13 +144,12 @@ func cmdFleetSmoke(args []string) error {
 	if _, err := run(killed); !errors.Is(err, fleet.ErrKilled) {
 		return fmt.Errorf("fleet-smoke: crash hook returned %v, want ErrKilled", err)
 	}
-	fmt.Println("killed at second snapshot; resuming with workers=4 batch=8")
+	fmt.Println("killed at second snapshot; resuming with workers=4")
 
 	resumed := killed
 	resumed.KillAfterSaves = 0
 	resumed.Resume = true
 	resumed.Workers = 4
-	resumed.BatchWidth = 8
 	got, err := run(resumed)
 	if err != nil {
 		return err

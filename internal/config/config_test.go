@@ -66,6 +66,8 @@ func TestParseRejectsBadValues(t *testing.T) {
 		"lambda range":   `{"d2d_lambda": 10000}`,
 		"limit<ambient":  `{"ambient_c": 95, "proc_tjmax_c": 90}`,
 		"malformed json": `{`,
+		"trailing data":  `{"grid": 16} {"grid": 32}`,
+		"oversized file": `{"grid": 16` + strings.Repeat(" ", maxFileBytes) + `}`,
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

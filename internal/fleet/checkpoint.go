@@ -23,9 +23,8 @@ const (
 // restores into an engine with a byte-equal signature: resuming a
 // diurnal replay into a failover one (or onto a different grid, fleet
 // size, fault mix, ...) is a config error, not a silent divergence.
-// Workers and BatchWidth are deliberately absent — they are
-// determinism-invariant throughput levers, and a replay may legally
-// resume with different ones.
+// Workers is deliberately absent — it is a determinism-invariant
+// throughput lever, and a replay may legally resume with another.
 func (e *Engine) signature() []byte {
 	c := e.cfg
 	var enc ckpt.Enc

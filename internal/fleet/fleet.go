@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
@@ -43,7 +44,7 @@ type Config struct {
 	Seed  uint64
 	// PeriodMs is the control period on the virtual clock; Phases the
 	// number of hash-assigned phase cohorts (stacks in the same cohort
-	// fall due together and coalesce into batch columns).
+	// fall due together and share one round's solver pool).
 	PeriodMs float64
 	Phases   int
 	// Policy and GuardC configure each stack's dtm.SensorCtl.
@@ -53,17 +54,17 @@ type Config struct {
 	// overrides each profile's budget when > 0.
 	Apps         []string
 	Instructions int
-	// BatchWidth caps how many due stacks share one multi-RHS batched
-	// solve; Workers is the solver-internal CG worker count plus the
-	// batch-group dispatch width. Neither changes any result — batched
-	// columns are bitwise-equal to sequential solves and chunked solver
-	// parallelism is bitwise-deterministic — so they are pure
-	// throughput levers (and excluded from the checkpoint signature).
-	// Workers does not bound the activity lookahead: with two or more
-	// phases and GOMAXPROCS > 1, one more goroutine runs the next
-	// cohort's cpusim simulations beside each round's solve.
-	BatchWidth int
-	Workers    int
+	// Workers is each solver's CG kernel worker count (0 = serial
+	// kernels). It also sizes the solver pool: a round solves its due
+	// stacks on max(1, GOMAXPROCS/max(1, Workers)) solvers side by side.
+	// It never changes a result — every event's fixed point is solved
+	// identically on whichever solver takes it, and chunked kernel
+	// parallelism is bitwise-deterministic — so it is a pure throughput
+	// lever (and excluded from the checkpoint signature). Workers does
+	// not bound the activity lookahead: with two or more phases and
+	// GOMAXPROCS > 1, one more goroutine runs the next cohort's cpusim
+	// simulations beside each round's solve.
+	Workers int
 	// Fault configures the per-stack injectors; each stack derives its
 	// own seed from Seed, so streams are independent and reproducible.
 	Fault fault.Config
@@ -98,7 +99,6 @@ func DefaultConfig() Config {
 		GuardC:          3,
 		Apps:            []string{"lu-nas", "fft"},
 		Instructions:    60_000,
-		BatchWidth:      16,
 		Workers:         0,
 		SLOMs:           25,
 		BaseLatMs:       2,
@@ -145,6 +145,9 @@ type Engine struct {
 	limits []float64
 	apps   []workload.Profile
 	stacks []*stackState
+	// pool holds the round solvers: sys.Ev first, then siblings sharing
+	// its activity cache, added as solve first needs them.
+	pool []*perf.Evaluator
 
 	round  uint64
 	met    *metrics
@@ -168,9 +171,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Phases < 1 {
 		cfg.Phases = 1
-	}
-	if cfg.BatchWidth < 1 {
-		cfg.BatchWidth = 1
 	}
 	if len(cfg.Apps) == 0 {
 		return nil, fmt.Errorf("fleet: empty application pool")
@@ -201,7 +201,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg: cfg, sys: sys, st: st,
+		cfg: cfg, sys: sys, st: st, pool: []*perf.Evaluator{sys.Ev},
 		levels: sys.DTM.DVFS.Levels(),
 		apps:   apps,
 		met:    newMetrics(),
@@ -278,21 +278,22 @@ type event struct {
 	util float64
 	// skip marks an injected solver fault: the interval reuses the
 	// stack's warm temperatures instead of solving.
-	skip bool
-	pt   perf.ThermalBatchPoint
-	out  perf.Outcome
+	skip  bool
+	freqs []float64
+	res   cpusim.Result
+	out   perf.Outcome
 }
 
 // Run replays the fleet until the configured event budget is consumed,
 // then returns the rendered fleet report. The report is a pure function
-// of Config's replay-defining fields: worker count, batch width, and
+// of Config's replay-defining fields: worker count, pool size, and
 // checkpoint kills never change a byte of it.
 //
 // While a round samples and solves, one helper goroutine warms the
 // activity cache for the next round's cohort (see lookahead). Each round
-// joins its helper before applying its events, so no helper outlives
-// the round that started it: none runs across a snapshot, a kill, a
-// cancel or the return.
+// joins its solver pool and its helper before applying its events, so no
+// goroutine outlives the round that started it: none runs across a
+// snapshot, a kill, a cancel or the return.
 func (e *Engine) Run(ctx context.Context) (string, error) {
 	for e.met.events < uint64(e.cfg.Events) {
 		if err := ctx.Err(); err != nil {
@@ -400,7 +401,7 @@ func (e *Engine) activityInput(i int, round uint64) (util float64, freqs []float
 }
 
 // processRound samples and solves one virtual control interval for
-// every due stack: trace generation and batched steady-state solves. It
+// every due stack: trace generation and steady-state solves. It
 // returns the round's events in ascending stack order; Run applies them
 // in that order (sensor-driven DVFS control and metric accumulation), so
 // float sums are order-deterministic.
@@ -427,67 +428,65 @@ func (e *Engine) processRound(ctx context.Context, due []int) ([]*event, error) 
 			if err != nil {
 				return nil, err
 			}
-			ev.pt = perf.ThermalBatchPoint{Freqs: freqs, Res: res, Warm: s.warm}
+			ev.freqs, ev.res = freqs, res
 		}
 		evs[k] = ev
 	}
 	t1 := time.Now()
 	e.obsH.roundActivity.Observe(float64(t1.Sub(t0)) / float64(time.Millisecond))
 
-	if err := e.solveBatches(ctx, evs); err != nil {
+	if err := e.solve(ctx, evs); err != nil {
 		return nil, err
 	}
 	e.obsH.roundSolve.Observe(float64(time.Since(t1)) / float64(time.Millisecond))
 	return evs, nil
 }
 
-// solveBatches coalesces the round's non-skipped events into
-// BatchWidth-column multi-RHS solves and dispatches the groups over up
-// to Workers goroutines. Every column's outcome is bitwise-equal to its
-// sequential solo evaluation, so neither the grouping nor the dispatch
-// order can change any number.
-func (e *Engine) solveBatches(ctx context.Context, evs []*event) error {
+// solve runs the fixed point of each of the round's non-skipped events on
+// a pool of max(1, GOMAXPROCS/max(1, Workers)) solvers, at most one per
+// event — as in thermal.BuildGreensBasis, a solver whose kernels already
+// run on a worker pool gets no siblings. The pool's goroutines claim
+// events in ascending order from a shared cursor, warm-started from the
+// stack's last field (apply, the only writer, runs after the join). An
+// event's outcome does not depend on the solver that takes it, so the
+// pool size changes no number. After a failure no further event is
+// handed out; every lower event was claimed earlier and runs to
+// completion, so the error returned — the lowest-indexed failing event's
+// — is the same at every pool size.
+func (e *Engine) solve(ctx context.Context, evs []*event) error {
 	var pending []*event
 	for _, ev := range evs {
 		if !ev.skip {
 			pending = append(pending, ev)
 		}
 	}
-	var groups [][]*event
-	for len(pending) > 0 {
-		n := e.cfg.BatchWidth
-		if n > len(pending) {
-			n = len(pending)
-		}
-		groups = append(groups, pending[:n])
-		pending = pending[n:]
+	p := min(max(1, runtime.GOMAXPROCS(0)/max(1, e.cfg.Workers)), len(pending))
+	for len(e.pool) < p {
+		sibling := perf.NewEvaluator()
+		sibling.Workers = e.cfg.Workers
+		sibling.ShareActivityCache(e.sys.Ev)
+		e.pool = append(e.pool, sibling)
 	}
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(groups))
+	errs := make([]error, len(pending))
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for gi, g := range groups {
+	for _, solver := range e.pool[:p] {
 		wg.Add(1)
-		go func(gi int, g []*event) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pts := make([]perf.ThermalBatchPoint, len(g))
-			for i, ev := range g {
-				pts[i] = ev.pt
+			for !failed.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= len(pending) {
+					return
+				}
+				ev := pending[k]
+				ev.out, errs[k] = solver.ThermalWarmCtx(ctx, e.st, ev.freqs, ev.res, e.stacks[ev.stk].warm)
+				if errs[k] != nil {
+					failed.Store(true)
+				}
 			}
-			outs, err := e.sys.Ev.ThermalBatchCtx(ctx, e.st, pts)
-			if err != nil {
-				errs[gi] = err
-				return
-			}
-			for i, ev := range g {
-				ev.out = outs[i]
-			}
-		}(gi, g)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

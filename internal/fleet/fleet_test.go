@@ -9,7 +9,7 @@ import (
 )
 
 // testConfig is a small fleet that still exercises every moving part:
-// mixed shapes, per-stack faults, phase cohorts, batching.
+// mixed shapes, per-stack faults, phase cohorts, the solver pool.
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Grid = 8
@@ -19,7 +19,6 @@ func testConfig() Config {
 	cfg.Seed = 5
 	cfg.Apps = []string{"fft"}
 	cfg.Instructions = 4000
-	cfg.BatchWidth = 4
 	// Rates high enough that dropouts and solver faults actually fire
 	// in a 60-event replay.
 	cfg.Fault.SensorDropoutRate = 0.05
@@ -41,22 +40,24 @@ func runFleet(t *testing.T, cfg Config) string {
 	return rep
 }
 
-// TestFleetDeterministicAcrossWorkersAndBatch pins the headline
-// contract: worker count and batch width are throughput levers, not
-// inputs — every setting renders the byte-identical fleet report.
-func TestFleetDeterministicAcrossWorkersAndBatch(t *testing.T) {
-	base := testConfig()
-	ref := runFleet(t, base)
+// TestFleetDeterministicAcrossWorkers pins the headline contract: the
+// worker count and the solver-pool size it implies at each GOMAXPROCS
+// are throughput levers, not inputs — every setting renders the
+// byte-identical fleet report.
+func TestFleetDeterministicAcrossWorkers(t *testing.T) {
+	ref := runFleet(t, testConfig())
 	if !strings.Contains(ref, "fleet report") {
 		t.Fatalf("malformed report:\n%s", ref)
 	}
-	for _, v := range []struct{ workers, batch int }{
-		{1, 1}, {4, 8}, {3, 5}, {8, 1},
-	} {
-		cfg := testConfig()
-		cfg.Workers, cfg.BatchWidth = v.workers, v.batch
-		if got := runFleet(t, cfg); got != ref {
-			t.Fatalf("workers=%d batch=%d diverged:\n--- ref\n%s--- got\n%s", v.workers, v.batch, ref, got)
+	for _, procs := range []int{1, 2, 4} {
+		for _, workers := range []int{0, 1, 3, 8} {
+			cfg := testConfig()
+			cfg.Workers = workers
+			var got string
+			withProcs(procs, func() { got = runFleet(t, cfg) })
+			if got != ref {
+				t.Fatalf("GOMAXPROCS=%d workers=%d diverged:\n--- ref\n%s--- got\n%s", procs, workers, ref, got)
+			}
 		}
 	}
 }
@@ -83,7 +84,6 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 	cfg.KillAfterSaves = 0
 	cfg.Resume = true
 	cfg.Workers = 4
-	cfg.BatchWidth = 8
 	got := runFleet(t, cfg)
 	if got != want {
 		t.Fatalf("resumed report diverged:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
@@ -125,7 +125,6 @@ func TestFleetThousandStacks(t *testing.T) {
 	cfg.Stacks = 1000
 	cfg.Events = 1000
 	cfg.Instructions = 2000
-	cfg.BatchWidth = 32
 	cfg.Workers = 4
 	e, err := New(cfg)
 	if err != nil {

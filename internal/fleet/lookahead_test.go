@@ -139,21 +139,24 @@ func TestLookaheadGating(t *testing.T) {
 	})
 }
 
-// lookaheadRunning reports whether any goroutine is inside a prefetch.
-func lookaheadRunning() bool {
+// helperRunning reports whether any goroutine is inside a prefetch or a
+// solver-pool solve.
+func helperRunning() bool {
 	buf := make([]byte, 1<<20)
-	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*Engine).prefetch")
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	return strings.Contains(stacks, "(*Engine).prefetch") || strings.Contains(stacks, "(*Engine).solve")
 }
 
-// TestLookaheadJoinedOnKillAndCancel pins the helper's lifetime: Run
-// returns only after it, whether the replay is killed at a snapshot,
-// cancelled mid-round, or finishes — and a resumed replay still renders
-// the uninterrupted report.
+// TestLookaheadJoinedOnKillAndCancel pins the lifetime of the lookahead
+// helper and the solver pool's goroutines: Run returns only after them,
+// whether the replay is killed at a snapshot, cancelled mid-round, or
+// finishes — and a resumed replay still renders the uninterrupted
+// report. At GOMAXPROCS 2 the test config's pool holds two solvers.
 func TestLookaheadJoinedOnKillAndCancel(t *testing.T) {
 	withProcs(2, func() {
 		want := runFleet(t, testConfig())
-		if lookaheadRunning() {
-			t.Fatal("a prefetch outlived a finished replay")
+		if helperRunning() {
+			t.Fatal("a prefetch or pool solve outlived a finished replay")
 		}
 
 		cfg := testConfig()
@@ -167,8 +170,8 @@ func TestLookaheadJoinedOnKillAndCancel(t *testing.T) {
 		if _, err := e.Run(context.Background()); !errors.Is(err, ErrKilled) {
 			t.Fatalf("crash hook: got %v, want ErrKilled", err)
 		}
-		if lookaheadRunning() {
-			t.Fatal("a prefetch outlived a killed replay")
+		if helperRunning() {
+			t.Fatal("a prefetch or pool solve outlived a killed replay")
 		}
 		cfg.KillAfterSaves, cfg.Resume = 0, true
 		if got := runFleet(t, cfg); got != want {
@@ -191,8 +194,8 @@ func TestLookaheadJoinedOnKillAndCancel(t *testing.T) {
 			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("cancelled after %v: %v", d, err)
 			}
-			if lookaheadRunning() {
-				t.Fatalf("a prefetch outlived a replay cancelled after %v", d)
+			if helperRunning() {
+				t.Fatalf("a prefetch or pool solve outlived a replay cancelled after %v", d)
 			}
 		}
 	})

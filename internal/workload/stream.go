@@ -2,10 +2,12 @@ package workload
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
 )
 
 // Stream produces the dynamic instructions a core executes. The built-in
@@ -60,20 +62,30 @@ func (r *RecordedTrace) Next() Instr {
 //	S <hex-addr>   store to address
 //
 // Addresses accept an optional 0x prefix. The format is deliberately
-// trivial so any tracing tool can emit it with a printf.
+// trivial so any tracing tool can emit it with a printf. Fields after a
+// complete record are ignored; a line may be at most maxTraceLine bytes.
+// Every rejection is a *TraceError.
+//
+// The input is read whole and its records counted before any is parsed,
+// so the recording takes one allocation. Every record but the last ends
+// in a newline, so each takes at least two input bytes: the 16-byte
+// Instrs cost at most 8 bytes per input byte.
 func ParseTrace(r io.Reader) (*RecordedTrace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	var instrs []Instr
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, &TraceError{Err: fmt.Errorf("reading trace: %w", err)}
+	}
+	n := 0
+	if err := traceRecords(data, func(int, []byte) error { n++; return nil }); err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, &TraceError{Err: errors.New("empty recorded trace")}
+	}
+	instrs := make([]Instr, 0, n)
+	err = traceRecords(data, func(lineNo int, line []byte) error {
+		rec, rest := nextField(line)
+		switch string(rec) {
 		case "I":
 			instrs = append(instrs, Instr{Kind: KindInt})
 		case "F":
@@ -81,26 +93,84 @@ func ParseTrace(r io.Reader) (*RecordedTrace, error) {
 		case "B":
 			instrs = append(instrs, Instr{Kind: KindBranch})
 		case "L", "S":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("workload: line %d: %s needs an address", lineNo, fields[0])
+			field, _ := nextField(rest)
+			if len(field) == 0 {
+				return &TraceError{Line: lineNo, Err: fmt.Errorf("%s needs an address", rec)}
 			}
-			addr, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
+			addr, err := strconv.ParseUint(string(bytes.TrimPrefix(field, []byte("0x"))), 16, 64)
 			if err != nil {
-				return nil, fmt.Errorf("workload: line %d: bad address %q: %v", lineNo, fields[1], err)
+				return &TraceError{Line: lineNo, Err: fmt.Errorf("bad address %q: %w", clip(field), errors.Unwrap(err))}
 			}
 			kind := KindLoad
-			if fields[0] == "S" {
+			if rec[0] == 'S' {
 				kind = KindStore
 			}
 			instrs = append(instrs, Instr{Kind: kind, Addr: addr})
 		default:
-			return nil, fmt.Errorf("workload: line %d: unknown record %q", lineNo, fields[0])
+			return &TraceError{Line: lineNo, Err: fmt.Errorf("unknown record %q", clip(rec))}
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return NewRecordedTrace(instrs)
+	return &RecordedTrace{instrs: instrs}, nil
+}
+
+// maxTraceLine is the longest line ParseTrace accepts, in bytes.
+const maxTraceLine = 64<<10 - 1
+
+// TraceError is a ParseTrace rejection: the 1-based line it stopped at
+// (0 when the trace as a whole is at fault) and why.
+type TraceError struct {
+	Line int
+	Err  error
+}
+
+func (e *TraceError) Error() string {
+	if e.Line == 0 {
+		return "workload: " + e.Err.Error()
+	}
+	return fmt.Sprintf("workload: line %d: %v", e.Line, e.Err)
+}
+
+func (e *TraceError) Unwrap() error { return e.Err }
+
+// traceRecords calls f with each record line of data — trimmed, neither
+// blank nor a comment — and its 1-based number, stopping at f's first
+// error or at a line longer than maxTraceLine.
+func traceRecords(data []byte, f func(lineNo int, line []byte) error) error {
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if len(line) > maxTraceLine {
+			return &TraceError{Line: lineNo, Err: fmt.Errorf("line longer than %d bytes", maxTraceLine)}
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
+			continue
+		}
+		if err := f(lineNo, line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// clip shortens a field quoted in an error message to its first 32
+// bytes, so a rejection costs the same however long the field is.
+func clip(b []byte) []byte {
+	return b[:min(len(b), 32)]
+}
+
+// nextField splits off b's first whitespace-separated field, as
+// strings.Fields would, without allocating.
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
 }
 
 // WriteTrace emits a stream's next n instructions in the ParseTrace
