@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-fast vet race bench bench-full bench-smoke bench-parallel mg-smoke batch-smoke greens-smoke kernel-smoke obs-smoke resume-smoke serve-smoke fleet-smoke loadbench profile figures faults-smoke examples clean
+.PHONY: all build test test-fast vet race bench bench-full bench-smoke bench-parallel mg-smoke greens-smoke kernel-smoke obs-smoke resume-smoke serve-smoke fleet-smoke loadbench profile figures faults-smoke examples clean
 
 all: build vet test
 
@@ -45,41 +45,33 @@ bench-parallel:
 	$(GO) run ./cmd/xylem parbench -grid 24 -apps lu-nas,fft,is,radix,mg
 
 # CI gate for the multigrid preconditioner: a short parbench comparison
-# that fails unless MG strictly cuts total CG iterations below Jacobi and
-# both table-identity checks hold.
+# that fails unless MG strictly cuts total CG iterations below Jacobi, the
+# MG tables match Jacobi's at print precision, the parallel tables are
+# byte-identical to the serial ones and the fast-path tables match MG's.
 mg-smoke:
 	$(GO) run ./cmd/xylem parbench -check -grid 16 -apps lu-nas,fft -instr 60000 -freqs 2.4,3.5 -o /tmp/bench_mg_smoke.json
 
-# CI gate for the batched multi-RHS solver: the same short parbench at
-# an explicit batch width; -check also fails unless the batched tables
-# are byte-identical to the per-point tables at every worker count.
-batch-smoke:
-	$(GO) run ./cmd/xylem parbench -check -batch 4 -grid 16 -apps lu-nas,fft,is -instr 60000 -freqs 2.4,3.5 -o /tmp/bench_batch_smoke.json
-
 # CI gate for the Green's-function fast path: parbench at bench scale
-# (24x24 grid) builds the per-scheme bases, runs the Figure 7 sweep both
-# reduced and full, and -check fails unless the fast-path tables match
-# the MG tables at print precision and the per-query wall is at least 5x
-# below MG's (the basis precompute is amortised and reported separately).
+# (24x24 grid) builds the per-scheme bases (one CG solve per column),
+# runs the Figure 7 sweep both reduced and full, and -check fails unless
+# the fast-path tables match the MG tables at print precision and the
+# per-query wall is at least 5x below MG's (the basis precompute is
+# amortised and reported separately).
 greens-smoke:
 	$(GO) run ./cmd/xylem parbench -check -grid 24 -apps lu-nas,fft -instr 60000 -freqs 2.4,3.5 -o /tmp/bench_greens_smoke.json
 
-# CI gate for the solver kernels and the pipelined CG recurrence: a
-# short run of the three kernel micro-benchmarks (stencil apply, Thomas
-# sweep, fused reduction), then a short parbench whose -check fails
-# unless the pipelined sweep's tables match classic MG at print
-# precision and the batched pipelined tables are byte-identical to the
-# per-point pipelined tables (alongside all the pre-existing gates).
+# CI gate for the solver kernels: a short run of the three kernel
+# micro-benchmarks (stencil apply, Thomas sweep, CG's fused apply+dot
+# pass). mg-smoke gates the Figure 7 tables these kernels produce.
 kernel-smoke:
 	$(GO) test -short -bench 'BenchmarkStencilApply|BenchmarkThomasSweep|BenchmarkFusedReduction' -benchtime=1x -run XXX -timeout 10m .
-	$(GO) run ./cmd/xylem parbench -check -grid 16 -apps lu-nas,fft -instr 60000 -freqs 2.4,3.5 -o /tmp/bench_kernel_smoke.json
 
 # CI gate for the observability layer: run a small figure bare and with
 # a live metrics endpoint (served in-process on 127.0.0.1:0, scraped
 # over HTTP), and fail unless the tables are byte-identical and the
 # scrape carried solver metrics and trace spans.
 obs-smoke:
-	$(GO) run ./cmd/xylem obs-smoke -id 7 -grid 16 -apps lu-nas,fft -instr 60000 -freqs 2.4,3.5 -workers 4 -batch 2
+	$(GO) run ./cmd/xylem obs-smoke -id 7 -grid 16 -apps lu-nas,fft -instr 60000 -freqs 2.4,3.5 -workers 4
 
 # CI gate for the checkpoint/resume engine: run a small figure, kill it
 # at a checkpoint boundary via the crash-injection hook, resume from the
@@ -99,8 +91,8 @@ serve-smoke:
 
 # CI gate for the fleet replay engine: run a small seeded replay
 # uninterrupted, rerun it with checkpoints and a crash injected at the
-# second snapshot, resume at a different worker/batch setting, and fail
-# unless the two final fleet reports are byte-identical.
+# second snapshot, resume at a different worker setting, and fail unless
+# the two final fleet reports are byte-identical.
 fleet-smoke:
 	$(GO) run ./cmd/xylem fleet-smoke -stacks 16 -events 64 -seed 7
 
@@ -111,10 +103,10 @@ fleet-smoke:
 loadbench:
 	$(GO) run ./cmd/xylem loadbench -check -grid 24 -n 24 -width 8 -out BENCH_serve.json
 
-# CPU+heap profile of a batched Figure 7 sweep; inspect with
+# CPU+heap profile of a Figure 7 sweep; inspect with
 # `go tool pprof cpu.prof`.
 profile:
-	$(GO) run ./cmd/xylem figure -id 7 -grid 24 -apps lu-nas,fft,is -batch 4 -cpuprofile cpu.prof -memprofile mem.prof
+	$(GO) run ./cmd/xylem figure -id 7 -grid 24 -apps lu-nas,fft,is -cpuprofile cpu.prof -memprofile mem.prof
 
 # Individual figures through the CLI, e.g. `make figures FIG=8`.
 FIG ?= 8

@@ -348,64 +348,6 @@ func BenchmarkThermalSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkThermalSteadyStateBatch prices the multi-RHS batched solver
-// against k sequential solves of the same right-hand sides: the
-// "seq/kN" sub-benchmarks run N single-RHS solves, the "batch/kN" ones
-// run one N-column SteadyStateBatch — bitwise the same answers (see
-// internal/thermal/batch_test.go), so the ratio is pure amortisation of
-// the shared operator sweeps.
-func BenchmarkThermalSteadyStateBatch(b *testing.B) {
-	grids := []int{24, 64}
-	if testing.Short() {
-		grids = []int{24}
-	}
-	for _, n := range grids {
-		cfg := stack.DefaultConfig()
-		cfg.GridRows, cfg.GridCols = n, n
-		st, err := stack.Build(cfg, stack.BankE)
-		if err != nil {
-			b.Fatal(err)
-		}
-		solver, err := thermal.NewSolver(st.Model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer solver.Close()
-		for _, k := range []int{1, 4, 8} {
-			pms := make([]thermal.PowerMap, k)
-			for j := range pms {
-				pm := st.Model.NewPowerMap()
-				for c := 0; c < 8; c++ {
-					pm.AddBlock(st.Model.Grid, st.ProcMetalLayer, st.Proc.CoreRect(c), 1.5+0.5*float64((j+c)%4))
-				}
-				pms[j] = pm
-			}
-			b.Run(fmt.Sprintf("grid%d/seq/k%d", n, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for _, pm := range pms {
-						if _, err := solver.SteadyState(pm); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("grid%d/batch/k%d", n, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := solver.SteadyStateBatch(context.Background(), pms, thermal.BatchOpts{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, err := range res.Errs {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
 // kernelBench builds a solver on an n×n BankE stack and hands its
 // kernel façade to the per-iteration body. One sub-benchmark per grid;
 // -short keeps only the 24×24 grid (the CI smoke size).
@@ -440,7 +382,7 @@ func kernelBench(b *testing.B, body func(k thermal.KernelBench)) {
 var benchDotSink float64
 
 // BenchmarkStencilApply prices one full 7-point stencil operator apply
-// w = A·z over the finest level — the sweep every CG iteration pays at
+// ap = A·z over the finest level — the sweep every CG iteration pays at
 // least once, and the floor under any recurrence rearrangement.
 func BenchmarkStencilApply(b *testing.B) {
 	kernelBench(b, func(k thermal.KernelBench) { k.StencilApply() })
@@ -455,11 +397,10 @@ func BenchmarkThomasSweep(b *testing.B) {
 	kernelBench(b, func(k thermal.KernelBench) { k.ThomasSweep() })
 }
 
-// BenchmarkFusedReduction prices the pipelined recurrence's fused
-// apply+dot pass (w = A·z with (w,z) banked over four accumulators)
-// against BenchmarkStencilApply: the difference is what the fused
-// reduction costs over the bare apply, and the classic path's separate
-// reduction sweep is what it saves.
+// BenchmarkFusedReduction prices CG's per-iteration fused pass
+// (ap = A·p with the p·ap reduction taken chunk by chunk) against
+// BenchmarkStencilApply: the difference is what the reduction costs on
+// top of the bare apply.
 func BenchmarkFusedReduction(b *testing.B) {
 	kernelBench(b, func(k thermal.KernelBench) { benchDotSink = k.FusedReduction() })
 }

@@ -104,7 +104,7 @@ func usage() {
   obs-smoke  run a figure with and without metrics; assert identical tables
   resume     continue an interrupted sweep from its -checkpoint directory
   resume-smoke  kill a sweep at a checkpoint, resume it, assert identical tables
-  serve      run the batching thermal-solve daemon (HTTP/JSON on -addr)
+  serve      run the thermal-solve daemon (HTTP/JSON on -addr)
   loadbench  closed/open-loop load generator against the daemon; writes BENCH_serve.json
   serve-smoke  end-to-end daemon check: mixed traffic, cache/batch/metrics asserts
   fleet      deterministic fleet-scale trace replay over modeled stacks
@@ -123,17 +123,17 @@ basis (oracle runs both paths and fails on disagreement).`)
 
 // cliOpts holds the shared experiment flags registered by optFlags.
 type cliOpts struct {
-	apps, freqs, precond, cg    *string
-	fastpath                    *string
-	grid, instr, workers, batch *int
-	cpuprofile, memprofile      *string
-	metricsAddr                 *string
-	checkpoint                  *string
-	resume                      *bool
-	ckptEvery                   *int
-	retries                     *int
-	quarantine                  *bool
-	retrySeed                   *uint64
+	apps, freqs, precond   *string
+	fastpath               *string
+	grid, instr, workers   *int
+	cpuprofile, memprofile *string
+	metricsAddr            *string
+	checkpoint             *string
+	resume                 *bool
+	ckptEvery              *int
+	retries                *int
+	quarantine             *bool
+	retrySeed              *uint64
 }
 
 // optFlags registers the shared experiment flags on a FlagSet.
@@ -143,10 +143,8 @@ func optFlags(fs *flag.FlagSet) *cliOpts {
 		grid:        fs.Int("grid", 32, "thermal grid resolution (NxN)"),
 		instr:       fs.Int("instr", 0, "per-thread instruction budget (0 = profile default)"),
 		workers:     fs.Int("workers", 0, "concurrent experiment points (0 = all CPUs, 1 = serial)"),
-		batch:       fs.Int("batch", 0, "multi-RHS thermal batch width (0 or 1 = per-point solves)"),
 		freqs:       fs.String("freqs", "2.4,2.8,3.2,3.5", "frequencies for temperature sweeps (GHz)"),
 		precond:     fs.String("precond", "", "CG preconditioner: auto (multigrid), mg, or jacobi"),
-		cg:          fs.String("cg", "", "CG recurrence: auto (classic), classic, or pipelined (single fused reduction per iteration)"),
 		fastpath:    fs.String("fastpath", "", "Green's-function reduced-order serving: off, on, or oracle"),
 		cpuprofile:  fs.String("cpuprofile", "", "write a CPU profile to this path"),
 		memprofile:  fs.String("memprofile", "", "write a heap profile to this path at exit"),
@@ -178,9 +176,7 @@ func (c *cliOpts) options() (exp.Options, error) {
 	o.GridRows, o.GridCols = *c.grid, *c.grid
 	o.Instructions = *c.instr
 	o.Workers = *c.workers
-	o.BatchWidth = *c.batch
 	o.Precond = *c.precond
-	o.CG = *c.cg
 	o.FastPath = *c.fastpath
 	if *c.freqs != "" {
 		o.Freqs = nil
@@ -296,14 +292,6 @@ func runFigure(r *exp.Runner, id string) error {
 	if d.Solves > 0 {
 		fmt.Printf("solver work: %d solves, %d CG iters, %d V-cycles, %d degraded; iters/solve %s\n",
 			d.Solves, d.SolveIters, d.VCycles, d.DegradedSolves, d.IterHist)
-	}
-	if d.ResidualReplacements > 0 || d.DriftCorrections > 0 {
-		fmt.Printf("pipelined CG drift control: %d residual replacements, %d drift corrections\n",
-			d.ResidualReplacements, d.DriftCorrections)
-	}
-	if d.BatchedSolves > 0 {
-		fmt.Printf("batched solves: %d calls over %d columns, %d deflated early; occupancy %s\n",
-			d.BatchedSolves, d.BatchedColumns, d.DeflatedColumns, d.BatchOcc)
 	}
 	if d.GreensHits > 0 || d.GreensMisses > 0 || d.BasisBuilds > 0 {
 		fmt.Printf("greens fast path: %d hits, %d CG fallbacks, %d basis builds\n",

@@ -18,9 +18,7 @@ import (
 type parbenchConfig struct {
 	Name     string  `json:"name"`
 	Precond  string  `json:"precond"`
-	CG       string  `json:"cg,omitempty"`
 	Workers  int     `json:"workers"`
-	Batch    int     `json:"batch"`
 	Warm     bool    `json:"warm"`
 	WallS    float64 `json:"wall_s"`
 	Solves   int     `json:"solves"`
@@ -28,17 +26,6 @@ type parbenchConfig struct {
 	VCycles  int64   `json:"vcycles"`
 	Degraded int     `json:"degraded_solves"`
 	IterHist string  `json:"iter_hist"`
-	// Pipelined-CG drift-control accounting (zero for classic configs):
-	// periodic true-residual replacements and convergence drift-guard
-	// corrections across the sweep's solves.
-	Replacements     int64 `json:"residual_replacements,omitempty"`
-	DriftCorrections int64 `json:"drift_corrections,omitempty"`
-	// Batch-path accounting (zero for per-point configs): batched
-	// multi-RHS calls issued, columns retired before the batch finished,
-	// and the occupancy histogram of columns per call.
-	BatchedSolves   int    `json:"batched_solves,omitempty"`
-	DeflatedColumns int64  `json:"deflated_columns,omitempty"`
-	BatchOcc        string `json:"batch_occupancy,omitempty"`
 	// Green's fast-path accounting (zero for full-solve configs):
 	// reduced-model queries served, CG fallbacks, bases built, the wall
 	// spent on the basis precompute (reported separately — it is excluded
@@ -77,36 +64,15 @@ type parbenchReport struct {
 
 	// SpeedupMG compares like with like: MG serial warm vs Jacobi
 	// serial warm. SpeedupParallel is MG parallel warm vs MG serial warm.
-	// SpeedupBatch is batched MG serial vs per-point MG serial — the
-	// multi-RHS amortisation alone, no kernel parallelism involved.
-	// SpeedupPipelined is pipelined-CG MG serial vs classic MG serial —
-	// the single fused reduction plus restructured kernels, on one worker.
-	SpeedupMG        float64 `json:"speedup_mg"`
-	SpeedupParallel  float64 `json:"speedup_parallel"`
-	BatchWidth       int     `json:"batch_width"`
-	SpeedupBatch     float64 `json:"speedup_batch"`
-	SpeedupPipelined float64 `json:"speedup_pipelined"`
+	SpeedupMG       float64 `json:"speedup_mg"`
+	SpeedupParallel float64 `json:"speedup_parallel"`
 
 	// TablesMatchJacobi: the MG sweep rendered the same tables as the
 	// Jacobi sweep (print precision absorbs the tolerance-level solver
 	// differences). TablesByteIdenticalWorkers: the parallel MG sweep
 	// rendered byte-identical tables to the serial MG sweep.
-	// TablesMatchBatch: the batched MG sweep rendered byte-identical
-	// tables to the per-point MG sweep (the batch contract is bitwise,
-	// so this is equality, not print-precision). The BatchWorkers variant
-	// compares batched serial against batched parallel.
-	// TablesMatchPipelined: the pipelined-CG MG sweep rendered the same
-	// tables as the classic MG sweep (print precision — the pipelined
-	// recurrence converges to the same tolerance but is not bitwise-equal
-	// to the classic recurrence). TablesMatchPipelinedBatch: the batched
-	// pipelined sweep rendered byte-identical tables to the per-point
-	// pipelined sweep (the batch contract is bitwise on either recurrence).
-	TablesMatchJacobi               bool `json:"tables_match_jacobi"`
-	TablesByteIdenticalWorkers      bool `json:"tables_byte_identical_workers"`
-	TablesMatchBatch                bool `json:"tables_match_batch"`
-	TablesByteIdenticalBatchWorkers bool `json:"tables_byte_identical_batch_workers"`
-	TablesMatchPipelined            bool `json:"tables_match_pipelined"`
-	TablesMatchPipelinedBatch       bool `json:"tables_match_pipelined_batch"`
+	TablesMatchJacobi          bool `json:"tables_match_jacobi"`
+	TablesByteIdenticalWorkers bool `json:"tables_byte_identical_workers"`
 
 	// The Green's fast-path comparison: per-query wall for the reduced
 	// model vs the warm serial MG sweep (the basis precompute is amortised
@@ -119,21 +85,17 @@ type parbenchReport struct {
 	TablesMatchGreens bool    `json:"tables_match_greens"`
 }
 
-// cmdParbench times the Figure 7 temperature sweep under eight engine
+// cmdParbench times the Figure 7 temperature sweep under four engine
 // configurations, each on a fresh Runner (no solver state carries over):
 //
-//  1. jacobi:             Workers=1, warm-started, Jacobi-preconditioned CG
-//  2. mg:                 Workers=1, warm-started, multigrid-preconditioned CG
-//  3. mg-parallel:        Workers=N, warm-started, multigrid
-//  4. mg-batch:           Workers=1, multigrid, batched multi-RHS solves
-//  5. mg-batch-parallel:  Workers=N, multigrid, batched multi-RHS solves
-//  6. mg-pipelined:       Workers=1, multigrid, single-reduction pipelined CG
-//  7. mg-pipelined-batch: Workers=1, multigrid, pipelined CG, batched solves
-//  8. greens:             Workers=1, Green's-function reduced-order serving
+//  1. jacobi:      Workers=1, warm-started, Jacobi-preconditioned CG
+//  2. mg:          Workers=1, warm-started, multigrid-preconditioned CG
+//  3. mg-parallel: Workers=N, warm-started, multigrid
+//  4. greens:      Workers=1, Green's-function reduced-order serving
 //     (basis precompute paid before the timer starts
 //     and reported separately)
 //
-// Workload activity (the cpusim traces) is identical across all eight —
+// Workload activity (the cpusim traces) is identical across all four —
 // it depends on the simulated architecture, never on the solver — so an
 // untimed warm-up pass populates one shared activity cache first and
 // every timed run draws from it. The walls therefore price exactly what
@@ -141,8 +103,7 @@ type parbenchReport struct {
 // trace simulation.
 //
 // It verifies the MG tables match Jacobi's at print precision, and that
-// the parallel and batched runs are byte-identical to the serial
-// per-point MG run, then writes a JSON summary with wall times,
+// the parallel run is byte-identical to the serial MG run, then writes a JSON summary with wall times,
 // iteration totals and V-cycle counts. With -check it exits non-zero
 // when multigrid fails to cut iterations or any table check fails — the
 // CI smoke gate (timing ratios are reported but never gated; wall time
@@ -164,18 +125,6 @@ func cmdParbench(args []string) error {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	// Batched configs default to one batch per sweep — every app of a
-	// scheme's sweep in a single multi-RHS call (best occupancy, no
-	// single-column remainder) — floored at the 4-wide amortisation
-	// sweet spot.
-	width := o.BatchWidth
-	if width <= 1 {
-		width = len(o.Apps)
-		if width < 4 {
-			width = 4
-		}
-	}
-
 	// The untimed warm-up run: populates the shared activity cache (and
 	// is otherwise discarded).
 	warm, err := exp.NewRunner(o)
@@ -186,12 +135,10 @@ func cmdParbench(args []string) error {
 		return fmt.Errorf("warm-up run: %w", err)
 	}
 
-	run := func(name, precond, cg string, workers, batch int, fastpath string) (parbenchConfig, string, error) {
+	run := func(name, precond string, workers int, fastpath string) (parbenchConfig, string, error) {
 		oo := o
 		oo.Workers = workers
 		oo.Precond = precond
-		oo.CG = cg
-		oo.BatchWidth = batch
 		oo.FastPath = fastpath
 		r, err := exp.NewRunner(oo)
 		if err != nil {
@@ -223,17 +170,12 @@ func cmdParbench(args []string) error {
 		wall := time.Since(start)
 		st := r.Sys.Ev.Stats()
 		cfg := parbenchConfig{
-			Name: name, Precond: precond, CG: cg, Workers: workers, Batch: batch, Warm: true,
+			Name: name, Precond: precond, Workers: workers, Warm: true,
 			WallS: wall.Seconds(), Solves: st.Solves, CGIters: st.SolveIters,
 			VCycles: st.VCycles, Degraded: st.DegradedSolves,
-			IterHist:     st.IterHist.String(),
-			Replacements: st.ResidualReplacements, DriftCorrections: st.DriftCorrections,
-			BatchedSolves: st.BatchedSolves, DeflatedColumns: st.DeflatedColumns,
+			IterHist:   st.IterHist.String(),
 			GreensHits: st.GreensHits, GreensMisses: st.GreensMisses,
 			BasisBuilds: st.BasisBuilds, BasisBuildS: basisWall.Seconds(),
-		}
-		if st.BatchedSolves > 0 {
-			cfg.BatchOcc = st.BatchOcc.String()
 		}
 		if st.GreensHits > 0 {
 			cfg.PerQueryMs = wall.Seconds() * 1000 / float64(st.GreensHits)
@@ -243,50 +185,30 @@ func cmdParbench(args []string) error {
 		return cfg, tab.String(), nil
 	}
 
-	fmt.Printf("parbench: Figure 7 on a %dx%d grid, %d workers (GOMAXPROCS %d), batch width %d\n",
-		o.GridRows, o.GridCols, par, runtime.GOMAXPROCS(0), width)
+	fmt.Printf("parbench: Figure 7 on a %dx%d grid, %d workers (GOMAXPROCS %d)\n",
+		o.GridRows, o.GridCols, par, runtime.GOMAXPROCS(0))
 
 	show := func(c parbenchConfig) {
 		fmt.Printf("  %-17s %8.2fs  %6d CG iters  %6d V-cycles  iters/solve %s\n",
 			c.Name, c.WallS, c.CGIters, c.VCycles, c.IterHist)
 	}
 
-	jac, jacTab, err := run("jacobi", "jacobi", "", 1, 0, "")
+	jac, jacTab, err := run("jacobi", "jacobi", 1, "")
 	if err != nil {
 		return fmt.Errorf("jacobi run: %w", err)
 	}
 	show(jac)
-	mg, mgTab, err := run("mg", "mg", "", 1, 0, "")
+	mg, mgTab, err := run("mg", "mg", 1, "")
 	if err != nil {
 		return fmt.Errorf("mg run: %w", err)
 	}
 	show(mg)
-	mgPar, mgParTab, err := run("mg-parallel", "mg", "", par, 0, "")
+	mgPar, mgParTab, err := run("mg-parallel", "mg", par, "")
 	if err != nil {
 		return fmt.Errorf("mg parallel run: %w", err)
 	}
 	show(mgPar)
-	mgBatch, mgBatchTab, err := run("mg-batch", "mg", "", 1, width, "")
-	if err != nil {
-		return fmt.Errorf("mg batch run: %w", err)
-	}
-	show(mgBatch)
-	mgBatchPar, mgBatchParTab, err := run("mg-batch-parallel", "mg", "", par, width, "")
-	if err != nil {
-		return fmt.Errorf("mg batch parallel run: %w", err)
-	}
-	show(mgBatchPar)
-	mgPipe, mgPipeTab, err := run("mg-pipelined", "mg", "pipelined", 1, 0, "")
-	if err != nil {
-		return fmt.Errorf("mg pipelined run: %w", err)
-	}
-	show(mgPipe)
-	mgPipeBatch, mgPipeBatchTab, err := run("mg-pipelined-batch", "mg", "pipelined", 1, width, "")
-	if err != nil {
-		return fmt.Errorf("mg pipelined batch run: %w", err)
-	}
-	show(mgPipeBatch)
-	greens, greensTab, err := run("greens", "", "", 1, 0, "on")
+	greens, greensTab, err := run("greens", "", 1, "on")
 	if err != nil {
 		return fmt.Errorf("greens run: %w", err)
 	}
@@ -300,23 +222,16 @@ func cmdParbench(args []string) error {
 		FreqsGHz:   o.Freqs,
 		Workers:    par,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Configs:    []parbenchConfig{jac, mg, mgPar, mgBatch, mgBatchPar, mgPipe, mgPipeBatch, greens},
+		Configs:    []parbenchConfig{jac, mg, mgPar, greens},
 
-		CGItersJacobi:    jac.CGIters,
-		CGItersMG:        mg.CGIters,
-		MGVCycles:        mg.VCycles,
-		SpeedupMG:        jac.WallS / mg.WallS,
-		SpeedupParallel:  mg.WallS / mgPar.WallS,
-		BatchWidth:       width,
-		SpeedupBatch:     mg.WallS / mgBatch.WallS,
-		SpeedupPipelined: mg.WallS / mgPipe.WallS,
+		CGItersJacobi:   jac.CGIters,
+		CGItersMG:       mg.CGIters,
+		MGVCycles:       mg.VCycles,
+		SpeedupMG:       jac.WallS / mg.WallS,
+		SpeedupParallel: mg.WallS / mgPar.WallS,
 
-		TablesMatchJacobi:               mgTab == jacTab,
-		TablesByteIdenticalWorkers:      mgTab == mgParTab,
-		TablesMatchBatch:                mgTab == mgBatchTab,
-		TablesByteIdenticalBatchWorkers: mgBatchTab == mgBatchParTab,
-		TablesMatchPipelined:            mgPipeTab == mgTab,
-		TablesMatchPipelinedBatch:       mgPipeBatchTab == mgPipeTab,
+		TablesMatchJacobi:          mgTab == jacTab,
+		TablesByteIdenticalWorkers: mgTab == mgParTab,
 
 		PerQueryMsMG:      mg.PerQueryMs,
 		PerQueryMsGreens:  greens.PerQueryMs,
@@ -330,10 +245,8 @@ func cmdParbench(args []string) error {
 		rep.SpeedupGreens = mg.PerQueryMs / greens.PerQueryMs
 	}
 
-	fmt.Printf("  multigrid: %.1fx fewer CG iterations, %.2fx faster serial; parallel %.2fx on top; batched %.2fx at width %d\n",
-		rep.MGIterReduction, rep.SpeedupMG, rep.SpeedupParallel, rep.SpeedupBatch, width)
-	fmt.Printf("  pipelined CG: %.2fx over classic MG serial (%d residual replacements, %d drift corrections)\n",
-		rep.SpeedupPipelined, mgPipe.Replacements, mgPipe.DriftCorrections)
+	fmt.Printf("  multigrid: %.1fx fewer CG iterations, %.2fx faster serial; parallel %.2fx on top\n",
+		rep.MGIterReduction, rep.SpeedupMG, rep.SpeedupParallel)
 	if rep.TablesMatchJacobi {
 		fmt.Println("  tables match jacobi at print precision")
 	} else {
@@ -343,26 +256,6 @@ func cmdParbench(args []string) error {
 		fmt.Println("  tables byte-identical serial vs parallel")
 	} else {
 		fmt.Println("  WARNING: parallel tables are NOT byte-identical to serial")
-	}
-	if rep.TablesMatchBatch {
-		fmt.Println("  tables byte-identical per-point vs batched")
-	} else {
-		fmt.Println("  WARNING: batched tables are NOT byte-identical to per-point")
-	}
-	if rep.TablesByteIdenticalBatchWorkers {
-		fmt.Println("  tables byte-identical batched serial vs batched parallel")
-	} else {
-		fmt.Println("  WARNING: batched parallel tables are NOT byte-identical to batched serial")
-	}
-	if rep.TablesMatchPipelined {
-		fmt.Println("  tables match pipelined at print precision")
-	} else {
-		fmt.Println("  WARNING: pipelined tables do NOT match the classic MG tables")
-	}
-	if rep.TablesMatchPipelinedBatch {
-		fmt.Println("  tables byte-identical pipelined per-point vs pipelined batched")
-	} else {
-		fmt.Println("  WARNING: batched pipelined tables are NOT byte-identical to per-point pipelined")
 	}
 	fmt.Printf("  greens fast path: %.3f ms/query vs MG's %.3f ms/query (%.1fx)\n",
 		rep.PerQueryMsGreens, rep.PerQueryMsMG, rep.SpeedupGreens)
@@ -392,18 +285,6 @@ func cmdParbench(args []string) error {
 		}
 		if !rep.TablesByteIdenticalWorkers {
 			return fmt.Errorf("check failed: parallel tables not byte-identical to serial")
-		}
-		if !rep.TablesMatchBatch {
-			return fmt.Errorf("check failed: batched tables not byte-identical to per-point")
-		}
-		if !rep.TablesByteIdenticalBatchWorkers {
-			return fmt.Errorf("check failed: batched parallel tables not byte-identical to batched serial")
-		}
-		if !rep.TablesMatchPipelined {
-			return fmt.Errorf("check failed: pipelined tables do not match classic MG tables")
-		}
-		if !rep.TablesMatchPipelinedBatch {
-			return fmt.Errorf("check failed: batched pipelined tables not byte-identical to per-point pipelined")
 		}
 		if !rep.TablesMatchGreens {
 			return fmt.Errorf("check failed: greens fast-path tables do not match MG tables")

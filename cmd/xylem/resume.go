@@ -13,7 +13,7 @@ import (
 // cmdResume continues an interrupted sweep from its checkpoint
 // directory alone: the manifest section of the newest intact snapshot
 // carries everything needed to rebuild the run — which figure, which
-// apps, grid, frequency ladder, batch width — so the only required flag
+// apps, grid, frequency ladder — so the only required flag
 // is the directory itself. Worker count is free: results land in
 // serial-order slots regardless of schedule, so a sweep checkpointed
 // under -workers 8 resumes correctly under -workers 1.

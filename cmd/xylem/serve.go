@@ -18,13 +18,12 @@ import (
 func serveFlags(fs *flag.FlagSet) func() (serve.Config, string, error) {
 	addr := fs.String("addr", "127.0.0.1:9378", "HTTP listen address")
 	queue := fs.Int("queue", 64, "admission queue capacity (full queue = 429)")
-	maxBatch := fs.Int("max-batch", 8, "maximum multi-RHS batch width")
+	maxBatch := fs.Int("max-batch", 8, "maximum requests per dispatched group")
 	linger := fs.Duration("linger", 5*time.Millisecond, "maximum batch-formation wait (starvation bound)")
 	cacheCap := fs.Int("cache", 8, "artifact cache capacity in stacks (0 = rebuild per request)")
 	solvers := fs.Int("solvers", 2, "concurrent batch executors")
 	workers := fs.Int("workers", 0, "CG kernel workers per solver (0 = serial)")
 	precond := fs.String("precond", "", "CG preconditioner: auto (multigrid), mg, or jacobi")
-	cg := fs.String("cg", "", "CG recurrence: auto (classic), classic, or pipelined")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (empty = off)")
 	return func() (serve.Config, string, error) {
@@ -42,11 +41,6 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, string, error) {
 			return cfg, "", fmt.Errorf("serve: unknown preconditioner %q", *precond)
 		}
 		cfg.Precond = pc
-		v, ok := thermal.ParseCGVariant(*cg)
-		if !ok {
-			return cfg, "", fmt.Errorf("serve: unknown CG variant %q", *cg)
-		}
-		cfg.CG = v
 		return cfg, *metricsAddr, nil
 	}
 }

@@ -105,35 +105,6 @@ func (s *System) EvaluateUniformWarmCtx(ctx context.Context, k stack.SchemeKind,
 	return s.Ev.EvaluateWarmCtx(ctx, s.stacks[k], s.Uniform(fGHz), assigns, warm)
 }
 
-// EvaluateUniformBatchWarmCtx evaluates several apps at one uniform
-// frequency on the same scheme with a single batched thermal call:
-// activity results come from the (cached, singleflight) simulator per
-// app, then all leakage fixed points run in lockstep on one multi-RHS
-// solve per iteration. warms, when non-nil, must carry one (possibly
-// nil) warm-start field per app. Outcome i is identical to
-// EvaluateUniformWarmCtx(ctx, k, apps[i], fGHz, warms[i]) — batching
-// changes the schedule, never the numbers.
-func (s *System) EvaluateUniformBatchWarmCtx(ctx context.Context, k stack.SchemeKind, apps []workload.Profile, fGHz float64, warms []thermal.Temperature) ([]perf.Outcome, error) {
-	if warms != nil && len(warms) != len(apps) {
-		return nil, fmt.Errorf("core: %d warm starts for %d apps", len(warms), len(apps))
-	}
-	freqs := s.Uniform(fGHz)
-	st := s.stacks[k]
-	pts := make([]perf.ThermalBatchPoint, len(apps))
-	for i, app := range apps {
-		assigns := perf.UniformAssignments(app, s.Ev.SimCfg.Cores)
-		res, err := s.Ev.Activity(st.Cfg.NumDRAMDies, freqs, assigns)
-		if err != nil {
-			return nil, err
-		}
-		pts[i] = perf.ThermalBatchPoint{Freqs: freqs, Res: res}
-		if warms != nil {
-			pts[i].Warm = warms[i]
-		}
-	}
-	return s.Ev.ThermalBatchCtx(ctx, st, pts)
-}
-
 // EvaluatePlaced runs the app's threads on specific cores at a uniform
 // frequency.
 func (s *System) EvaluatePlaced(k stack.SchemeKind, app workload.Profile, cores []int, fGHz float64) (perf.Outcome, error) {

@@ -21,22 +21,25 @@ import (
 // hours of solver work; this file lets it persist its progress through
 // the ckpt store and resume after a crash to byte-identical tables.
 //
-// The unit of progress is one frequency-ladder rung of one work item
-// (a per-point (app, scheme) chain, or a batched scheme × app-run).
-// Each item's checkpoint state carries its completed rung count, the
-// TempPoints produced so far, and the warm-start temperature field each
-// column would carry into its next rung — stored as raw IEEE-754 bits,
-// because the CG iterate depends bit-for-bit on its seed and "close"
-// warm fields would produce tables that differ in the last digit.
+// The unit of progress is one frequency-ladder rung of one work item,
+// an (app, scheme) chain. Each item's checkpoint state carries its
+// completed rung count, the TempPoints produced so far, and the
+// warm-start temperature field each column would carry into its next
+// rung — stored as raw IEEE-754 bits, because the CG iterate depends
+// bit-for-bit on its seed and "close" warm fields would produce tables
+// that differ in the last digit.
 //
 // A snapshot is only valid for the run configuration that wrote it, so
 // every snapshot embeds a signature of the sweep-shaping options (apps,
-// grid, instruction budget, frequency ladder, warm-start mode, batch
-// width, preconditioner). Workers is deliberately excluded: results
-// land in serial-order slots regardless of worker count, so a sweep
-// checkpointed under -workers 8 resumes correctly under -workers 1 and
-// vice versa. BatchWidth is included because it changes the item
-// layout, not just the schedule.
+// grid, instruction budget, frequency ladder, warm-start mode,
+// preconditioner, fast-path mode). Workers is deliberately excluded:
+// results land in serial-order slots regardless of worker count, so a
+// sweep checkpointed under -workers 8 resumes correctly under -workers 1
+// and vice versa. The signature also keeps the batch width and CG
+// recurrence fields that earlier runs could vary, fixed at the bytes a
+// default run wrote (batch=1, cg=auto): snapshots of default runs still
+// resume, and those written with batched solves or an explicit CG
+// recurrence are rejected with ErrCkptMismatch.
 
 // CkptConfig enables crash-safe checkpointing of a sweep.
 type CkptConfig struct {
@@ -102,9 +105,7 @@ type Manifest struct {
 	MigrationGHz      float64   `json:"migration_ghz,omitempty"`
 	MigrationPeriodMs float64   `json:"migration_period_ms,omitempty"`
 	NoWarmStart       bool      `json:"no_warm_start,omitempty"`
-	BatchWidth        int       `json:"batch_width,omitempty"`
 	Precond           string    `json:"precond,omitempty"`
-	CG                string    `json:"cg,omitempty"`
 	FastPath          string    `json:"fast_path,omitempty"`
 }
 
@@ -115,8 +116,7 @@ func (o Options) manifest(label string) Manifest {
 		GridRows: o.GridRows, GridCols: o.GridCols,
 		Instructions: o.Instructions, Freqs: o.Freqs,
 		MigrationGHz: o.MigrationGHz, MigrationPeriodMs: o.MigrationPeriodMs,
-		NoWarmStart: o.NoWarmStart, BatchWidth: o.BatchWidth, Precond: o.Precond,
-		CG: o.CG, FastPath: o.FastPath,
+		NoWarmStart: o.NoWarmStart, Precond: o.Precond, FastPath: o.FastPath,
 	}
 }
 
@@ -128,8 +128,7 @@ func (m Manifest) Options() Options {
 		GridRows: m.GridRows, GridCols: m.GridCols,
 		Instructions: m.Instructions, Freqs: m.Freqs,
 		MigrationGHz: m.MigrationGHz, MigrationPeriodMs: m.MigrationPeriodMs,
-		NoWarmStart: m.NoWarmStart, BatchWidth: m.BatchWidth, Precond: m.Precond,
-		CG: m.CG, FastPath: m.FastPath,
+		NoWarmStart: m.NoWarmStart, Precond: m.Precond, FastPath: m.FastPath,
 	}
 }
 
@@ -157,14 +156,14 @@ func ReadManifest(dir string) (Manifest, error) {
 // sweepSignature pins a snapshot to the configuration that wrote it.
 // Frequencies are rendered with FormatFloat 'b' so the signature is
 // exact, not a rounded decimal. The version prefix is xyck3: adding the
-// CG-variant field (whose pipelined setting changes the recurrence
-// arithmetic and therefore the warm fields a snapshot carries) retired
-// xyck2, as the fast-path mode retired xyck1 before it — older
-// snapshots are rejected with ErrCkptMismatch instead of misdecoded.
+// CG-variant field retired xyck2, as the fast-path mode retired xyck1
+// before it — older snapshots are rejected with ErrCkptMismatch instead
+// of misdecoded. batch=1 and cg=auto are literals (see the file
+// comment).
 func (o Options) sweepSignature(label string, apps []workload.Profile) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "xyck3|%s|grid=%dx%d|instr=%d|warm=%v|batch=%d|precond=%s|cg=%s|fastpath=%s|apps=",
-		label, o.GridRows, o.GridCols, o.Instructions, !o.NoWarmStart, o.batchWidth(), o.Precond, o.cgMode(), o.fastPathMode())
+	fmt.Fprintf(&b, "xyck3|%s|grid=%dx%d|instr=%d|warm=%v|batch=1|precond=%s|cg=auto|fastpath=%s|apps=",
+		label, o.GridRows, o.GridCols, o.Instructions, !o.NoWarmStart, o.Precond, o.fastPathMode())
 	for i, a := range apps {
 		if i > 0 {
 			b.WriteByte(',')
@@ -355,8 +354,10 @@ func encodeStats(s perf.Stats) []byte {
 	for k := range s.IterHist {
 		e.I64(s.IterHist[k])
 	}
-	for k := range s.BatchOcc {
-		e.I64(s.BatchOcc[k])
+	// The batch-occupancy histogram's slots: always zero now, kept so
+	// the section layout (and older snapshots) stays readable.
+	for range s.IterHist {
+		e.I64(0)
 	}
 	return e.Data()
 }
@@ -384,8 +385,8 @@ func decodeStats(b []byte) (perf.Stats, error) {
 	for k := range s.IterHist {
 		s.IterHist[k] = d.I64()
 	}
-	for k := range s.BatchOcc {
-		s.BatchOcc[k] = d.I64()
+	for range s.IterHist {
+		d.I64() // batch-occupancy slot, see encodeStats
 	}
 	if err := d.Done(); err != nil {
 		return perf.Stats{}, err
@@ -436,9 +437,10 @@ func decodeQuarantine(b []byte) ([]*fault.QuarantinedPointError, error) {
 	return out, nil
 }
 
-// Item state codec, shared by the per-point and batched temperature
-// sweeps: the completed rung count, then per column the points produced
-// so far and the warm-start field the next rung would seed CG with.
+// Item state codec of the temperature sweep: the completed rung count,
+// then per column the points produced so far and the warm-start field
+// the next rung would seed CG with. A chain writes one column; the
+// column count stays in the layout so snapshots keep one format.
 // SchemeKind is encoded by name so the payload survives enum reordering.
 
 func encodeChainState(rung int, cols [][]TempPoint, warms []thermal.Temperature) []byte {

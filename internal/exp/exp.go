@@ -71,24 +71,11 @@ type Options struct {
 	// measure the warm-start savings; results agree to solver tolerance
 	// either way).
 	NoWarmStart bool
-	// BatchWidth groups a figure's same-stack points into multi-RHS
-	// batched thermal solves of (at most) this many columns (0 or 1 =
-	// per-point solves, the baseline). Batch membership is a pure
-	// function of the point list — contiguous app runs, never timing —
-	// and each batched column is bitwise-identical to its per-point
-	// solve, so tables and CSVs are byte-identical at every width.
-	BatchWidth int
 	// Precond selects the CG preconditioner for every thermal solve:
 	// "" or "auto" (multigrid default), "mg", or "jacobi". Results agree
 	// to solver tolerance either way; the parallel benchmark uses it to
 	// compare iteration counts.
 	Precond string
-	// CG selects the CG recurrence for every thermal solve: "" or "auto"
-	// (classic default), "classic", or "pipelined" (single-reduction
-	// recurrence, see internal/thermal/pipelined.go). Results agree to
-	// solver tolerance either way; the pipelined variant trades two
-	// reduction sweeps per iteration for a drift-guarded recurrence.
-	CG string
 	// FastPath selects the Green's-function reduced-order serving mode
 	// for every thermal query: "" or "off" (full CG solves), "on" (serve
 	// from a precomputed per-stack basis, results agree to solver
@@ -120,26 +107,6 @@ func (o Options) workerCount() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// cgMode normalises the CG-variant spelling for checkpoint signatures
-// ("" and "auto" must pin identically).
-func (o Options) cgMode() string {
-	v, ok := thermal.ParseCGVariant(o.CG)
-	if !ok {
-		// NewRunner rejects unknown variants before any signature is
-		// taken; fall back to the raw spelling for safety.
-		return o.CG
-	}
-	return v.String()
-}
-
-// batchWidth resolves BatchWidth (≤1 means per-point solves).
-func (o Options) batchWidth() int {
-	if o.BatchWidth > 1 {
-		return o.BatchWidth
-	}
-	return 1
 }
 
 // DefaultOptions returns the paper-scale settings.
@@ -199,11 +166,6 @@ func NewRunner(opts Options) (*Runner, error) {
 		return nil, fmt.Errorf("exp: unknown preconditioner %q (want auto, mg or jacobi)", opts.Precond)
 	}
 	sys.Ev.Precond = pc
-	cg, ok := thermal.ParseCGVariant(opts.CG)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown CG variant %q (want auto, classic or pipelined)", opts.CG)
-	}
-	sys.Ev.CG = cg
 	fp, err := perf.ParseFastPath(opts.FastPath)
 	if err != nil {
 		return nil, err

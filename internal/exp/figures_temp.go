@@ -59,9 +59,6 @@ func (r *Runner) TempSweepCtx(ctx context.Context) (TempSweep, error) {
 	if err != nil {
 		return TempSweep{}, err
 	}
-	if r.Opts.batchWidth() > 1 {
-		return r.tempSweepBatchCtx(ctx, apps)
-	}
 	type chain struct {
 		app workload.Profile
 		k   stack.SchemeKind
@@ -215,33 +212,28 @@ func (r *Runner) Figure8() ([]ReductionRow, Table, error) {
 		return nil, Table{}, err
 	}
 	base := r.Sys.Cfg.BaseGHz
-	var rows []ReductionRow
-	if r.Opts.batchWidth() > 1 {
-		rows, err = r.figure8Batch(apps)
-	} else {
-		rows = make([]ReductionRow, len(apps))
-		err = r.runIndexed(context.Background(), len(apps), func(ctx context.Context, i int) error {
-			app := apps[i]
-			b, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.Base, app, base, nil)
-			if err != nil {
-				return err
-			}
-			bank, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.Bank, app, base, nil)
-			if err != nil {
-				return err
-			}
-			banke, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.BankE, app, base, nil)
-			if err != nil {
-				return err
-			}
-			rows[i] = ReductionRow{
-				App:        app.Name,
-				BankDropC:  b.ProcHotC - bank.ProcHotC,
-				BankEDropC: b.ProcHotC - banke.ProcHotC,
-			}
-			return nil
-		})
-	}
+	rows := make([]ReductionRow, len(apps))
+	err = r.runIndexed(context.Background(), len(apps), func(ctx context.Context, i int) error {
+		app := apps[i]
+		b, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.Base, app, base, nil)
+		if err != nil {
+			return err
+		}
+		bank, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.Bank, app, base, nil)
+		if err != nil {
+			return err
+		}
+		banke, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.BankE, app, base, nil)
+		if err != nil {
+			return err
+		}
+		rows[i] = ReductionRow{
+			App:        app.Name,
+			BankDropC:  b.ProcHotC - bank.ProcHotC,
+			BankEDropC: b.ProcHotC - banke.ProcHotC,
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, Table{}, err
 	}
@@ -276,45 +268,38 @@ func (r *Runner) Figure14() ([]IsoCountRow, Table, error) {
 		return nil, Table{}, err
 	}
 	var rows []IsoCountRow
-	if r.Opts.batchWidth() > 1 {
-		rows, err = r.figure14Batch(apps)
-		if err != nil {
-			return nil, Table{}, err
-		}
-	} else {
-		// One chain per app: both schemes walk the frequency ladder with
-		// their own warm-start field.
-		perApp := make([][]IsoCountRow, len(apps))
-		err = r.runIndexed(context.Background(), len(apps), func(ctx context.Context, i int) error {
-			app := apps[i]
-			var warmBank, warmIso thermal.Temperature
-			out := make([]IsoCountRow, 0, len(r.Opts.Freqs))
-			for _, f := range r.Opts.Freqs {
-				bank, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.Bank, app, f, warmBank)
-				if err != nil {
-					return err
-				}
-				iso, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.IsoCount, app, f, warmIso)
-				if err != nil {
-					return err
-				}
-				if !r.Opts.NoWarmStart {
-					warmBank, warmIso = bank.Temps, iso.Temps
-				}
-				out = append(out, IsoCountRow{
-					App: app.Name, GHz: f,
-					BankC: bank.ProcHotC, IsoCount: iso.ProcHotC,
-				})
+	// One chain per app: both schemes walk the frequency ladder with
+	// their own warm-start field.
+	perApp := make([][]IsoCountRow, len(apps))
+	err = r.runIndexed(context.Background(), len(apps), func(ctx context.Context, i int) error {
+		app := apps[i]
+		var warmBank, warmIso thermal.Temperature
+		out := make([]IsoCountRow, 0, len(r.Opts.Freqs))
+		for _, f := range r.Opts.Freqs {
+			bank, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.Bank, app, f, warmBank)
+			if err != nil {
+				return err
 			}
-			perApp[i] = out
-			return nil
-		})
-		if err != nil {
-			return nil, Table{}, err
+			iso, err := r.Sys.EvaluateUniformWarmCtx(ctx, stack.IsoCount, app, f, warmIso)
+			if err != nil {
+				return err
+			}
+			if !r.Opts.NoWarmStart {
+				warmBank, warmIso = bank.Temps, iso.Temps
+			}
+			out = append(out, IsoCountRow{
+				App: app.Name, GHz: f,
+				BankC: bank.ProcHotC, IsoCount: iso.ProcHotC,
+			})
 		}
-		for _, rs := range perApp {
-			rows = append(rows, rs...)
-		}
+		perApp[i] = out
+		return nil
+	})
+	if err != nil {
+		return nil, Table{}, err
+	}
+	for _, rs := range perApp {
+		rows = append(rows, rs...)
 	}
 	t := Table{
 		Title:  "Figure 14: bank vs isoCount processor hotspot (°C)",

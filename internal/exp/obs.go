@@ -18,7 +18,6 @@ type runnerObs struct {
 	points        *obs.Counter
 	pointFailures *obs.Counter
 	occupancy     *obs.Gauge
-	batchSizes    *obs.Histogram
 	trace         *obs.TraceRing
 
 	// Checkpoint/supervisor accounting (the robustness PR's additions).
@@ -39,7 +38,6 @@ func newRunnerObs(r *obs.Registry) *runnerObs {
 		points:        r.Counter("xylem_exp_points_total"),
 		pointFailures: r.Counter("xylem_exp_point_failures_total"),
 		occupancy:     r.Gauge("xylem_exp_worker_occupancy"),
-		batchSizes:    r.Histogram("xylem_exp_batch_partition_size", obs.PowerOfTwoBounds(8)),
 		trace:         r.Trace(),
 		ckptWrites:    r.Counter("xylem_ckpt_writes_total"),
 		ckptBytes:     r.Counter("xylem_ckpt_bytes_total"),
@@ -93,13 +91,6 @@ func (r *Runner) runPoints(ctx context.Context, ids []int, label func(i int) str
 	return runIndexed(ctx, r.Opts.workerCount(), len(ids), func(ctx context.Context, j int) error {
 		return fn(ctx, ids[j])
 	})
-}
-
-// noteBatchSize records one planned batch partition's width.
-func (r *Runner) noteBatchSize(n int) {
-	if o := r.obs; o != nil {
-		o.batchSizes.Observe(float64(n))
-	}
 }
 
 // noteCkptWrite records one durable snapshot of the given size.

@@ -11,17 +11,16 @@ import (
 // for the observability layer: attaching a metrics registry (with every
 // layer instrumented — exp points, evaluator counters, thermal solver
 // spans, DTM events) must leave figure tables byte-identical, at any
-// worker count and batch width. Metrics are write-only; nothing in the
+// worker count. Metrics are write-only; nothing in the
 // pipeline may ever read one back.
 func TestTablesIdenticalWithObs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("too slow under the race detector")
 	}
-	run := func(reg *obs.Registry, workers, width int) (string, string) {
+	run := func(reg *obs.Registry, workers int) (string, string) {
 		t.Helper()
 		o := QuickOptions()
 		o.Workers = workers
-		o.BatchWidth = width
 		o.Obs = reg
 		r, err := NewRunner(o)
 		if err != nil {
@@ -37,17 +36,17 @@ func TestTablesIdenticalWithObs(t *testing.T) {
 		}
 		return t7.String(), t8.String()
 	}
-	base7, base8 := run(nil, 1, 0)
-	for _, c := range []struct{ workers, width int }{{1, 0}, {4, 2}} {
+	base7, base8 := run(nil, 1)
+	for _, workers := range []int{1, 4} {
 		reg := obs.New()
-		g7, g8 := run(reg, c.workers, c.width)
+		g7, g8 := run(reg, workers)
 		if g7 != base7 {
-			t.Errorf("workers=%d width=%d: Figure 7 table differs with metrics attached\n--- bare ---\n%s\n--- observed ---\n%s",
-				c.workers, c.width, base7, g7)
+			t.Errorf("workers=%d: Figure 7 table differs with metrics attached\n--- bare ---\n%s\n--- observed ---\n%s",
+				workers, base7, g7)
 		}
 		if g8 != base8 {
-			t.Errorf("workers=%d width=%d: Figure 8 table differs with metrics attached\n--- bare ---\n%s\n--- observed ---\n%s",
-				c.workers, c.width, base8, g8)
+			t.Errorf("workers=%d: Figure 8 table differs with metrics attached\n--- bare ---\n%s\n--- observed ---\n%s",
+				workers, base8, g8)
 		}
 		// The run must actually have been observed: points, solver spans
 		// and per-layer counters all live.
@@ -58,11 +57,8 @@ func TestTablesIdenticalWithObs(t *testing.T) {
 			"xylem_thermal_solves_total",
 		} {
 			if snap.Counters[name] == 0 {
-				t.Errorf("workers=%d width=%d: counter %s never incremented", c.workers, c.width, name)
+				t.Errorf("workers=%d: counter %s never incremented", workers, name)
 			}
-		}
-		if c.width > 1 && snap.Counters["xylem_thermal_batch_solves_total"] == 0 {
-			t.Errorf("width=%d run recorded no batched solves", c.width)
 		}
 		var sb strings.Builder
 		if err := reg.WritePrometheus(&sb); err != nil {

@@ -1,14 +1,17 @@
 package exp
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/perf"
+	"github.com/xylem-sim/xylem/internal/workload"
 )
 
 // tinyOptions is the smallest sweep configuration that still exercises
@@ -49,8 +52,7 @@ func comparableStats(s perf.Stats) perf.Stats {
 }
 
 // The crash-injection property at the heart of this PR: a sweep killed
-// at any checkpoint boundary, under any workers × batch-width schedule,
-// must resume to byte-identical tables; and at workers=1 the combined
+// at any checkpoint boundary, under any workers schedule, must resume to byte-identical tables; and at workers=1 the combined
 // solver-work counters must equal the uninterrupted run's exactly.
 func TestResumeCrashProperty(t *testing.T) {
 	if testing.Short() {
@@ -67,32 +69,16 @@ func TestResumeCrashProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseStr := baseTable.String()
-	// Tables are byte-identical across batch widths, but the Batched*
-	// work counters legitimately differ — keep one stats baseline per
-	// width for the workers=1 identity check.
-	statsFor := map[int]perf.Stats{0: comparableStats(baseline.SweepStats())}
-	for _, w := range []int{2, 3} {
-		o := opts
-		o.BatchWidth = w
-		r := newTinyRunner(t, o, baseline)
-		if _, tab, err := r.Figure7(); err != nil || tab.String() != baseStr {
-			t.Fatalf("width-%d baseline: err=%v, identical=%v", w, err, tab.String() == baseStr)
-		}
-		statsFor[w] = comparableStats(r.SweepStats())
-	}
+	baseStats := comparableStats(baseline.SweepStats())
 
 	for seed := 0; seed < seeds; seed++ {
-		batch := []int{0, 2, 3}[seed%3]
 		workers := 1
 		if seed%5 == 4 {
 			workers = 3
 		}
-		// 8 per-point chains × 2 rungs, or 4 batch items × 2 rungs:
-		// randomise the kill across every rung boundary.
-		totalSaves := 16
-		if batch > 1 {
-			totalSaves = 8
-		}
+		// 8 chains × 2 rungs: randomise the kill across every rung
+		// boundary.
+		const totalSaves = 16
 		killAfter := 1 + (seed*2654435761)%totalSaves
 		if killAfter < 1 {
 			killAfter += totalSaves
@@ -100,33 +86,32 @@ func TestResumeCrashProperty(t *testing.T) {
 
 		dir := t.TempDir()
 		o := opts
-		o.BatchWidth = batch
 		o.Workers = workers
 		o.Checkpoint = &CkptConfig{Dir: dir, KillAfterSaves: killAfter}
 		killed := newTinyRunner(t, o, baseline)
 		if _, _, err := killed.Figure7(); !errors.Is(err, ErrKilled) {
-			t.Fatalf("seed %d (batch=%d workers=%d kill=%d): killed run err = %v, want ErrKilled",
-				seed, batch, workers, killAfter, err)
+			t.Fatalf("seed %d (workers=%d kill=%d): killed run err = %v, want ErrKilled",
+				seed, workers, killAfter, err)
 		}
 
 		o.Checkpoint = &CkptConfig{Dir: dir, Resume: true}
 		resumed := newTinyRunner(t, o, baseline)
 		_, table, err := resumed.Figure7()
 		if err != nil {
-			t.Fatalf("seed %d (batch=%d workers=%d kill=%d): resume failed: %v",
-				seed, batch, workers, killAfter, err)
+			t.Fatalf("seed %d (workers=%d kill=%d): resume failed: %v",
+				seed, workers, killAfter, err)
 		}
 		if got := table.String(); got != baseStr {
-			t.Fatalf("seed %d (batch=%d workers=%d kill=%d): resumed table differs\n--- baseline ---\n%s\n--- resumed ---\n%s",
-				seed, batch, workers, killAfter, baseStr, got)
+			t.Fatalf("seed %d (workers=%d kill=%d): resumed table differs\n--- baseline ---\n%s\n--- resumed ---\n%s",
+				seed, workers, killAfter, baseStr, got)
 		}
 		if workers == 1 {
 			// The kill fires synchronously at a save boundary, so the
 			// snapshot covers exactly the completed work: combined
 			// counters must reproduce the uninterrupted run.
-			if got := comparableStats(resumed.SweepStats()); got != statsFor[batch] {
-				t.Fatalf("seed %d (batch=%d kill=%d): combined stats differ\nbaseline: %+v\nresumed:  %+v",
-					seed, batch, killAfter, statsFor[batch], got)
+			if got := comparableStats(resumed.SweepStats()); got != baseStats {
+				t.Fatalf("seed %d (kill=%d): combined stats differ\nbaseline: %+v\nresumed:  %+v",
+					seed, killAfter, baseStats, got)
 			}
 		}
 	}
@@ -237,6 +222,67 @@ func TestResumeSignatureMismatch(t *testing.T) {
 	r3 := newTinyRunner(t, o3, nil)
 	if _, _, err := r3.Figure7(); err != nil {
 		t.Fatalf("resume at different worker count rejected: %v", err)
+	}
+}
+
+// The signature of a default Figure 7 run is pinned byte for byte:
+// snapshots written by earlier default runs, whose signature still
+// carried a batch width and a CG recurrence, must keep resuming.
+func TestSweepSignatureDefaultPinned(t *testing.T) {
+	var apps []workload.Profile
+	for _, n := range workload.Names() {
+		p, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, p)
+	}
+	const want = "xyck3|7|grid=32x32|instr=0|warm=true|batch=1|precond=|cg=auto|fastpath=off|" +
+		"apps=fft,cholesky,lu,radix,barnes,fmm,radiosity,raytrace,fluidanimate,blackscholes,bt,cg,ft,is,lu-nas,mg,sp|" +
+		"freqs=5404319552844595p-51,6305039478318694p-51,7205759403792794p-51,7881299347898368p-51"
+	if got := DefaultOptions().sweepSignature("7", apps); got != want {
+		t.Fatalf("default signature\n got %q\nwant %q", got, want)
+	}
+}
+
+// A snapshot written by a run with batched solves or the pipelined CG
+// recurrence — both gone — is rejected on resume, not rerun per point:
+// its manifest's batch_width and cg fields no longer rebuild into the
+// options, so the resuming run's signature differs from the stored one.
+func TestResumeRejectsBatchedPipelinedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	o := tinyOptions()
+	r := newTinyRunner(t, o, nil)
+	apps, err := r.apps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := strings.NewReplacer("|batch=1|", "|batch=4|", "|cg=auto|", "|cg=pipelined|").Replace(o.sweepSignature("7", apps))
+	man, err := json.Marshal(o.manifest("7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man = append([]byte(`{"batch_width":4,"cg":"pipelined",`), man[1:]...)
+	store, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := ckpt.NewSnapshot()
+	snap.Put(secSig, []byte(sig))
+	snap.Put(secManifest, man)
+	if _, err := store.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := m.Options()
+	ro.Workers = 1
+	ro.Checkpoint = &CkptConfig{Dir: dir, Resume: true, Label: m.Label}
+	if _, _, err := newTinyRunner(t, ro, nil).Figure7(); !errors.Is(err, ErrCkptMismatch) {
+		t.Fatalf("resuming a batched, pipelined snapshot: err = %v, want ErrCkptMismatch", err)
 	}
 }
 

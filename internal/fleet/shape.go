@@ -3,12 +3,12 @@
 // the guard-banded sensor-driven DTM control loop (dtm.SensorCtl)
 // against quasi-static steady-state thermal solves, with per-stack
 // fault injection (sensor dropout/noise/stuck-at, solver faults) from
-// internal/fault. Due stacks are coalesced into multi-RHS batched
-// solves through perf.Evaluator, so fleet throughput rides the same
-// batching lever as the sweep engine — and because batched columns are
-// bitwise-equal to sequential solves and solver-internal parallelism
-// is bitwise-deterministic at any worker count, the replay produces
-// byte-identical fleet reports at any -workers/-batch setting.
+// internal/fault. Each round's due stacks are solved through
+// perf.Evaluator on a small pool of solvers, and results are applied in
+// stack order; because every solve is independent of the pool it ran
+// on and solver-internal parallelism is bitwise-deterministic at any
+// worker count, the replay produces byte-identical fleet reports at any
+// -workers setting.
 //
 // The whole engine state — virtual clock, per-stack controller and
 // fault-injector cursors, warm solver fields, aggregated metrics —

@@ -25,58 +25,24 @@ func (e *Evaluator) BuildPowerMap(st *stack.Stack, procBP []power.BlockPower, sl
 	return e.buildPowerMap(st, procBP, sliceP)
 }
 
-// SolveBatch runs one multi-RHS steady-state solve over the power maps
-// on the stack's cached solver. Column j's temperature is bitwise
-// identical to a solo SolveBatch call with pms[j] alone (the batched
-// solver's per-column contract), so a serving layer can coalesce
-// requests freely without changing any response. Failures are
-// per-column: a diverged column walks the relaxed-tolerance retry
-// ladder exactly as a sequential solve would, and an unrecoverable
-// column reports its error in errs[j] without failing its batchmates.
-// The call-level error covers only whole-batch failures (bad width,
-// solver construction).
+// SolveBatch solves each power map on the stack's cached solver, one
+// steady-state solve after another, each with its own relaxed-tolerance
+// retry ladder. Failures are per map: an unrecoverable one reports its
+// error in errs[j] and the maps after it are still solved. The
+// call-level error covers only solver construction.
 func (e *Evaluator) SolveBatch(ctx context.Context, st *stack.Stack, pms []thermal.PowerMap) ([]thermal.Temperature, []error, error) {
-	k := len(pms)
-	if k == 0 {
+	if len(pms) == 0 {
 		return nil, nil, nil
 	}
 	sl, err := e.slot(st)
 	if err != nil {
 		return nil, nil, err
 	}
-	temps := make([]thermal.Temperature, k)
-	errs := make([]error, k)
+	temps := make([]thermal.Temperature, len(pms))
+	errs := make([]error, len(pms))
 	tol := sl.baseTol(ctx)
-	if k == 1 {
-		// The batched solver short-circuits width 1 to the sequential
-		// path; routing it through steadyState keeps the solo/batched
-		// accounting split (noteSolve vs noteBatch) meaningful.
-		temps[0], errs[0] = e.steadyState(ctx, sl, pms[0], nil, tol)
-		return temps, errs, nil
-	}
-	sl.mu.Lock()
-	bres, berr := sl.s.SteadyStateBatch(ctx, pms, thermal.BatchOpts{
-		Tol: tol, Precond: degradeFrom(ctx).Precond,
-	})
-	e.noteBatch(bres, k)
-	sl.mu.Unlock()
-	if berr != nil {
-		return nil, nil, berr
-	}
-	for j := range pms {
-		temps[j] = bres.Temps[j]
-		if bres.Errs[j] == nil {
-			continue
-		}
-		// The batched attempt is bitwise-equal to a sequential first
-		// attempt, so the retry ladder resumes exactly where a solo
-		// solve's would.
-		t, rerr := e.retryRelaxed(ctx, sl, pms[j], nil, tol, bres.Errs[j])
-		if rerr != nil {
-			temps[j], errs[j] = nil, rerr
-			continue
-		}
-		temps[j] = t
+	for j, pm := range pms {
+		temps[j], errs[j] = e.steadyState(ctx, sl, pm, nil, tol)
 	}
 	return temps, errs, nil
 }

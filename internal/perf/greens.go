@@ -3,8 +3,8 @@ package perf
 // Green's-function fast path: serve steady-state thermal queries from a
 // precomputed reduced-order basis instead of a CG solve. The basis — one
 // unit-power response field per floorplan block, plus per-die DRAM
-// background terms — is built once per stack content (BasisKey) by a
-// wide batched solve, cached singleflight like the activity cache, and
+// background terms — is built once per stack content (BasisKey) by one
+// CG solve per column, cached singleflight like the activity cache, and
 // queried with a fused GEMV: O(blocks) work per cell instead of a full
 // multigrid-preconditioned Krylov iteration. The temperature-dependent
 // leakage fixed point runs on the reduced model with the same ConvergeC
@@ -252,7 +252,7 @@ func (e *Evaluator) bases() map[string]*basisCall {
 // GreensBasisFor returns the stack's Green's basis, building it on first
 // request (counted in BasisBuilds) and deduplicating concurrent builds
 // singleflight: two goroutines asking for the same stack content run one
-// wide batched solve, the second blocking until the first finishes. The
+// build, the second blocking until the first finishes. The
 // build runs on the stack's cached solver under its slot lock, at the
 // solver's own tolerance and preconditioner.
 func (e *Evaluator) GreensBasisFor(ctx context.Context, st *stack.Stack) (*thermal.GreensBasis, error) {
@@ -318,8 +318,8 @@ func (e *Evaluator) greensFor(ctx context.Context, st *stack.Stack) (*greensEntr
 	return call.ent, call.err
 }
 
-// buildBasis runs the wide batched unit solves for a stack's source list
-// on its cached solver.
+// buildBasis runs the unit solves for a stack's source list on its
+// cached solver (and its clones: thermal.Solver.BuildGreensBasis).
 func (e *Evaluator) buildBasis(ctx context.Context, st *stack.Stack, sl *solverSlot) (*greensEntry, error) {
 	m := e.metrics()
 	sp := m.trace.Start("perf.basis_build")

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/xylem-sim/xylem/internal/cpusim"
 	"github.com/xylem-sim/xylem/internal/floorplan"
 	"github.com/xylem-sim/xylem/internal/power"
 	"github.com/xylem-sim/xylem/internal/stack"
@@ -122,8 +123,9 @@ func TestGreensFastPathMatchesCGAllSchemes(t *testing.T) {
 	}
 }
 
-// The batched entry point must serve the fast path too, with outcomes
-// equal to the per-point fast path (same reduced fixed point per point).
+// Several points evaluated one after another with FastPath on are all
+// served from the basis, with no CG work, and each outcome equals the
+// per-request fast path's (same reduced fixed point per point).
 func TestGreensFastPathBatch(t *testing.T) {
 	st := smallStack(t, stack.Bank)
 	ev := NewEvaluator()
@@ -146,27 +148,34 @@ func TestGreensFastPathBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := []ThermalBatchPoint{{Freqs: freqs, Res: res}, {Freqs: f2, Res: res2}}
+	pts := []struct {
+		freqs []float64
+		res   cpusim.Result
+	}{{freqs, res}, {f2, res2}}
 	before := ev.Stats()
-	outs, err := ev.ThermalBatchCtx(t.Context(), st, pts)
-	if err != nil {
-		t.Fatal(err)
+	outs := make([]Outcome, len(pts))
+	for i, pt := range pts {
+		if outs[i], err = ev.ThermalWarmCtx(t.Context(), st, pt.freqs, pt.res, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	d := ev.Stats().Sub(before)
-	if d.Solves != 0 || d.BatchedSolves != 0 {
-		t.Fatalf("batched fast path ran CG work: %d solves, %d batched calls", d.Solves, d.BatchedSolves)
+	if d.Solves != 0 {
+		t.Fatalf("fast path ran CG work: %d solves", d.Solves)
 	}
 	if d.GreensHits < 2 {
-		t.Fatalf("batched fast path recorded %d hits for 2 points", d.GreensHits)
+		t.Fatalf("fast path recorded %d hits for 2 points", d.GreensHits)
 	}
+	req := NewEvaluator()
+	req.ShareActivityCache(ev)
 	for i, pt := range pts {
-		seq, err := ev.ThermalCtx(t.Context(), st, pt.Freqs, pt.Res)
+		fast, err := req.ThermalFastCtx(t.Context(), st, pt.freqs, pt.res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if outs[i].ProcHotC != seq.ProcHotC {
-			t.Fatalf("point %d: batched fast path %.12f != sequential fast path %.12f",
-				i, outs[i].ProcHotC, seq.ProcHotC)
+		if outs[i].ProcHotC != fast.ProcHotC {
+			t.Fatalf("point %d: FastPathOn %.12f != per-request fast path %.12f",
+				i, outs[i].ProcHotC, fast.ProcHotC)
 		}
 	}
 }

@@ -89,8 +89,8 @@ func hotDiff(a, b Outcome) float64 {
 // the reference's number of leakage iterations, its hotspots agree to
 // 1e-6 °C, points that converge early are re-solved exactly once, and
 // the loose solves save at least a fifth of the CG iterations in total.
-// The batched path matches the sequential one bitwise. ConvergeC 5 makes
-// points converge early, exercising the full-tolerance re-solve.
+// ConvergeC 5 makes points converge early, exercising the full-tolerance
+// re-solve.
 func TestInexactLeakageMatchesReference(t *testing.T) {
 	grids := []int{16, 24}
 	if testing.Short() {
@@ -107,17 +107,15 @@ func TestInexactLeakageMatchesReference(t *testing.T) {
 			for _, kind := range stack.AllSchemes {
 				t.Run(fmt.Sprintf("%v@%d/conv%g", kind, grid, conv), func(t *testing.T) {
 					st := gridStack(t, kind, grid)
-					seq, bat := NewEvaluator(), NewEvaluator()
-					for _, ev := range []*Evaluator{seq, bat} {
-						ev.ConvergeC = conv
-						ev.ShareActivityCache(act)
-					}
+					seq := NewEvaluator()
+					seq.ConvergeC = conv
+					seq.ShareActivityCache(act)
 					refSolver, err := thermal.NewSolver(st.Model)
 					if err != nil {
 						t.Fatal(err)
 					}
 					refWarm := make([]thermal.Temperature, len(apps))
-					pts := make([]ThermalBatchPoint, len(apps))
+					pts := make([]ladderPoint, len(apps))
 					var wantResolves int64
 					for _, f := range ladder {
 						freqs := uniformFreqs(seq, f)
@@ -127,10 +125,6 @@ func TestInexactLeakageMatchesReference(t *testing.T) {
 								t.Fatal(err)
 							}
 							pts[a].Freqs, pts[a].Res = freqs, res
-						}
-						bouts, err := bat.ThermalBatchCtx(context.Background(), st, pts)
-						if err != nil {
-							t.Fatal(err)
 						}
 						for a, pt := range pts {
 							ref, n := refFixedPoint(t, seq, refSolver, st, pt.Freqs, pt.Res, refWarm[a])
@@ -153,20 +147,11 @@ func TestInexactLeakageMatchesReference(t *testing.T) {
 							if d > 1e-6 {
 								t.Errorf("%s @ %g GHz: hotspots deviate %.3g °C from the reference", apps[a], f, d)
 							}
-							if !outcomesEqual(bouts[a], out) {
-								t.Errorf("%s @ %g GHz: batched outcome differs from sequential", apps[a], f)
-							}
 							pts[a].Warm = out.Temps
 						}
 					}
-					for name, ev := range map[string]*Evaluator{"sequential": seq, "batched": bat} {
-						if got := ev.metrics().leakResolves.Value(); got != wantResolves {
-							t.Errorf("%s: %d full-tolerance re-solves, want %d (points converged early)", name, got, wantResolves)
-						}
-					}
-					if s, b := seq.Stats(), bat.Stats(); s.Solves != b.Solves || s.SolveIters != b.SolveIters {
-						t.Errorf("batched work {solves %d iters %d} differs from sequential {solves %d iters %d}",
-							b.Solves, b.SolveIters, s.Solves, s.SolveIters)
+					if got := seq.metrics().leakResolves.Value(); got != wantResolves {
+						t.Errorf("%d full-tolerance re-solves, want %d (points converged early)", got, wantResolves)
 					}
 					seqIters += seq.Stats().SolveIters
 				})
@@ -185,8 +170,7 @@ func TestInexactLeakageMatchesReference(t *testing.T) {
 }
 
 // A loose solve (r ≥ 1) that exhausts a hook-collapsed budget retries at
-// the tolerance that failed times RelaxFactor — never tighter — and the
-// batched path reaches the same outcome bitwise.
+// the tolerance that failed times RelaxFactor — never tighter.
 func TestLooseSolveRetryRelaxesFailedTol(t *testing.T) {
 	st := smallStack(t, stack.Base)
 	apps := []string{"lu-nas", "fft"}
@@ -212,7 +196,7 @@ func TestLooseSolveRetryRelaxesFailedTol(t *testing.T) {
 	}
 
 	seq := newEv()
-	pts := batchPoints(t, seq, st, apps)
+	pts := appPoints(t, seq, st, apps)
 	collapseFirst(seq)
 	seqOuts := make([]Outcome, len(pts))
 	for i, pt := range pts {
@@ -251,19 +235,40 @@ func TestLooseSolveRetryRelaxesFailedTol(t *testing.T) {
 		t.Error("degraded point is not the replay retried at the failed tolerance × RelaxFactor")
 	}
 
-	bat := newEv()
-	bat.ShareActivityCache(seq)
-	collapseFirst(bat)
-	batOuts, err := bat.ThermalBatchCtx(context.Background(), st, pts)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// ladderPoint is one operating point of a frequency ladder: an activity
+// result with its frequencies, and the warm start for its first solve.
+type ladderPoint struct {
+	Freqs []float64
+	Res   cpusim.Result
+	Warm  thermal.Temperature
+}
+
+// appPoints builds one operating point per app at 2.4 GHz against one
+// stack, sharing ev's activity cache.
+func appPoints(t *testing.T, ev *Evaluator, st *stack.Stack, apps []string) []ladderPoint {
+	t.Helper()
+	pts := make([]ladderPoint, len(apps))
+	for i, name := range apps {
+		freqs := uniformFreqs(ev, 2.4)
+		res, err := ev.Activity(st.Cfg.NumDRAMDies, freqs, UniformAssignments(smallApp(t, name), 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = ladderPoint{Freqs: freqs, Res: res}
 	}
-	if bat.DegradedSolves != 1 {
-		t.Errorf("batched DegradedSolves = %d, want 1", bat.DegradedSolves)
-	}
-	for i := range pts {
-		if !outcomesEqual(batOuts[i], seqOuts[i]) {
-			t.Errorf("point %d: batched outcome differs from sequential after the retry", i)
+	return pts
+}
+
+// tempsEqual checks two temperature fields for exact equality.
+func tempsEqual(a, b thermal.Temperature) bool {
+	for li := range a {
+		for c := range a[li] {
+			if a[li][c] != b[li][c] {
+				return false
+			}
 		}
 	}
+	return true
 }

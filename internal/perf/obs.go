@@ -16,21 +16,15 @@ type evalMetrics struct {
 	// built later attach to it too, and trace spans are enabled.
 	external bool
 
-	activityRuns   *obs.Counter
-	degraded       *obs.Counter
-	solves         *obs.Counter
-	solveIters     *obs.Counter
-	vcycles        *obs.Counter
-	residualRepl   *obs.Counter
-	driftCorr      *obs.Counter
-	iterHist       *obs.Histogram
-	batchedSolves  *obs.Counter
-	batchedColumns *obs.Counter
-	deflatedCols   *obs.Counter
-	batchOcc       *obs.Histogram
-	greensHits     *obs.Counter
-	greensMisses   *obs.Counter
-	basisBuilds    *obs.Counter
+	activityRuns *obs.Counter
+	degraded     *obs.Counter
+	solves       *obs.Counter
+	solveIters   *obs.Counter
+	vcycles      *obs.Counter
+	iterHist     *obs.Histogram
+	greensHits   *obs.Counter
+	greensMisses *obs.Counter
+	basisBuilds  *obs.Counter
 
 	leakIters     *obs.Histogram
 	leakDelta     *obs.Gauge
@@ -50,27 +44,21 @@ var iterBounds = obs.PowerOfTwoBounds(len(IterHist{}))
 
 func newEvalMetrics(r *obs.Registry, external bool) *evalMetrics {
 	m := &evalMetrics{
-		reg:            r,
-		external:       external,
-		activityRuns:   r.Counter("xylem_perf_activity_runs_total"),
-		degraded:       r.Counter("xylem_perf_degraded_solves_total"),
-		solves:         r.Counter("xylem_perf_solves_total"),
-		solveIters:     r.Counter("xylem_perf_solve_iters_total"),
-		vcycles:        r.Counter("xylem_perf_vcycles_total"),
-		residualRepl:   r.Counter("xylem_perf_residual_replacements_total"),
-		driftCorr:      r.Counter("xylem_perf_drift_corrections_total"),
-		iterHist:       r.Histogram("xylem_perf_solve_iters", iterBounds),
-		batchedSolves:  r.Counter("xylem_perf_batched_solves_total"),
-		batchedColumns: r.Counter("xylem_perf_batched_columns_total"),
-		deflatedCols:   r.Counter("xylem_perf_deflated_columns_total"),
-		batchOcc:       r.Histogram("xylem_perf_batch_occupancy", iterBounds),
-		greensHits:     r.Counter("xylem_perf_greens_hits_total"),
-		greensMisses:   r.Counter("xylem_perf_greens_misses_total"),
-		basisBuilds:    r.Counter("xylem_perf_basis_builds_total"),
-		leakIters:      r.Histogram("xylem_perf_leakage_iters", obs.PowerOfTwoBounds(6)),
-		leakDelta:      r.Gauge("xylem_perf_leakage_last_delta_c"),
-		leakExhausted:  r.Counter("xylem_perf_leakage_budget_exhausted_total"),
-		leakResolves:   r.Counter("xylem_perf_leakage_resolves_total"),
+		reg:           r,
+		external:      external,
+		activityRuns:  r.Counter("xylem_perf_activity_runs_total"),
+		degraded:      r.Counter("xylem_perf_degraded_solves_total"),
+		solves:        r.Counter("xylem_perf_solves_total"),
+		solveIters:    r.Counter("xylem_perf_solve_iters_total"),
+		vcycles:       r.Counter("xylem_perf_vcycles_total"),
+		iterHist:      r.Histogram("xylem_perf_solve_iters", iterBounds),
+		greensHits:    r.Counter("xylem_perf_greens_hits_total"),
+		greensMisses:  r.Counter("xylem_perf_greens_misses_total"),
+		basisBuilds:   r.Counter("xylem_perf_basis_builds_total"),
+		leakIters:     r.Histogram("xylem_perf_leakage_iters", obs.PowerOfTwoBounds(6)),
+		leakDelta:     r.Gauge("xylem_perf_leakage_last_delta_c"),
+		leakExhausted: r.Counter("xylem_perf_leakage_budget_exhausted_total"),
+		leakResolves:  r.Counter("xylem_perf_leakage_resolves_total"),
 	}
 	if external {
 		m.trace = r.Trace()

@@ -77,11 +77,6 @@ type Evaluator struct {
 	// Set it before the evaluator is shared across goroutines.
 	Precond thermal.Precond
 
-	// CG is handed to each newly built thermal solver as its default CG
-	// recurrence (thermal.CGAuto resolves to the classic recurrence).
-	// Set it before the evaluator is shared across goroutines.
-	CG thermal.CGVariant
-
 	// FastPath selects the Green's-function reduced-order serving mode
 	// (see greens.go): off (default), on, or oracle. Set it before the
 	// evaluator is shared across goroutines.
@@ -156,7 +151,7 @@ type activityCall struct {
 
 // activityCache is the singleflight trace cache, carried separately
 // from the Evaluator so evaluators that differ only in solver
-// configuration (preconditioner, workers, batching) can share the
+// configuration (preconditioner, workers) can share the
 // expensive — and configuration-independent — cpusim results. It has
 // its own lock, so sharing is safe even across concurrent evaluators.
 type activityCache struct {
@@ -229,28 +224,18 @@ type Stats struct {
 	// VCycles counts multigrid V-cycles across all solves (one per
 	// MG-preconditioned CG iteration; zero under Jacobi).
 	VCycles int64
-	// ResidualReplacements counts the pipelined recurrence's periodic
-	// true-residual replacements; DriftCorrections its convergence
-	// drift-guard corrections. Both stay zero on the classic recurrence.
-	ResidualReplacements int64
-	DriftCorrections     int64
 	// IterHist is the per-solve iteration-count histogram.
 	IterHist IterHist
 	// DegradedSolves counts solves that needed a relaxed tolerance.
 	DegradedSolves int
-	// BatchedSolves counts batched multi-RHS solver calls;
-	// BatchedColumns the right-hand sides they carried (each column also
-	// counts once in Solves, so Solves remains the per-point total
-	// either way).
-	BatchedSolves  int
-	BatchedColumns int64
-	// DeflatedColumns counts columns that retired (converged or failed)
-	// before their batch's last active iteration — the kernel work
-	// deflation actually skipped.
+	// BatchedSolves, BatchedColumns and DeflatedColumns counted the
+	// multi-RHS batched solver's calls, columns and early-retired
+	// columns. Every solve is a single CG solve now, so they are always
+	// zero; they stay because the benchmark's per-layer report and the
+	// sweep checkpoint's stats section name them.
+	BatchedSolves   int
+	BatchedColumns  int64
 	DeflatedColumns int64
-	// BatchOcc is the occupancy histogram of batched calls: bucket k
-	// counts calls carrying [2^(k-1), 2^k) columns.
-	BatchOcc IterHist
 	// GreensHits counts thermal queries served from the Green's-function
 	// basis (one per reduced fixed-point iteration — the CG solves the
 	// fast path replaced); GreensMisses counts CG solves run as fast-path
@@ -271,21 +256,15 @@ func (e *Evaluator) Stats() Stats {
 	degraded := e.DegradedSolves
 	e.statsMu.Unlock()
 	return Stats{
-		ActivityRuns:         int(m.activityRuns.Value()),
-		Solves:               int(m.solves.Value()),
-		SolveIters:           m.solveIters.Value(),
-		VCycles:              m.vcycles.Value(),
-		ResidualReplacements: m.residualRepl.Value(),
-		DriftCorrections:     m.driftCorr.Value(),
-		IterHist:             iterHistFromObs(m.iterHist),
-		DegradedSolves:       degraded,
-		BatchedSolves:        int(m.batchedSolves.Value()),
-		BatchedColumns:       m.batchedColumns.Value(),
-		DeflatedColumns:      m.deflatedCols.Value(),
-		BatchOcc:             iterHistFromObs(m.batchOcc),
-		GreensHits:           int(m.greensHits.Value()),
-		GreensMisses:         int(m.greensMisses.Value()),
-		BasisBuilds:          int(m.basisBuilds.Value()),
+		ActivityRuns:   int(m.activityRuns.Value()),
+		Solves:         int(m.solves.Value()),
+		SolveIters:     m.solveIters.Value(),
+		VCycles:        m.vcycles.Value(),
+		IterHist:       iterHistFromObs(m.iterHist),
+		DegradedSolves: degraded,
+		GreensHits:     int(m.greensHits.Value()),
+		GreensMisses:   int(m.greensMisses.Value()),
+		BasisBuilds:    int(m.basisBuilds.Value()),
 	}
 }
 
@@ -293,23 +272,20 @@ func (e *Evaluator) Stats() Stats {
 // per-figure solver-work accounting the experiment drivers report.
 func (s Stats) Sub(prev Stats) Stats {
 	d := Stats{
-		ActivityRuns:         s.ActivityRuns - prev.ActivityRuns,
-		Solves:               s.Solves - prev.Solves,
-		SolveIters:           s.SolveIters - prev.SolveIters,
-		VCycles:              s.VCycles - prev.VCycles,
-		ResidualReplacements: s.ResidualReplacements - prev.ResidualReplacements,
-		DriftCorrections:     s.DriftCorrections - prev.DriftCorrections,
-		DegradedSolves:       s.DegradedSolves - prev.DegradedSolves,
-		BatchedSolves:        s.BatchedSolves - prev.BatchedSolves,
-		BatchedColumns:       s.BatchedColumns - prev.BatchedColumns,
-		DeflatedColumns:      s.DeflatedColumns - prev.DeflatedColumns,
-		GreensHits:           s.GreensHits - prev.GreensHits,
-		GreensMisses:         s.GreensMisses - prev.GreensMisses,
-		BasisBuilds:          s.BasisBuilds - prev.BasisBuilds,
+		ActivityRuns:    s.ActivityRuns - prev.ActivityRuns,
+		Solves:          s.Solves - prev.Solves,
+		SolveIters:      s.SolveIters - prev.SolveIters,
+		VCycles:         s.VCycles - prev.VCycles,
+		DegradedSolves:  s.DegradedSolves - prev.DegradedSolves,
+		BatchedSolves:   s.BatchedSolves - prev.BatchedSolves,
+		BatchedColumns:  s.BatchedColumns - prev.BatchedColumns,
+		DeflatedColumns: s.DeflatedColumns - prev.DeflatedColumns,
+		GreensHits:      s.GreensHits - prev.GreensHits,
+		GreensMisses:    s.GreensMisses - prev.GreensMisses,
+		BasisBuilds:     s.BasisBuilds - prev.BasisBuilds,
 	}
 	for k := range d.IterHist {
 		d.IterHist[k] = s.IterHist[k] - prev.IterHist[k]
-		d.BatchOcc[k] = s.BatchOcc[k] - prev.BatchOcc[k]
 	}
 	return d
 }
@@ -319,23 +295,20 @@ func (s Stats) Sub(prev Stats) Stats {
 // process that finished it.
 func (s Stats) Add(o Stats) Stats {
 	t := Stats{
-		ActivityRuns:         s.ActivityRuns + o.ActivityRuns,
-		Solves:               s.Solves + o.Solves,
-		SolveIters:           s.SolveIters + o.SolveIters,
-		VCycles:              s.VCycles + o.VCycles,
-		ResidualReplacements: s.ResidualReplacements + o.ResidualReplacements,
-		DriftCorrections:     s.DriftCorrections + o.DriftCorrections,
-		DegradedSolves:       s.DegradedSolves + o.DegradedSolves,
-		BatchedSolves:        s.BatchedSolves + o.BatchedSolves,
-		BatchedColumns:       s.BatchedColumns + o.BatchedColumns,
-		DeflatedColumns:      s.DeflatedColumns + o.DeflatedColumns,
-		GreensHits:           s.GreensHits + o.GreensHits,
-		GreensMisses:         s.GreensMisses + o.GreensMisses,
-		BasisBuilds:          s.BasisBuilds + o.BasisBuilds,
+		ActivityRuns:    s.ActivityRuns + o.ActivityRuns,
+		Solves:          s.Solves + o.Solves,
+		SolveIters:      s.SolveIters + o.SolveIters,
+		VCycles:         s.VCycles + o.VCycles,
+		DegradedSolves:  s.DegradedSolves + o.DegradedSolves,
+		BatchedSolves:   s.BatchedSolves + o.BatchedSolves,
+		BatchedColumns:  s.BatchedColumns + o.BatchedColumns,
+		DeflatedColumns: s.DeflatedColumns + o.DeflatedColumns,
+		GreensHits:      s.GreensHits + o.GreensHits,
+		GreensMisses:    s.GreensMisses + o.GreensMisses,
+		BasisBuilds:     s.BasisBuilds + o.BasisBuilds,
 	}
 	for k := range t.IterHist {
 		t.IterHist[k] = s.IterHist[k] + o.IterHist[k]
-		t.BatchOcc[k] = s.BatchOcc[k] + o.BatchOcc[k]
 	}
 	return t
 }
@@ -472,7 +445,6 @@ func (e *Evaluator) slot(st *stack.Stack) (*solverSlot, error) {
 	}
 	s.Workers = e.Workers
 	s.DefaultPrecond = e.Precond
-	s.DefaultCG = e.CG
 	if e.met != nil && e.met.external {
 		s.AttachObs(e.met.reg)
 	}
@@ -502,12 +474,6 @@ func (e *Evaluator) noteSolve(solver *thermal.Solver) {
 	m.solveIters.Add(int64(solver.LastIters))
 	m.vcycles.Add(int64(solver.LastVCycles))
 	m.iterHist.Observe(float64(solver.LastIters))
-	if solver.LastReplacements > 0 {
-		m.residualRepl.Add(int64(solver.LastReplacements))
-	}
-	if solver.LastDriftCorrections > 0 {
-		m.driftCorr.Add(int64(solver.LastDriftCorrections))
-	}
 }
 
 // validateFixedPoint rejects fixed-point configurations that would
@@ -591,18 +557,14 @@ func (e *Evaluator) steadyState(ctx context.Context, sl *solverSlot, pm thermal.
 	return e.retryRelaxed(ctx, sl, pm, warm, tol, err)
 }
 
-// retryRelaxed is the tail of the degradation policy, shared by the
-// sequential and batched paths: given a first-attempt failure at
-// tolerance tol, it retries the solve with that tolerance relaxed by
+// retryRelaxed is the tail of steadyState's degradation policy: given a
+// first-attempt failure at tolerance tol, it retries the solve with that tolerance relaxed by
 // RelaxFactor per attempt — relaxing from the tolerance that failed, so
 // a loose leakage-iteration solve never retries tighter. The relaxed
 // tolerance travels as a per-solve parameter (thermal.SolveOpts) —
 // Solver.Tol is never written, so concurrent solves on other stacks see
 // no transient state. A non-retryable failure (bad power, cancellation)
-// propagates immediately. A batched column that lands here is
-// bitwise-equivalent to the sequential first attempt, so the retry
-// ladder — and any outcome it salvages — is identical to what the
-// per-point path would produce.
+// propagates immediately.
 func (e *Evaluator) retryRelaxed(ctx context.Context, sl *solverSlot, pm thermal.PowerMap, warm thermal.Temperature, tol float64, err error) (thermal.Temperature, error) {
 	if e.SolveRetries <= 0 || !retryableSolveErr(err) {
 		return nil, err

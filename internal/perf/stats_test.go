@@ -78,12 +78,10 @@ func TestStatsSub(t *testing.T) {
 	a := Stats{ActivityRuns: 3, Solves: 10, SolveIters: 100, VCycles: 90, DegradedSolves: 1,
 		BatchedSolves: 2, BatchedColumns: 8, DeflatedColumns: 1}
 	a.IterHist[4] = 10
-	a.BatchOcc[3] = 2
 	b := Stats{ActivityRuns: 5, Solves: 14, SolveIters: 130, VCycles: 117, DegradedSolves: 1,
 		BatchedSolves: 5, BatchedColumns: 20, DeflatedColumns: 4}
 	b.IterHist[4] = 12
 	b.IterHist[5] = 2
-	b.BatchOcc[3] = 5
 	d := b.Sub(a)
 	if d.ActivityRuns != 2 || d.Solves != 4 || d.SolveIters != 30 || d.VCycles != 27 || d.DegradedSolves != 0 {
 		t.Errorf("Sub = %+v", d)
@@ -93,8 +91,5 @@ func TestStatsSub(t *testing.T) {
 	}
 	if d.IterHist[4] != 2 || d.IterHist[5] != 2 {
 		t.Errorf("Sub histogram = %v", d.IterHist)
-	}
-	if d.BatchOcc[3] != 3 {
-		t.Errorf("Sub occupancy histogram = %v", d.BatchOcc)
 	}
 }

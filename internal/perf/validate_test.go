@@ -41,9 +41,9 @@ func TestFixedPointValidation(t *testing.T) {
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
-		_, err = ev.ThermalBatchCtx(t.Context(), st, []ThermalBatchPoint{{Freqs: freqs, Res: res}})
+		_, err = ev.ThermalFastCtx(t.Context(), st, freqs, res)
 		if err == nil || !strings.Contains(err.Error(), cse.want) {
-			t.Errorf("%s: ThermalBatchCtx err = %v, want mention of %s", cse.name, err, cse.want)
+			t.Errorf("%s: ThermalFastCtx err = %v, want mention of %s", cse.name, err, cse.want)
 		}
 	}
 }

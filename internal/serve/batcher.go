@@ -10,7 +10,7 @@ import (
 // tenantKey identifies a batchable request class: requests on the same
 // scheme at the same grid share a stack content (perf.BasisKey is a
 // function of these two under the default configuration), so they can
-// ride one multi-RHS solve.
+// share one artifact lookup.
 type tenantKey struct {
 	scheme stack.SchemeKind
 	grid   int

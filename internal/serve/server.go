@@ -30,8 +30,9 @@ type Config struct {
 	// QueueCap bounds the admission queue; a full queue rejects with
 	// 429. Zero admits only what a dispatcher is ready to take.
 	QueueCap int
-	// MaxBatch caps the multi-RHS batch width. Width adapts to arrival
-	// rate between 1 and MaxBatch; 1 disables coalescing.
+	// MaxBatch caps how many requests one dispatched group carries.
+	// Width adapts to arrival rate between 1 and MaxBatch; 1 disables
+	// coalescing.
 	MaxBatch int
 	// Linger is the longest a request waits in batch formation before
 	// its group dispatches regardless of width — the starvation bound.
@@ -53,10 +54,9 @@ type Config struct {
 	// (0 = serial kernels). Solver results are bitwise-deterministic at
 	// any worker count, so this is a throughput knob only.
 	Workers int
-	// Precond and CG configure each tenant's solver (zero values
-	// resolve to multigrid and the classic recurrence).
+	// Precond configures each tenant's solver (the zero value resolves
+	// to multigrid).
 	Precond thermal.Precond
-	CG      thermal.CGVariant
 	// RetryAfter is the client back-off hint attached to 429s.
 	RetryAfter time.Duration
 	// Obs, when non-nil, receives the serve metrics (and the perf/
@@ -165,7 +165,6 @@ func (s *Server) buildEntry(tk tenantKey) (*Entry, error) {
 	ev := perf.NewEvaluator()
 	ev.Workers = s.cfg.Workers
 	ev.Precond = s.cfg.Precond
-	ev.CG = s.cfg.CG
 	ev.ShareActivityCache(s.rootEv)
 	if s.cfg.Obs != nil {
 		ev.AttachObs(s.cfg.Obs)
@@ -362,10 +361,8 @@ func uniformFreqs(n int, f float64) []float64 {
 }
 
 // executeBatch serves one dispatched batch: resolve the tenant's
-// artifacts, then route each request down its execution path. Requests
-// that share the CG path ride one multi-RHS solve; fast-path and
-// app-mode-fast requests are served per-request (a GEMV gains nothing
-// from multi-RHS batching). Every request gets exactly one result.
+// artifacts once, then route each request down its execution path and
+// serve it on its own. Every request gets exactly one result.
 func (s *Server) executeBatch(b []*pending) {
 	sp := s.m.trace.Start("serve.batch")
 	s.m.batches.Inc()
@@ -419,9 +416,9 @@ func (s *Server) executeBatch(b []*pending) {
 	sp.End(obs.A("width", float64(width)), obs.A("ok", 1))
 }
 
-// servePowerCG serves explicit-power requests with one multi-RHS solve.
-// Column j is bitwise-identical to a solo solve of request j (the
-// batched solver's contract), so batching never changes a response.
+// servePowerCG serves explicit-power requests with one CG solve each
+// (perf.Evaluator.SolveBatch), so a response never depends on the
+// requests grouped with it.
 func (s *Server) servePowerCG(ent *Entry, pds []*pending, deliver func(*pending, *SolveResponse, error)) {
 	if len(pds) == 0 {
 		return
@@ -485,18 +482,13 @@ func (s *Server) servePowerFast(ent *Entry, pds []*pending, deliver func(*pendin
 	}
 }
 
-// serveApp serves app-mode requests: activity (cached, singleflight,
-// shared across tenants), then the leakage fixed point — batched
-// multi-RHS on the CG path, per-request GEMVs on the fast path. Each
-// outcome is identical to the figure pipeline's for the same operating
-// point.
+// serveApp serves app-mode requests one at a time: activity (cached,
+// singleflight, shared across tenants), then the leakage fixed point —
+// CG solves, or GEMVs on the fast path. Each outcome is identical to the
+// figure pipeline's for the same operating point, and a request whose
+// fixed point fails fails alone.
 func (s *Server) serveApp(ent *Entry, pds []*pending, fast bool, deliver func(*pending, *SolveResponse, error)) {
-	if len(pds) == 0 {
-		return
-	}
 	st := ent.Stack
-	pts := make([]perf.ThermalBatchPoint, 0, len(pds))
-	kept := make([]*pending, 0, len(pds))
 	for _, pd := range pds {
 		p, err := workload.ByName(pd.req.App.Name)
 		if err != nil {
@@ -513,34 +505,17 @@ func (s *Server) serveApp(ent *Entry, pds []*pending, fast bool, deliver func(*p
 			deliver(pd, nil, err)
 			continue
 		}
-		pts = append(pts, perf.ThermalBatchPoint{Freqs: freqs, Res: res})
-		kept = append(kept, pd)
-	}
-	if len(kept) == 0 {
-		return
-	}
-	if fast {
-		for j, pd := range kept {
-			out, err := ent.Ev.ThermalFastCtx(s.ctx, st, pts[j].Freqs, pts[j].Res)
-			if err != nil {
-				deliver(pd, nil, err)
-				continue
-			}
-			deliver(pd, appResponse(pd.req, st, out), nil)
+		var out perf.Outcome
+		if fast {
+			out, err = ent.Ev.ThermalFastCtx(s.ctx, st, freqs, res)
+		} else {
+			out, err = ent.Ev.ThermalWarmCtx(s.ctx, st, freqs, res, nil)
 		}
-		return
-	}
-	outs, err := ent.Ev.ThermalBatchCtx(s.ctx, st, pts)
-	if err != nil {
-		// The batched fixed point has first-error semantics; every
-		// co-batched point shares the failure.
-		for _, pd := range kept {
+		if err != nil {
 			deliver(pd, nil, err)
+			continue
 		}
-		return
-	}
-	for j, pd := range kept {
-		deliver(pd, appResponse(pd.req, st, outs[j]), nil)
+		deliver(pd, appResponse(pd.req, st, out), nil)
 	}
 }
 

@@ -1,21 +1,20 @@
 // Package serve is the Xylem thermal-solve serving daemon: an HTTP/JSON
-// front end over the perf/thermal pipeline that turns the batch solver
-// into a long-running service. Requests flow through four layers —
+// front end over the perf/thermal pipeline that turns it into a
+// long-running service. Requests flow through four layers —
 //
 //	admission queue → batch former → artifact cache → solver
 //
 // The bounded queue rejects overload with a typed 429 (and drains
 // gracefully on shutdown with 503s for late arrivals); the batch former
-// coalesces same-(scheme×grid) requests into multi-RHS SteadyStateBatch
-// columns, with a max-linger deadline so solo requests are never
+// groups same-(scheme×grid) requests so a group resolves its tenant's
+// artifacts once, with a max-linger deadline so solo requests are never
 // starved; the keyed LRU cache holds built artifacts (stack → solver/MG
 // hierarchy → Green's basis) under perf.BasisKey content hashes with
 // singleflight builds, so repeat tenants skip all setup and can hit the
 // O(blocks) GEMV path.
 //
-// Responses are bitwise-deterministic: the batched solver is
-// bitwise-identical per column to solo solves, the cache stores
-// artifacts (never results), and cache/batch metadata travels in HTTP
+// Responses are bitwise-deterministic: every request in a group is
+// solved on its own, the cache stores artifacts (never results), and cache/batch metadata travels in HTTP
 // headers — so the response body for a given request is byte-identical
 // across batch widths and cache states (pinned by test).
 package serve

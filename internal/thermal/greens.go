@@ -34,15 +34,13 @@ package thermal
 // and identical at any Workers setting, because the cell chunks run on
 // the fixed-chunk machinery of parallel.go.
 //
-// Basis construction is one wide multi-RHS solve per bounded-width chunk
-// of columns (the batch scratch is ~6·n·k floats, so an unbounded-width
-// build over a few hundred sources would dwarf the solver itself), run
-// through the same lockstep cgBatch as SteadyStateBatch — deflation and
-// per-column budgets behave exactly as k sequential solves would. The
-// chunks are independent, so they run on the receiver plus as many
-// Clones as there are free cores; the hook is drawn for every column up
-// front on the calling goroutine, so the basis, the hook's call sequence
-// and the build's error are the same on any number of solvers.
+// Basis construction is one CG solve per column at the solver's
+// tolerance and default preconditioner, written straight into its
+// column. The columns are independent, so they are fanned over the
+// receiver plus as many Clones as there are free cores; the hook is
+// drawn for every column up front on the calling goroutine, so the
+// basis, the hook's call sequence and the build's error are the same on
+// any number of solvers.
 
 import (
 	"context"
@@ -94,13 +92,6 @@ type GreensBasis struct {
 // Cells returns the number of cells per stored field.
 func (gb *GreensBasis) Cells() int { return gb.Rows * gb.Cols * gb.Layers }
 
-// greensBuildWidth bounds the batch width of one basis-construction
-// solve. The batched CG scratch is ~6·n·k floats plus the multigrid
-// hierarchy's per-level copies, so building a few hundred columns in one
-// batch would allocate several times the basis itself; 16-wide chunks
-// keep the scratch bounded while still amortising the operator sweep.
-const greensBuildWidth = 16
-
 // greensCompat rejects a basis built for a different grid or stack shape.
 func (s *Solver) greensCompat(gb *GreensBasis) error {
 	if gb.Rows != s.rows || gb.Cols != s.cols || gb.Layers != len(s.m.Layers) {
@@ -151,16 +142,15 @@ func tryAcquireGreensClone() bool {
 }
 
 // BuildGreensBasis precomputes the unit-power response field of every
-// source by chunked multi-RHS solves at the solver's tolerance and
-// default preconditioner. The chunks run on the receiver plus as many
-// clones as there are free cores (see buildGreensBasis); a receiver
-// whose kernels already run on a worker pool takes none. Any column's
-// failure fails the build (callers fall back to per-query CG).
+// source, one CG solve per column at the solver's tolerance and default
+// preconditioner. The columns run on the receiver plus as many clones as
+// there are free cores (see buildGreensBasis); a receiver whose kernels
+// already run on a worker pool takes none. Any column's failure fails
+// the build (callers fall back to per-query CG).
 func (s *Solver) BuildGreensBasis(ctx context.Context, sources []UnitSource) (*GreensBasis, error) {
 	p := 1
 	if s.effectiveWorkers() <= 1 {
-		chunks := (len(sources) + greensBuildWidth - 1) / greensBuildWidth
-		for p < chunks && tryAcquireGreensClone() {
+		for p < len(sources) && tryAcquireGreensClone() {
 			p++
 		}
 		defer greensClones.Add(int64(1 - p))
@@ -169,20 +159,18 @@ func (s *Solver) BuildGreensBasis(ctx context.Context, sources []UnitSource) (*G
 }
 
 // buildGreensBasis builds the basis on p solvers: the receiver plus p−1
-// clones, each taking the next unsolved chunk of greensBuildWidth
-// columns [16c, 16c+16) until none are left. A chunk's columns are
-// solved identically on whichever solver takes it, so the basis is
-// bitwise the same at every p.
+// clones, each taking the next unsolved column until none are left. A
+// column is solved identically on whichever solver takes it, so the
+// basis is bitwise the same at every p.
 //
 // The solve hook is consulted here, on the calling goroutine, once per
-// column in column order, before any chunk solves; each chunk gets its
-// pre-drawn budgets and clones never call the hook. A hook failure at
-// column h leaves h's chunk and every later one unsolved. A failing
-// chunk does not cancel its siblings, but no chunk is handed out after
-// it; every lower chunk was handed out earlier and runs to completion,
-// so the error returned — the lowest-indexed failing column's — is the
-// same at every p. Clones and the receiver's batch scratch are dropped
-// before returning.
+// column in column order, before any column solves; each column gets its
+// pre-drawn budget and clones never call the hook. A hook failure at
+// column h leaves h and every later column unsolved. A failing column
+// does not cancel its siblings, but no column is handed out after it;
+// every lower column was handed out earlier and runs to completion, so
+// the error returned — the lowest-indexed failing column's — is the same
+// at every p. Clones are dropped before returning.
 func (s *Solver) buildGreensBasis(ctx context.Context, sources []UnitSource, p int) (*GreensBasis, error) {
 	B := len(sources)
 	if B == 0 {
@@ -208,31 +196,27 @@ func (s *Solver) buildGreensBasis(ctx context.Context, sources []UnitSource, p i
 		}
 		buds = append(buds, bud)
 	}
-	// Only chunks wholly before a hook failure are solved.
-	chunks := (len(buds) + greensBuildWidth - 1) / greensBuildWidth
-	if hookErr != nil {
-		chunks = len(buds) / greensBuildWidth
-	}
+	// Only the columns before a hook failure are solved.
+	cols := len(buds)
 
-	errs := make([]error, chunks)
+	errs := make([]error, cols)
 	var next atomic.Int64
 	var failed atomic.Bool
 	work := func(w *Solver) {
+		rhs := make([]float64, w.n)
 		for !failed.Load() {
 			c := int(next.Add(1) - 1)
-			if c >= chunks {
+			if c >= cols {
 				return
 			}
-			lo := c * greensBuildWidth
-			hi := min(lo+greensBuildWidth, B)
-			if err := w.solveUnitChunk(ctx, sources[lo:hi], buds[lo:hi], gb, lo); err != nil {
+			if err := w.solveUnit(ctx, sources[c], &buds[c], rhs, gb, c); err != nil {
 				errs[c] = err
 				failed.Store(true)
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(p, chunks) - 1 {
+	for range min(p, cols) - 1 {
 		c := s.Clone()
 		c.Hook = nil
 		wg.Add(1)
@@ -244,7 +228,6 @@ func (s *Solver) buildGreensBasis(ctx context.Context, sources []UnitSource, p i
 	}
 	work(s)
 	wg.Wait()
-	s.batch = nil
 
 	for _, err := range errs {
 		if err != nil {
@@ -257,70 +240,18 @@ func (s *Solver) buildGreensBasis(ctx context.Context, sources []UnitSource, p i
 	return gb, nil
 }
 
-// solveUnitChunk solves G·x = e_b for one contiguous chunk of sources
-// under their pre-drawn budgets and writes the solutions into gb's
-// columns colBase, colBase+1, ….
-// Right-hand sides carry no ambient term and iterates cold-start at zero
-// (the response-field formulation above), so it assembles the batch
-// directly instead of going through SteadyStateBatch.
-func (s *Solver) solveUnitChunk(ctx context.Context, sources []UnitSource, buds []budget, gb *GreensBasis, colBase int) error {
-	k := len(sources)
-	n := s.n
-	if k == 1 {
-		// One column: the plain CG path, like SteadyStateBatch's k==1
-		// short-circuit.
-		b := make([]float64, s.n)
-		if err := s.unitRHS(sources[0], b); err != nil {
-			return err
-		}
-		x := gb.G[colBase*n : (colBase+1)*n : (colBase+1)*n]
-		if _, err := s.cg(ctx, b, x, 0, SolveOpts{budget: &buds[0]}); err != nil {
-			return fmt.Errorf("thermal: greens column %q: %w", sources[0].Name, err)
-		}
-		return nil
-	}
-
-	bs := s.ensureBatch(k)
-	rhs := make([]float64, s.n)
-	for j, src := range sources {
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		if err := s.unitRHS(src, rhs); err != nil {
-			return err
-		}
-		for i, v := range rhs {
-			bs.bvec[i*k+j] = v
-			bs.xvec[i*k+j] = 0
-		}
-	}
-
-	res := BatchResult{
-		Temps:   make([]Temperature, k),
-		Errs:    make([]error, k),
-		Iters:   make([]int, k),
-		VCycles: make([]int, k),
-	}
-	maxIter := make([]int, k)
-	injected := make([]bool, k)
-	live := make([]int, k)
-	for j, bud := range buds {
-		maxIter[j], injected[j], live[j] = bud.maxIter, bud.injected, j
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("thermal: greens build cancelled: %w", err)
-	}
-	if err := s.cgBatch(ctx, bs, &res, live, maxIter, injected, BatchOpts{}); err != nil {
+// solveUnit solves G·x = e_b for source src under its pre-drawn budget,
+// straight into gb's column col. The right-hand side (assembled in rhs,
+// the caller's n-cell scratch) carries no ambient term and the iterate
+// cold-starts at zero: the response-field formulation above.
+func (s *Solver) solveUnit(ctx context.Context, src UnitSource, bud *budget, rhs []float64, gb *GreensBasis, col int) error {
+	clear(rhs)
+	if err := s.unitRHS(src, rhs); err != nil {
 		return err
 	}
-	for j, src := range sources {
-		if res.Errs[j] != nil {
-			return fmt.Errorf("thermal: greens column %q: %w", src.Name, res.Errs[j])
-		}
-		col := gb.G[(colBase+j)*n : (colBase+j+1)*n]
-		for i := range col {
-			col[i] = bs.xvec[i*k+j]
-		}
+	x := gb.G[col*s.n : (col+1)*s.n : (col+1)*s.n]
+	if _, err := s.cg(ctx, rhs, x, 0, SolveOpts{budget: bud}); err != nil {
+		return fmt.Errorf("thermal: greens column %q: %w", src.Name, err)
 	}
 	return nil
 }

@@ -201,118 +201,8 @@ func TestGreensBasisCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// Wide-batch deflation regression (basis construction runs batches wider
-// than the deflation path was ever exercised at): near-duplicate
-// unit-power columns retire at nearly identical iterates, so most of a
-// chunk deflates — every column must still come back tolerance-accurate
-// against its own sequential unit solve.
-func TestGreensBasisWideBatchDeflation(t *testing.T) {
-	m := slabModel(12, 12, 4, 100e-6, 120, 25000)
-	s, err := NewSolver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.DefaultPrecond = PrecondMG
-	g := m.Grid
-	cw, ch := g.CellW(), g.CellH()
-	// More columns than one build chunk, nearly all of them tiny lateral
-	// perturbations of the same rect — the near-duplicate regime.
-	var srcs []UnitSource
-	base := geom.NewRect(4*cw, 4*ch, 2*cw, 2*ch)
-	for i := 0; i < greensBuildWidth+4; i++ {
-		r := geom.NewRect(base.Min.X+float64(i%3)*cw/64, base.Min.Y+float64(i/3%3)*ch/64, base.W(), base.H())
-		srcs = append(srcs, UnitSource{Name: fmt.Sprintf("dup%d", i), Layer: 0, Rect: r})
-	}
-	gb, err := s.BuildGreensBasis(context.Background(), srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Column-by-column: the reduced field for e_b must match the full
-	// solve of a 1 W block at that rect.
-	sq := s.Clone()
-	defer sq.Close()
-	p := make([]float64, len(srcs))
-	for b, src := range srcs {
-		pm := m.NewPowerMap()
-		pm.AddBlock(g, src.Layer, src.Rect, 1)
-		want, err := sq.SteadyState(pm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range p {
-			p[i] = 0
-		}
-		p[b] = 1
-		got, err := s.GreensField(gb, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for li := range want {
-			for c := range want[li] {
-				if d := math.Abs(got[li][c] - want[li][c]); d > 1e-5 {
-					t.Fatalf("column %d layer %d cell %d: basis %.9f vs solve %.9f (|Δ| %.3g)", b, li, c, got[li][c], want[li][c], d)
-				}
-			}
-		}
-	}
-}
-
-// Deflation accounting must cover only columns that entered the lockstep
-// recurrence: a hook-rejected column never held a slot and skipped no
-// kernel work, so it must not inflate Deflated.
-func TestBatchDeflationCountsOnlyEnteredColumns(t *testing.T) {
-	m := slabModel(12, 12, 4, 100e-6, 120, 25000)
-	s, err := NewSolver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.DefaultPrecond = PrecondMG
-	// Column 1's hook rejects it before entry; columns 0 and 2 carry very
-	// different power patterns so they converge at different iterates and
-	// exactly one of them deflates.
-	calls := 0
-	s.Hook = func() (int, error) {
-		calls++
-		if calls == 2 {
-			return 0, fmt.Errorf("injected hook failure")
-		}
-		return 0, nil
-	}
-	pms := make([]PowerMap, 3)
-	for j := range pms {
-		pms[j] = m.NewPowerMap()
-	}
-	pms[0][0][m.Grid.Index(2, 2)] = 8
-	pms[1][0][m.Grid.Index(5, 5)] = 1
-	pms[2][1][m.Grid.Index(9, 3)] = 0.01
-	pms[2][2][m.Grid.Index(1, 10)] = 6
-
-	res, err := s.SteadyStateBatch(context.Background(), pms, BatchOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errs[1] == nil {
-		t.Fatal("hook-rejected column reported no error")
-	}
-	if res.Errs[0] != nil || res.Errs[2] != nil {
-		t.Fatalf("entered columns failed: %v, %v", res.Errs[0], res.Errs[2])
-	}
-	if res.Iters[1] != 0 {
-		t.Fatalf("hook-rejected column reported %d iters", res.Iters[1])
-	}
-	wantDeflated := 0
-	if res.Iters[0] != res.Iters[2] {
-		wantDeflated = 1
-	}
-	if res.Deflated != wantDeflated {
-		t.Fatalf("Deflated = %d, want %d (iters %v; the hook-rejected column must not count)",
-			res.Deflated, wantDeflated, res.Iters)
-	}
-}
-
 // fanOutSolver is a fresh solver for the basis fan-out tests, with B
-// unit sources on a 16×16×5 slab: at B = 37 the chunks are 16, 16 and 5
-// columns, at B = 17 the second chunk is the one-column CG path.
+// unit sources on a 16×16×5 slab.
 func fanOutSolver(t *testing.T, B int) (*Solver, []UnitSource) {
 	t.Helper()
 	m := slabModel(16, 16, 5, 100e-6, 120, 25000)
@@ -325,8 +215,8 @@ func fanOutSolver(t *testing.T, B int) (*Solver, []UnitSource) {
 }
 
 // The basis is bitwise the same on any number of solvers, and a build
-// leaves no batch scratch behind: a later SteadyStateBatch reallocates
-// at its own width and answers bitwise as on a solver that never built.
+// leaves the receiver's scratch fit for reuse: a later solve answers
+// bitwise as on a solver that never built.
 func TestGreensBuildFanOutBitwise(t *testing.T) {
 	for _, B := range []int{37, 17} {
 		var ref *GreensBasis
@@ -335,9 +225,6 @@ func TestGreensBuildFanOutBitwise(t *testing.T) {
 			gb, err := s.buildGreensBasis(context.Background(), srcs, p)
 			if err != nil {
 				t.Fatalf("B=%d p=%d: %v", B, p, err)
-			}
-			if s.batch != nil {
-				t.Fatalf("B=%d p=%d: build left %d-wide batch scratch on the solver", B, p, s.batch.k)
 			}
 			if ref == nil {
 				ref = gb
@@ -363,22 +250,19 @@ func TestGreensBuildFanOutBitwise(t *testing.T) {
 			pms[j].AddBlock(s.m.Grid, src.Layer, src.Rect, float64(b+j)+0.5)
 		}
 	}
-	got, err := s.SteadyStateBatch(context.Background(), pms, BatchOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.SteadyStateBatch(context.Background(), pms, BatchOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range pms {
-		if got.Errs[j] != nil || want.Errs[j] != nil {
-			t.Fatalf("column %d: %v / %v", j, got.Errs[j], want.Errs[j])
+	for j, pm := range pms {
+		got, err := s.SteadyState(pm)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for li := range want.Temps[j] {
-			for c, v := range want.Temps[j][li] {
-				if math.Float64bits(got.Temps[j][li][c]) != math.Float64bits(v) {
-					t.Fatalf("batch column %d layer %d cell %d after a build: %v, fresh solver %v", j, li, c, got.Temps[j][li][c], v)
+		want, err := fresh.SteadyState(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li := range want {
+			for c, v := range want[li] {
+				if math.Float64bits(got[li][c]) != math.Float64bits(v) {
+					t.Fatalf("map %d layer %d cell %d after a build: %v, fresh solver %v", j, li, c, got[li][c], v)
 				}
 			}
 		}
@@ -387,7 +271,7 @@ func TestGreensBuildFanOutBitwise(t *testing.T) {
 
 // The hook is drawn on the calling goroutine in column order, so a
 // failure at column 20 makes the same number of calls and returns the
-// same error at every p; chunk 1, which holds column 20, is never solved.
+// same error at every p; column 20 and every later one is never solved.
 func TestGreensBuildHookErrorIndependentOfP(t *testing.T) {
 	errHook := errors.New("injected hook failure")
 	var wantMsg string
@@ -416,9 +300,9 @@ func TestGreensBuildHookErrorIndependentOfP(t *testing.T) {
 	}
 }
 
-// Budget failures in chunks 0 and 2 always report chunk 0's, although
-// at p ≥ 3 the short chunk 2 finishes (and fails) first.
-func TestGreensBuildLowestChunkErrorWins(t *testing.T) {
+// Budget failures at columns 3 and 35 always report column 3's, whichever
+// solver finishes (and fails) first.
+func TestGreensBuildLowestColumnErrorWins(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5} {
 		s, srcs := fanOutSolver(t, 37)
 		col := 0

@@ -3,8 +3,8 @@ package thermal
 // Kernel micro-benchmark façade.
 //
 // The three kernels that dominate a solve's wall — the 7-point stencil
-// apply, the red-black fused-Thomas line-smoothing sweep, and the
-// pipelined path's fused apply+reduction pass — all live behind
+// apply, the red-black fused-Thomas line-smoothing sweep, and CG's fused
+// apply+reduction pass — all live behind
 // unexported plumbing (levels, chunk bounds, scratch vectors). Kernels()
 // exposes exactly one entry point per kernel so the repo-root
 // micro-benchmarks (BenchmarkStencilApply, BenchmarkThomasSweep,
@@ -25,7 +25,6 @@ type KernelBench struct {
 // field, and returns the benchmark façade.
 func (s *Solver) Kernels() KernelBench {
 	s.ensureShifted(0)
-	s.ensurePipelined()
 	for i := range s.r {
 		// Smooth, sign-varying, O(1) values: enough structure that the
 		// sweeps do representative work, cheap enough to seed any grid.
@@ -39,7 +38,7 @@ func (s *Solver) Kernels() KernelBench {
 // can normalise per-cell cost.
 func (k KernelBench) Cells() int { return k.s.n }
 
-// StencilApply runs one full operator apply w = A·z over the finest
+// StencilApply runs one full operator apply ap = A·z over the finest
 // level — the 7-point stencil sweep every CG iteration pays at least
 // once — on the solver's fixed-chunk parallel machinery.
 func (k KernelBench) StencilApply() {
@@ -47,7 +46,7 @@ func (k KernelBench) StencilApply() {
 	l := s.levels[0]
 	s.runChunks(func(c int) {
 		lo, hi := s.chunkBounds(c)
-		l.applyRange(s.z, s.w, lo, hi)
+		l.applyRange(s.z, s.ap, lo, hi)
 	})
 }
 
@@ -62,44 +61,11 @@ func (k KernelBench) ThomasSweep() {
 	s.smoothLevel(s.levels[0], s.r, s.z, false)
 }
 
-// FusedReduction runs the pipelined recurrence's single fused reduction
-// pass (applyGammaDelta's shape): w = A·z with BOTH dots the step needs
-// — (w, z) and (r, z) — each banked over four accumulators and reduced
-// in fixed chunk order. One sweep where the classic recurrence pays an
-// apply plus a separate reduction sweep. Returns the dots' sum so the
-// work cannot be dead-code-eliminated.
+// FusedReduction runs classic CG's per-iteration fused pass (applyDot,
+// the very call cg makes): ap = A·z with the z·ap reduction taken chunk
+// by chunk and summed in fixed chunk order. Returns the dot so the work
+// cannot be dead-code-eliminated.
 func (k KernelBench) FusedReduction() float64 {
 	s := k.s
-	l := s.levels[0]
-	u, w, r := s.z, s.w, s.r
-	s.runChunks(func(c int) {
-		lo, hi := s.chunkBounds(c)
-		l.applyRange(u, w, lo, hi)
-		var d0, d1, d2, d3 float64
-		var g0, g1, g2, g3 float64
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			d0 += w[i] * u[i]
-			g0 += r[i] * u[i]
-			d1 += w[i+1] * u[i+1]
-			g1 += r[i+1] * u[i+1]
-			d2 += w[i+2] * u[i+2]
-			g2 += r[i+2] * u[i+2]
-			d3 += w[i+3] * u[i+3]
-			g3 += r[i+3] * u[i+3]
-		}
-		dAcc := (d0 + d1) + (d2 + d3)
-		gAcc := (g0 + g1) + (g2 + g3)
-		for ; i < hi; i++ {
-			dAcc += w[i] * u[i]
-			gAcc += r[i] * u[i]
-		}
-		s.partial[c] = dAcc
-		s.pdot[c] = gAcc
-	})
-	acc := s.sumPartials()
-	for _, v := range s.pdot[:numChunks(s.n)] {
-		acc += v
-	}
-	return acc
+	return s.applyDot(s.levels[0], s.z, s.ap)
 }

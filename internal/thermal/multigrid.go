@@ -134,11 +134,9 @@ type mgLevel struct {
 	// depend only on the operator and the shift — never on the sweep's
 	// right-hand side — so every line solve reuses them instead of
 	// re-deriving two divisions per cell per sweep. fden[i] is the pivot
-	// (denominator) at cell i, fcp[i] the eliminated superdiagonal
-	// factor sup/denom, and finv[i] = 1/fden[i] for kernels that trade
-	// the remaining division for a multiply (the pipelined path, which
-	// owes no bitwise identity to the classic recurrence).
-	fden, fcp, finv []float64
+	// (denominator) at cell i and fcp[i] the eliminated superdiagonal
+	// factor sup/denom.
+	fden, fcp []float64
 }
 
 // allocScratch sizes the per-solver scratch of a level. Level 0 borrows
@@ -148,7 +146,6 @@ func (l *mgLevel) allocScratch(withXB bool) {
 	l.r = make([]float64, l.n)
 	l.fden = make([]float64, l.n)
 	l.fcp = make([]float64, l.n)
-	l.finv = make([]float64, l.n)
 	if withXB {
 		l.x = make([]float64, l.n)
 		l.b = make([]float64, l.n)
@@ -311,7 +308,6 @@ func (l *mgLevel) factorRange(lo, hi int) {
 			cpPrev = sup / denom
 			l.fden[i] = denom
 			l.fcp[i] = cpPrev
-			l.finv[i] = 1 / denom
 			i += npl
 		}
 	}
@@ -403,6 +399,22 @@ func (l *mgLevel) applyCells(x, y []float64, lo, hi int) {
 			}
 		}
 	}
+}
+
+// applyDot is CG's per-iteration fused pass: y = A·x on the finest
+// level, with the x·y reduction of each chunk taken while the chunk's
+// y is still in cache, the partials summed in chunk order.
+func (s *Solver) applyDot(l *mgLevel, x, y []float64) float64 {
+	s.runChunks(func(c int) {
+		lo, hi := s.chunkBounds(c)
+		l.applyRange(x, y, lo, hi)
+		pp := 0.0
+		for i := lo; i < hi; i++ {
+			pp += x[i] * y[i]
+		}
+		s.partial[c] = pp
+	})
+	return s.sumPartials()
 }
 
 // residualRange computes r[lo:hi] = (b − A·x)[lo:hi] into the level's

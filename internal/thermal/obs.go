@@ -8,21 +8,12 @@ import "github.com/xylem-sim/xylem/internal/obs"
 // are write-only: nothing in the solver reads them back, so attaching a
 // registry cannot perturb any result (the determinism contract).
 type solverObs struct {
-	solves     *obs.Counter
-	failures   *obs.Counter
-	iters      *obs.Histogram
-	vcycles    *obs.Histogram
-	residual   *obs.Gauge
-	batches    *obs.Counter
-	batchWidth *obs.Histogram
-	deflations *obs.Counter
-	// replacements counts the pipelined-CG periodic true-residual
-	// replacements; driftCorr counts the convergence-time drift guard's
-	// corrections (recurrence said converged, true residual disagreed).
-	// Both stay zero on the classic path.
-	replacements *obs.Counter
-	driftCorr    *obs.Counter
-	trace        *obs.TraceRing
+	solves   *obs.Counter
+	failures *obs.Counter
+	iters    *obs.Histogram
+	vcycles  *obs.Histogram
+	residual *obs.Gauge
+	trace    *obs.TraceRing
 }
 
 // AttachObs wires the solver's instrumentation to a registry (nil
@@ -35,16 +26,11 @@ func (s *Solver) AttachObs(r *obs.Registry) {
 		return
 	}
 	s.obs = &solverObs{
-		solves:       r.Counter("xylem_thermal_solves_total"),
-		failures:     r.Counter("xylem_thermal_solve_failures_total"),
-		iters:        r.Histogram("xylem_thermal_cg_iters", obs.PowerOfTwoBounds(15)),
-		vcycles:      r.Histogram("xylem_thermal_vcycles", obs.PowerOfTwoBounds(12)),
-		residual:     r.Gauge("xylem_thermal_last_residual"),
-		batches:      r.Counter("xylem_thermal_batch_solves_total"),
-		batchWidth:   r.Histogram("xylem_thermal_batch_width", obs.PowerOfTwoBounds(8)),
-		deflations:   r.Counter("xylem_thermal_batch_deflations_total"),
-		replacements: r.Counter("xylem_thermal_residual_replacements_total"),
-		driftCorr:    r.Counter("xylem_thermal_drift_corrections_total"),
-		trace:        r.Trace(),
+		solves:   r.Counter("xylem_thermal_solves_total"),
+		failures: r.Counter("xylem_thermal_solve_failures_total"),
+		iters:    r.Histogram("xylem_thermal_cg_iters", obs.PowerOfTwoBounds(15)),
+		vcycles:  r.Histogram("xylem_thermal_vcycles", obs.PowerOfTwoBounds(12)),
+		residual: r.Gauge("xylem_thermal_last_residual"),
+		trace:    r.Trace(),
 	}
 }

@@ -3,6 +3,7 @@ package thermal
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -176,5 +177,32 @@ func TestWarmStartSavesIterations(t *testing.T) {
 		if math.Abs(warm[0][c]-cold[0][c]) > 1e-6 {
 			t.Fatalf("warm and cold solutions differ at cell %d: %v vs %v", c, warm[0][c], cold[0][c])
 		}
+	}
+}
+
+// Satellite: on a single-CPU process (GOMAXPROCS=1), Workers>1 must
+// never start the kernel pool — pool goroutines can't overlap the
+// caller there, so the chunk hand-off would be pure overhead.
+func TestSingleCoreNeverStartsPool(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	m := slabModel(120, 120, 3, 100e-6, 120, 30000)
+	if n := m.NumCells(); n < parallelMinCells {
+		t.Fatalf("test model has %d cells, below the parallel threshold %d", n, parallelMinCells)
+	}
+	s, err := NewSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Workers = 8
+	if _, err := s.SteadyState(gradientPower(m, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if s.pool != nil {
+		t.Error("kernel pool started despite GOMAXPROCS=1")
+	}
+	if got := s.effectiveWorkers(); got != 1 {
+		t.Errorf("effectiveWorkers() = %d at GOMAXPROCS=1, want 1", got)
 	}
 }

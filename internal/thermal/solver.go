@@ -50,12 +50,6 @@ type Solver struct {
 	// scratch buffers reused across solves. partial holds the per-chunk
 	// reduction partials (see parallel.go); one slot per chunk.
 	r, z, p, ap, partial []float64
-	// w and pdot are the pipelined-CG extras (see pipelined.go): w holds
-	// A·u, pdot the second per-chunk partial bank of the fused γ/δ
-	// reduction (partial carries δ = w·u, pdot carries γ = r·u). Both are
-	// allocated lazily on the first pipelined solve so classic-only
-	// solvers pay nothing.
-	w, pdot []float64
 
 	// Tol is the relative-residual convergence tolerance for CG. A
 	// per-call override goes through SolveOpts — concurrent users must
@@ -76,11 +70,6 @@ type Solver struct {
 	// resolves to PrecondMG — the multigrid V-cycle is the default;
 	// Jacobi remains selectable as the fallback/baseline.
 	DefaultPrecond Precond
-	// DefaultCG selects the CG recurrence for solves that don't pick one
-	// via SolveOpts.CG. CGAuto (the zero value) resolves to CGClassic —
-	// the textbook recurrence stays the default; the single-reduction
-	// pipelined variant is opt-in (see pipelined.go).
-	DefaultCG CGVariant
 	// Workers is the number of goroutines the CG kernels may use for
 	// solves at or above parallelMinCells cells (0 or 1 = serial). The
 	// kernel pool is started lazily on the first parallel solve and
@@ -90,11 +79,6 @@ type Solver struct {
 	// pool is the persistent kernel worker pool (nil until the first
 	// parallel solve; see parallel.go).
 	pool *kernelPool
-
-	// batch is the lazily-allocated multi-RHS scratch (nil until the
-	// first SteadyStateBatch; see batch.go). Per-solver, like all
-	// scratch: never shared across Clone.
-	batch *batchScratch
 
 	// levels is the multigrid hierarchy (levels[0] aliases the solver's
 	// own operator arrays; see multigrid.go). Operators are immutable
@@ -117,12 +101,6 @@ type Solver struct {
 	LastIters    int
 	LastResidual float64
 	LastVCycles  int
-	// LastReplacements and LastDriftCorrections report the pipelined
-	// recurrence's drift-control work for the most recent solve: periodic
-	// true-residual replacements, and convergence claims the drift guard
-	// rejected. Both are 0 on the classic path.
-	LastReplacements     int
-	LastDriftCorrections int
 }
 
 // NewSolver assembles the network. The model must Validate cleanly.
@@ -181,7 +159,6 @@ func (s *Solver) Clone() *Solver {
 		Hook:           s.Hook,
 		Workers:        s.Workers,
 		DefaultPrecond: s.DefaultPrecond,
-		DefaultCG:      s.DefaultCG,
 		obs:            s.obs,
 	}
 	c.r = make([]float64, c.n)
@@ -317,10 +294,6 @@ func stagnationWindowFor(maxIter int) int {
 // iterate, the residual history and the iteration count — is
 // bitwise-identical for any Workers setting.
 func (s *Solver) cg(ctx context.Context, b, x []float64, shift float64, opts SolveOpts) (iters int, err error) {
-	if s.resolveCG(opts.CG) == CGPipelined {
-		return s.cgPipelined(ctx, b, x, shift, opts)
-	}
-	s.LastReplacements, s.LastDriftCorrections = 0, 0
 	tol := opts.Tol
 	if tol <= 0 {
 		tol = s.Tol
@@ -435,17 +408,7 @@ func (s *Solver) cg(ctx context.Context, b, x []float64, shift float64, opts Sol
 				}
 			}
 		}
-		// ap = A·p fused with the p·ap reduction.
-		s.runChunks(func(c int) {
-			lo, hi := s.chunkBounds(c)
-			lvl.applyRange(s.p, s.ap, lo, hi)
-			pp := 0.0
-			for i := lo; i < hi; i++ {
-				pp += s.p[i] * s.ap[i]
-			}
-			s.partial[c] = pp
-		})
-		pap := s.sumPartials()
+		pap := s.applyDot(lvl, s.p, s.ap)
 		if pap <= 0 {
 			s.LastIters, s.LastResidual = iter, rel
 			return iter, fmt.Errorf("thermal: %w", &fault.DivergenceError{
@@ -563,10 +526,6 @@ type SolveOpts struct {
 	// multigrid V-cycle). The Jacobi/MG cross-check tests and the
 	// parbench comparison mode select per solve through here.
 	Precond Precond
-	// CG overrides the CG recurrence for this solve only (CGAuto = use
-	// Solver.DefaultCG, which defaults to the classic recurrence). See
-	// pipelined.go for the single-reduction variant.
-	CG CGVariant
 	// budget, when non-nil, is this solve's iteration budget drawn
 	// beforehand, and the hook is not consulted. Only the Green's basis
 	// build sets it: it draws every column's budget on one goroutine
