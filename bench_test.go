@@ -411,8 +411,8 @@ func BenchmarkFusedReduction(b *testing.B) {
 // grid). The workers sub-benchmarks pin the determinism contract's cost:
 // the chunked kernel must scale without changing a single bit of the
 // result (see internal/thermal/greens_test.go), so any speedup here is
-// free. The basis precompute is excluded; it is priced once by `xylem
-// parbench` as the greens config's basis_build_s.
+// free. The basis precompute is excluded; perfbench's serve-closed
+// workload prices it as perf.basis_build_s.
 func BenchmarkGreensApply(b *testing.B) {
 	grids := []int{24, 64}
 	if testing.Short() {

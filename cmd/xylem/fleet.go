@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"github.com/xylem-sim/xylem/internal/config"
@@ -94,69 +92,5 @@ func cmdFleet(args []string) error {
 		return err
 	}
 	fmt.Print(rep)
-	return nil
-}
-
-// cmdFleetSmoke is the end-to-end determinism gate: replay a small
-// fleet uninterrupted, then replay the same fleet with checkpoints and
-// a crash injected at the second snapshot, resume it at a different
-// worker setting, and require the two final reports to be
-// byte-identical.
-func cmdFleetSmoke(args []string) error {
-	fs := flag.NewFlagSet("fleet-smoke", flag.ContinueOnError)
-	stacks := fs.Int("stacks", 16, "modeled stacks")
-	events := fs.Int("events", 64, "control events to replay")
-	seed := fs.Uint64("seed", 7, "replay seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := fleet.DefaultConfig()
-	cfg.Grid = 8
-	cfg.Stacks, cfg.Events, cfg.Seed = *stacks, *events, *seed
-	cfg.Apps = []string{"fft"}
-	cfg.Instructions = 4000
-	cfg.Fault.SensorDropoutRate = 0.05
-	cfg.Fault.SolverDivergeRate = 0.05
-
-	run := func(c fleet.Config) (string, error) {
-		e, err := fleet.New(c)
-		if err != nil {
-			return "", err
-		}
-		return e.Run(context.Background())
-	}
-
-	want, err := run(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("uninterrupted replay:\n%s", want)
-
-	dir, err := os.MkdirTemp("", "xylem-fleet-smoke-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	killed := cfg
-	killed.Checkpoint = dir
-	killed.CkptEveryRounds = 1
-	killed.KillAfterSaves = 2
-	if _, err := run(killed); !errors.Is(err, fleet.ErrKilled) {
-		return fmt.Errorf("fleet-smoke: crash hook returned %v, want ErrKilled", err)
-	}
-	fmt.Println("killed at second snapshot; resuming with workers=4")
-
-	resumed := killed
-	resumed.KillAfterSaves = 0
-	resumed.Resume = true
-	resumed.Workers = 4
-	got, err := run(resumed)
-	if err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("fleet-smoke: resumed report diverged\n--- uninterrupted\n%s--- resumed\n%s", want, got)
-	}
-	fmt.Println("fleet-smoke ok: resumed report is byte-identical")
 	return nil
 }

@@ -59,24 +59,12 @@ func main() {
 		err = cmdTrace(args)
 	case "faults":
 		err = cmdFaults(args)
-	case "parbench":
-		err = cmdParbench(args)
-	case "obs-smoke":
-		err = cmdObsSmoke(args)
 	case "resume":
 		err = cmdResume(args)
-	case "resume-smoke":
-		err = cmdResumeSmoke(args)
 	case "serve":
 		err = cmdServe(args)
-	case "loadbench":
-		err = cmdLoadbench(args)
-	case "serve-smoke":
-		err = cmdServeSmoke(args)
 	case "fleet":
 		err = cmdFleet(args)
-	case "fleet-smoke":
-		err = cmdFleetSmoke(args)
 	default:
 		usage()
 		os.Exit(2)
@@ -90,7 +78,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: xylem <temps|boost|figure|all|schemes|floorplan> [flags]
+	fmt.Fprintln(os.Stderr, `usage: xylem <command> [flags]
   temps      processor-temperature sweep (Figure 7)
   boost      iso-temperature frequency boost (Figures 9-12)
   figure     one figure: -id 7..19 or area
@@ -100,15 +88,9 @@ func usage() {
   heatmap    render the processor-die temperature field
   trace      record a synthetic workload trace to a portable file
   faults     sensor/power fault-injection sweep of the guarded DTM
-  parbench   time the Figure 7 sweep serial vs parallel vs warm-started
-  obs-smoke  run a figure with and without metrics; assert identical tables
   resume     continue an interrupted sweep from its -checkpoint directory
-  resume-smoke  kill a sweep at a checkpoint, resume it, assert identical tables
   serve      run the thermal-solve daemon (HTTP/JSON on -addr)
-  loadbench  closed/open-loop load generator against the daemon; writes BENCH_serve.json
-  serve-smoke  end-to-end daemon check: mixed traffic, cache/batch/metrics asserts
   fleet      deterministic fleet-scale trace replay over modeled stacks
-  fleet-smoke  kill a checkpointed fleet replay, resume it, assert byte-identical reports
 
 Experiment commands accept -metrics-addr HOST:PORT to serve live
 Prometheus/JSON metrics and a trace dump while they run; 'xylem trace
@@ -266,10 +248,6 @@ func cmdFigureFlag(args []string) error {
 // as CSV.
 var csvOut string
 
-// tableOut is where runFigureTable renders tables; obs-smoke redirects
-// it to capture the exact bytes a user would see on stdout.
-var tableOut io.Writer = os.Stdout
-
 func cmdFigure(id string, args []string) error {
 	fs := flag.NewFlagSet("temps", flag.ContinueOnError)
 	r, err := newRunner(fs, args, id)
@@ -311,7 +289,7 @@ func runFigureTable(r *exp.Runner, id string) error {
 		if err != nil {
 			return err
 		}
-		t.Fprint(tableOut)
+		t.Fprint(os.Stdout)
 		if csvOut != "" {
 			if err := ckpt.WriteFileAtomic(csvOut, t.CSV); err != nil {
 				return err
@@ -383,8 +361,8 @@ func runFigureTable(r *exp.Runner, id string) error {
 		if err != nil {
 			return err
 		}
-		t.Fprint(tableOut)
-		fmt.Fprintln(tableOut)
+		t.Fprint(os.Stdout)
+		fmt.Println()
 		_, t2, err := r.StackProfile(stack.BankE)
 		return print(t2, err)
 	default:

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/xylem-sim/xylem/internal/exp"
 	"github.com/xylem-sim/xylem/internal/obs"
 )
 
@@ -73,108 +71,5 @@ func fetchTrace(base string, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
-}
-
-// cmdObsSmoke is the CI gate for the observability layer: it runs the
-// same figure twice — once bare, once with a registry attached and
-// served over HTTP — scrapes the endpoint while results are fresh, and
-// fails unless (a) the two tables are byte-identical and (b) the scrape
-// actually carried solver metrics and trace spans. Everything runs
-// in-process; no external tools needed.
-func cmdObsSmoke(args []string) error {
-	fs := flag.NewFlagSet("obs-smoke", flag.ContinueOnError)
-	id := fs.String("id", "7", "figure id to exercise (see `xylem figure`)")
-	c := optFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	o, err := c.options()
-	if err != nil {
-		return err
-	}
-	// The smoke test manages its own registry; the baseline run must be
-	// genuinely bare even if -metrics-addr was passed.
-	o.Obs = nil
-
-	render := func(o exp.Options) (string, error) {
-		r, err := exp.NewRunner(o)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		tableOut = &b
-		defer func() { tableOut = os.Stdout }()
-		if err := runFigureTable(r, *id); err != nil {
-			return "", err
-		}
-		return b.String(), nil
-	}
-
-	bare, err := render(o)
-	if err != nil {
-		return err
-	}
-
-	wired := o
-	wired.Obs = obs.New()
-	srv, err := obs.Serve("127.0.0.1:0", wired.Obs)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	observed, err := render(wired)
-	if err != nil {
-		return err
-	}
-
-	if bare != observed {
-		return fmt.Errorf("obs-smoke: figure %s table differs with metrics attached (%d vs %d bytes)",
-			*id, len(bare), len(observed))
-	}
-
-	client := &http.Client{Timeout: 10 * time.Second}
-	get := func(path string) ([]byte, error) {
-		resp, err := client.Get("http://" + srv.Addr + path)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s: %s", path, resp.Status)
-		}
-		return io.ReadAll(resp.Body)
-	}
-	prom, err := get("/metrics")
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{"xylem_thermal_solves_total", "xylem_perf_solves_total", "xylem_exp_points_total"} {
-		if !strings.Contains(string(prom), want) {
-			return fmt.Errorf("obs-smoke: scrape missing %s", want)
-		}
-	}
-	jsonBody, err := get("/metrics.json")
-	if err != nil {
-		return err
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(jsonBody, &snap); err != nil {
-		return fmt.Errorf("obs-smoke: /metrics.json: %w", err)
-	}
-	nMetrics := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms)
-	traceBody, err := get("/trace.json")
-	if err != nil {
-		return err
-	}
-	var dump obs.TraceDump
-	if err := json.Unmarshal(traceBody, &dump); err != nil {
-		return fmt.Errorf("obs-smoke: /trace.json: %w", err)
-	}
-	if dump.Total == 0 {
-		return fmt.Errorf("obs-smoke: no trace spans recorded")
-	}
-	fmt.Printf("obs-smoke: figure %s byte-identical with metrics on/off (%d bytes); %d metrics, %d trace events\n",
-		*id, len(bare), nMetrics, dump.Total)
 	return nil
 }

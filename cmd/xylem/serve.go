@@ -17,11 +17,9 @@ import (
 // builder that assembles the serve.Config after parsing.
 func serveFlags(fs *flag.FlagSet) func() (serve.Config, string, error) {
 	addr := fs.String("addr", "127.0.0.1:9378", "HTTP listen address")
-	queue := fs.Int("queue", 64, "admission queue capacity (full queue = 429)")
-	maxBatch := fs.Int("max-batch", 8, "maximum requests per dispatched group")
-	linger := fs.Duration("linger", 5*time.Millisecond, "maximum batch-formation wait (starvation bound)")
+	queue := fs.Int("queue", 64, "requests that may wait for a solver (beyond solvers+queue = 429)")
 	cacheCap := fs.Int("cache", 8, "artifact cache capacity in stacks (0 = rebuild per request)")
-	solvers := fs.Int("solvers", 2, "concurrent batch executors")
+	solvers := fs.Int("solvers", 2, "concurrent solves")
 	workers := fs.Int("workers", 0, "CG kernel workers per solver (0 = serial)")
 	precond := fs.String("precond", "", "CG preconditioner: auto (multigrid), mg, or jacobi")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
@@ -30,8 +28,6 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, string, error) {
 		cfg := serve.DefaultConfig()
 		cfg.Addr = *addr
 		cfg.QueueCap = *queue
-		cfg.MaxBatch = *maxBatch
-		cfg.Linger = *linger
 		cfg.CacheCap = *cacheCap
 		cfg.Solvers = *solvers
 		cfg.Workers = *workers
@@ -46,8 +42,8 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, string, error) {
 }
 
 // cmdServe runs the thermal-solve daemon until SIGINT/SIGTERM, then
-// drains gracefully: queued and forming requests are solved and
-// answered, late arrivals get 503.
+// drains gracefully: admitted requests are solved and answered, late
+// arrivals get 503.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	build := serveFlags(fs)
@@ -69,8 +65,8 @@ func cmdServe(args []string) error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "xylem: serving thermal solves on http://%s/v1/solve (max batch %d, linger %s, cache %d)\n",
-		srv.Addr(), cfg.MaxBatch, cfg.Linger, cfg.CacheCap)
+	fmt.Fprintf(os.Stderr, "xylem: serving thermal solves on http://%s/v1/solve (solvers %d, queue %d, cache %d)\n",
+		srv.Addr(), cfg.Solvers, cfg.QueueCap, cfg.CacheCap)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

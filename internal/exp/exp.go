@@ -88,7 +88,7 @@ type Options struct {
 	// evaluator work counters, thermal solver spans, DTM events — to this
 	// metrics registry. Metrics are write-only and never feed back into
 	// any computation, so tables and CSVs are byte-identical with or
-	// without it (pinned by test and by `xylem obs-smoke`).
+	// without it (pinned by TestTablesIdenticalWithObs).
 	Obs *obs.Registry
 	// Checkpoint, when non-nil, makes the temperature sweeps crash-safe:
 	// progress persists to Checkpoint.Dir after every ladder rung (see

@@ -28,28 +28,16 @@ func fastPathOpts() Options {
 // the full-solve sweep: exactly byte-identical under the oracle gate
 // (which returns the CG outcomes), and byte-identical at print
 // precision under plain "on" (solver-tolerance differences are orders
-// of magnitude below the 0.1 °C table resolution).
+// of magnitude below the 0.1 °C table resolution). The same holds for
+// the full-solve sweep under Jacobi-preconditioned CG, which must also
+// take more CG iterations in total than multigrid.
 func TestFastPathSweepTables(t *testing.T) {
-	run := func(mode string) (string, perf.Stats) {
-		o := fastPathOpts()
-		o.FastPath = mode
-		r, err := NewRunner(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, tab, err := r.Figure7()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.String(), r.Sys.Ev.Stats()
-	}
-
-	full, fullStats := run("off")
+	full, fullStats := runFigure7(t, "off", "")
 	if fullStats.GreensHits != 0 || fullStats.BasisBuilds != 0 {
 		t.Fatalf("off mode touched the fast path: %+v", fullStats)
 	}
 
-	fast, fastStats := run("on")
+	fast, fastStats := runFigure7(t, "on", "")
 	if fast != full {
 		t.Fatalf("fast-path tables differ from full tables:\n%s\nvs\n%s", fast, full)
 	}
@@ -60,13 +48,45 @@ func TestFastPathSweepTables(t *testing.T) {
 		t.Fatalf("fast-path sweep recorded no fast-path work: %+v", fastStats)
 	}
 
-	oracle, oracleStats := run("oracle")
+	oracle, oracleStats := runFigure7(t, "oracle", "")
 	if oracle != full {
 		t.Fatalf("oracle tables differ from full tables:\n%s\nvs\n%s", oracle, full)
 	}
 	if oracleStats.GreensHits == 0 || oracleStats.Solves == 0 {
 		t.Fatalf("oracle sweep must run both paths: %+v", oracleStats)
 	}
+
+	if testing.Short() || raceEnabled {
+		// The Jacobi sweep takes ~20x the multigrid sweep's CG
+		// iterations; it pins floating-point agreement, not
+		// synchronisation.
+		return
+	}
+	jacobi, jacobiStats := runFigure7(t, "off", "jacobi")
+	if jacobi != full {
+		t.Fatalf("Jacobi tables differ from multigrid tables:\n%s\nvs\n%s", jacobi, full)
+	}
+	if fullStats.SolveIters >= jacobiStats.SolveIters {
+		t.Fatalf("multigrid took %d CG iterations, not below Jacobi's %d", fullStats.SolveIters, jacobiStats.SolveIters)
+	}
+}
+
+// runFigure7 renders Figure 7 on fastPathOpts under the given fast-path
+// mode and preconditioner and returns the table with the solver work.
+func runFigure7(t *testing.T, fastPath, precond string) (string, perf.Stats) {
+	t.Helper()
+	o := fastPathOpts()
+	o.FastPath = fastPath
+	o.Precond = precond
+	r, err := NewRunner(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tab, err := r.Figure7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab.String(), r.Sys.Ev.Stats()
 }
 
 // Persisted bases: a checkpointed fast-path run writes one basis file

@@ -12,8 +12,7 @@ import (
 // when Options.Obs carries a registry (nil = the figures run exactly as
 // before, with zero instrumentation cost). Metrics are write-only — the
 // drivers never read them — so attaching a registry leaves every table
-// and CSV byte-identical, which obs-smoke and TestTablesIdenticalWithObs
-// pin.
+// and CSV byte-identical, which TestTablesIdenticalWithObs pins.
 type runnerObs struct {
 	points        *obs.Counter
 	pointFailures *obs.Counter

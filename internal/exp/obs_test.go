@@ -67,5 +67,8 @@ func TestTablesIdenticalWithObs(t *testing.T) {
 		if !strings.Contains(sb.String(), "xylem_perf_leakage_iters_bucket") {
 			t.Error("Prometheus rendering missing the leakage-iterations histogram")
 		}
+		if reg.Trace().Total() == 0 {
+			t.Errorf("workers=%d: no trace spans recorded", workers)
+		}
 	}
 }

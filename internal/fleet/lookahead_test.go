@@ -139,12 +139,40 @@ func TestLookaheadGating(t *testing.T) {
 	})
 }
 
-// helperRunning reports whether any goroutine is inside a prefetch or a
-// solver-pool solve.
+// helperRunning reports whether a prefetch or solver-pool goroutine
+// outlived the replay. A goroutine inside a prefetch or a fixed-point
+// solve counts at once. A pool goroutine that has already run its
+// deferred wg.Done can still be on its stack for a moment after Run
+// returns; it gets up to 2 s to exit.
 func helperRunning() bool {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		working, exiting := helperGoroutines()
+		if working || (exiting && time.Now().After(deadline)) {
+			return true
+		}
+		if !exiting {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// helperGoroutines classifies the live goroutines: working reports one
+// inside a prefetch or inside a pool goroutine's solve, exiting a pool
+// goroutine that is past its work.
+func helperGoroutines() (working, exiting bool) {
 	buf := make([]byte, 1<<20)
-	stacks := string(buf[:runtime.Stack(buf, true)])
-	return strings.Contains(stacks, "(*Engine).prefetch") || strings.Contains(stacks, "(*Engine).solve")
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		pool := strings.Contains(g, "(*Engine).solve.func")
+		switch {
+		case strings.Contains(g, "(*Engine).prefetch"), pool && strings.Contains(g, "perf.(*Evaluator)"):
+			working = true
+		case pool:
+			exiting = true
+		}
+	}
+	return working, exiting
 }
 
 // TestLookaheadJoinedOnKillAndCancel pins the lifetime of the lookahead

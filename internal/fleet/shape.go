@@ -13,8 +13,8 @@
 // The whole engine state — virtual clock, per-stack controller and
 // fault-injector cursors, warm solver fields, aggregated metrics —
 // checkpoints through internal/ckpt, so a killed replay resumes to a
-// byte-identical final report (pinned by test and by `make
-// fleet-smoke`).
+// byte-identical final report (pinned by
+// TestFleetKillResumeByteIdentical).
 package fleet
 
 import (

@@ -20,7 +20,7 @@
 //   - No feedback. Metrics are write-only from the instrumented code's
 //     point of view: nothing in the pipeline reads a metric to make a
 //     decision, so experiment results are byte-identical with metrics on
-//     or off (pinned by test in internal/exp and by `xylem obs-smoke`).
+//     or off (pinned by TestTablesIdenticalWithObs in internal/exp).
 //
 // All mutation is lock-free atomics (the trace ring uses a short critical
 // section); every type here is safe for concurrent use under -race.

@@ -8,6 +8,14 @@ import (
 	"github.com/xylem-sim/xylem/internal/stack"
 )
 
+// tenantKey identifies a tenant: requests on the same scheme at the
+// same grid share a stack content (perf.BasisKey is a function of these
+// two under the default configuration), so they share one cache entry.
+type tenantKey struct {
+	scheme stack.SchemeKind
+	grid   int
+}
+
 // Entry is one cached tenant's built artifacts: the assembled stack and
 // the evaluator that owns its solver (multigrid hierarchy, CG scratch)
 // and — once a fast-path request has touched it — its Green's basis.

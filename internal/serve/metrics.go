@@ -17,9 +17,6 @@ type metricsSet struct {
 	queueWaitMs *obs.Histogram
 	latencyMs   *obs.Histogram
 
-	batches    *obs.Counter
-	batchWidth *obs.Histogram
-
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
@@ -44,9 +41,6 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 		queueWaitMs: r.Histogram("xylem_serve_queue_wait_ms", msBounds),
 		latencyMs:   r.Histogram("xylem_serve_latency_ms", msBounds),
 
-		batches:    r.Counter("xylem_serve_batches_total"),
-		batchWidth: r.Histogram("xylem_serve_batch_width", obs.PowerOfTwoBounds(8)),
-
 		cacheHits:      r.Counter("xylem_serve_cache_hits_total"),
 		cacheMisses:    r.Counter("xylem_serve_cache_misses_total"),
 		cacheEvictions: r.Counter("xylem_serve_cache_evictions_total"),
@@ -56,9 +50,9 @@ func newMetricsSet(r *obs.Registry) *metricsSet {
 	}
 }
 
-// Stats is a read-back snapshot of the serving counters, for harnesses
-// (loadbench, serve-smoke) that assert on behaviour after the traffic
-// has drained. The daemon itself never reads these — the obs no-feedback
+// Stats is a read-back snapshot of the serving counters, for tests and
+// benchmark harnesses that assert on behaviour after the traffic has
+// drained. The daemon itself never reads these — the obs no-feedback
 // contract.
 type Stats struct {
 	Requests         int64   `json:"requests"`
@@ -66,8 +60,6 @@ type Stats struct {
 	Errors           int64   `json:"errors"`
 	RejectedOverload int64   `json:"rejected_overload"`
 	RejectedDraining int64   `json:"rejected_draining"`
-	Batches          int64   `json:"batches"`
-	MeanBatchWidth   float64 `json:"mean_batch_width"`
 	CacheHits        int64   `json:"cache_hits"`
 	CacheMisses      int64   `json:"cache_misses"`
 	CacheEvictions   int64   `json:"cache_evictions"`
@@ -76,20 +68,15 @@ type Stats struct {
 }
 
 func (m *metricsSet) stats() Stats {
-	s := Stats{
+	return Stats{
 		Requests:         m.requests.Value(),
 		Responses:        m.responses.Value(),
 		Errors:           m.errors.Value(),
 		RejectedOverload: m.rejOverload.Value(),
 		RejectedDraining: m.rejDraining.Value(),
-		Batches:          m.batches.Value(),
 		CacheHits:        m.cacheHits.Value(),
 		CacheMisses:      m.cacheMisses.Value(),
 		CacheEvictions:   m.cacheEvictions.Value(),
 		QueueDepth:       m.queueDepth.Value(),
 	}
-	if n := m.batchWidth.Count(); n > 0 {
-		s.MeanBatchWidth = m.batchWidth.Sum() / float64(n)
-	}
-	return s
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/xylem-sim/xylem/internal/core"
@@ -27,28 +26,16 @@ import (
 type Config struct {
 	// Addr is the listen address ("host:port"; ":0" picks a free port).
 	Addr string
-	// QueueCap bounds the admission queue; a full queue rejects with
-	// 429. Zero admits only what a dispatcher is ready to take.
+	// QueueCap is how many admitted requests may wait for a solver on
+	// top of the Solvers being served; a request arriving when all
+	// Solvers+QueueCap slots are taken is rejected with 429.
 	QueueCap int
-	// MaxBatch caps how many requests one dispatched group carries.
-	// Width adapts to arrival rate between 1 and MaxBatch; 1 disables
-	// coalescing.
-	MaxBatch int
-	// Linger is the longest a request waits in batch formation before
-	// its group dispatches regardless of width — the starvation bound.
-	Linger time.Duration
 	// CacheCap is the artifact-cache capacity in stacks (scheme × grid
 	// contents). 0 disables reuse: every request rebuilds from scratch
-	// (the load harness's cold-path mode).
+	// (the cold-path mode).
 	CacheCap int
-	// IdleBypass, when true, dispatches a forming group immediately if
-	// the queue is empty and no batch is executing: lingering only buys
-	// width when there is traffic to coalesce with, so an idle daemon
-	// serves solo requests at solve latency instead of solve + linger.
-	// Width still adapts upward the moment load arrives.
-	IdleBypass bool
-	// Solvers is how many batches execute concurrently (each on its own
-	// tenant's solver).
+	// Solvers is how many requests are solved concurrently (each on its
+	// tenant's cached evaluator).
 	Solvers int
 	// Workers is the CG kernel worker count handed to each solver
 	// (0 = serial kernels). Solver results are bitwise-deterministic at
@@ -65,23 +52,20 @@ type Config struct {
 }
 
 // DefaultConfig returns the serving defaults: a bounded queue deep
-// enough to ride bursts, batches up to width 8 with a 5 ms linger, and
-// an artifact cache that comfortably holds every scheme at one grid.
+// enough to ride bursts, two concurrent solves, and an artifact cache
+// that comfortably holds every scheme at one grid.
 func DefaultConfig() Config {
 	return Config{
 		Addr:       "127.0.0.1:9378",
 		QueueCap:   64,
-		MaxBatch:   8,
-		Linger:     5 * time.Millisecond,
 		CacheCap:   8,
 		Solvers:    2,
-		IdleBypass: true,
 		RetryAfter: time.Second,
 	}
 }
 
-// Server is the serving daemon: HTTP front end, admission queue, batch
-// former, artifact cache and execution pool.
+// Server is the serving daemon: HTTP front end, admission, artifact
+// cache and solver pool.
 type Server struct {
 	cfg Config
 	m   *metricsSet
@@ -92,39 +76,31 @@ type Server struct {
 	rootEv *perf.Evaluator
 	cache  *artifactCache
 
-	q    chan *pending
-	exec chan []*pending
-	seq  atomic.Uint64
-	// inflight counts batches handed to (or queued for) the executors;
-	// the dispatcher's idle bypass reads it to tell quiet from busy.
-	inflight atomic.Int64
+	// slots holds one token per admitted request (Solvers+QueueCap);
+	// solvers holds one token per running solve (Solvers).
+	slots   chan struct{}
+	solvers chan struct{}
 
-	// admitMu guards the draining flag against the queue close: admit
-	// holds it shared, beginDrain exclusively, so no send can race the
-	// close.
+	// admitMu guards draining against admission: admit holds it shared
+	// while it registers a request with active, beginDrain exclusively,
+	// so once draining is set no request joins active and Shutdown's
+	// wait covers every admitted request.
 	admitMu  sync.RWMutex
 	draining bool
+	active   sync.WaitGroup
 
+	// ctx bounds every solve; Shutdown and Close cancel it.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// workWG tracks the dispatcher and executor pool; the HTTP
-	// goroutine is tracked separately (it must outlive the pool so
-	// waiting handlers can still write).
-	workWG sync.WaitGroup
 
 	ln       net.Listener
 	httpSrv  *http.Server
 	httpDone chan struct{}
-
-	drainOnce sync.Once
 }
 
 // New builds a Server (not yet listening — call Start, or use Handler
 // with a test harness).
 func New(cfg Config) *Server {
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
-	}
 	if cfg.Solvers < 1 {
 		cfg.Solvers = 1
 	}
@@ -136,13 +112,13 @@ func New(cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:    cfg,
-		m:      newMetricsSet(cfg.Obs),
-		rootEv: perf.NewEvaluator(),
-		q:      make(chan *pending, cfg.QueueCap),
-		exec:   make(chan []*pending, cfg.Solvers),
-		ctx:    ctx,
-		cancel: cancel,
+		cfg:     cfg,
+		m:       newMetricsSet(cfg.Obs),
+		rootEv:  perf.NewEvaluator(),
+		slots:   make(chan struct{}, cfg.Solvers+cfg.QueueCap),
+		solvers: make(chan struct{}, cfg.Solvers),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	s.cache = newArtifactCache(cfg.CacheCap, s.m, s.buildEntry)
 	return s
@@ -177,8 +153,7 @@ func (s *Server) buildEntry(tk tenantKey) (*Entry, error) {
 	return &Entry{ContentKey: perf.BasisKey(st), Stack: st, Ev: ev}, nil
 }
 
-// Start binds the listener and launches the dispatcher, the execution
-// pool and the HTTP server.
+// Start binds the listener and launches the HTTP server.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -190,34 +165,16 @@ func (s *Server) Start() error {
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		// No write timeout: a cold fast-path request legitimately waits
-		// out a basis build. Concurrency is bounded by the admission
-		// queue, not by cutting slow responses.
+		// out a basis build. Concurrency is bounded by admission, not by
+		// cutting slow responses.
 		IdleTimeout: 2 * time.Minute,
 	}
-	s.StartWorkers()
 	s.httpDone = make(chan struct{})
 	go func() {
 		defer close(s.httpDone)
 		_ = s.httpSrv.Serve(ln)
 	}()
 	return nil
-}
-
-// StartWorkers launches the dispatcher and execution pool without a
-// listener — tests and in-process harnesses drive Handler directly.
-func (s *Server) StartWorkers() {
-	s.workWG.Add(1)
-	go s.dispatch()
-	for i := 0; i < s.cfg.Solvers; i++ {
-		s.workWG.Add(1)
-		go func() {
-			defer s.workWG.Done()
-			for b := range s.exec {
-				s.executeBatch(b)
-				s.inflight.Add(-1)
-			}
-		}()
-	}
 }
 
 // Addr returns the bound listen address (empty before Start).
@@ -235,40 +192,33 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// beginDrain flips the server into draining: new requests get 503, the
-// queue closes, and the dispatcher flushes every forming batch.
+// beginDrain flips the server into draining: new requests get 503.
 func (s *Server) beginDrain() {
-	s.drainOnce.Do(func() {
-		s.admitMu.Lock()
-		s.draining = true
-		close(s.q)
-		s.admitMu.Unlock()
-	})
+	s.admitMu.Lock()
+	s.draining = true
+	s.admitMu.Unlock()
 }
 
-// Shutdown drains gracefully: stop admitting, dispatch every queued and
-// forming request, wait for in-flight solves, then stop the HTTP server
-// so waiting handlers can write their responses. If ctx expires first,
-// in-flight solves are cancelled and their requests fail.
+// Shutdown drains gracefully: stop admitting, wait until every admitted
+// request has been answered, then stop the HTTP server. If ctx expires
+// first, the remaining solves are cancelled and their requests fail.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.beginDrain()
-	workDone := make(chan struct{})
+	answered := make(chan struct{})
 	go func() {
-		s.workWG.Wait()
-		close(workDone)
+		s.active.Wait()
+		close(answered)
 	}()
 	select {
-	case <-workDone:
+	case <-answered:
 	case <-ctx.Done():
-		s.cancel()
-		<-workDone
-	}
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-		<-s.httpDone
 	}
 	s.cancel()
+	if s.httpSrv == nil {
+		return nil
+	}
+	err := s.httpSrv.Shutdown(ctx)
+	<-s.httpDone
 	return err
 }
 
@@ -281,12 +231,12 @@ func (s *Server) Close() {
 		_ = s.httpSrv.Close()
 		<-s.httpDone
 	}
-	s.workWG.Wait()
+	s.active.Wait()
 }
 
-// admit places a request on the bounded queue, or rejects it with the
-// typed overload/draining error.
-func (s *Server) admit(pd *pending) error {
+// admit takes one admission slot, or rejects the request with the typed
+// overload/draining error. An admitted request must call release.
+func (s *Server) admit() error {
 	s.admitMu.RLock()
 	defer s.admitMu.RUnlock()
 	if s.draining {
@@ -294,8 +244,8 @@ func (s *Server) admit(pd *pending) error {
 		return ErrDraining
 	}
 	select {
-	case s.q <- pd:
-		s.m.queueDepth.Add(1)
+	case s.slots <- struct{}{}:
+		s.active.Add(1)
 		return nil
 	default:
 		s.m.rejOverload.Inc()
@@ -303,51 +253,27 @@ func (s *Server) admit(pd *pending) error {
 	}
 }
 
-// dispatch is the batch-formation loop: admitted requests feed the
-// planner; full groups go straight to the executors, lingering groups
-// go when their deadline fires. On drain (queue closed) it hands every
-// remaining request over and closes the execution channel.
-func (s *Server) dispatch() {
-	defer s.workWG.Done()
-	pl := newPlanner(s.cfg.MaxBatch, s.cfg.Linger)
-	send := func(b []*pending) {
-		s.inflight.Add(1)
-		s.exec <- b
-	}
-	for {
-		var timerC <-chan time.Time
-		if dl, ok := pl.next(); ok {
-			d := time.Until(dl)
-			if d < 0 {
-				d = 0
-			}
-			timerC = time.After(d)
-		}
-		select {
-		case pd, ok := <-s.q:
-			if !ok {
-				for _, b := range pl.flush() {
-					send(b)
-				}
-				close(s.exec)
-				return
-			}
-			s.m.queueDepth.Add(-1)
-			if b := pl.add(pd, time.Now()); b != nil {
-				send(b)
-			} else if s.cfg.IdleBypass && len(s.q) == 0 && s.inflight.Load() == 0 {
-				// Quiet daemon: nothing in the queue to coalesce with and
-				// every solver idle, so lingering would trade latency for
-				// width no one is arriving to fill.
-				for _, b := range pl.flush() {
-					send(b)
-				}
-			}
-		case now := <-timerC:
-			for _, b := range pl.expired(now) {
-				send(b)
-			}
-		}
+// release frees an admitted request's slot.
+func (s *Server) release() {
+	<-s.slots
+	s.active.Done()
+}
+
+// acquireSolver waits for one of the Solvers tokens, giving up when the
+// client goes away or the server shuts down. The wait is what
+// xylem_serve_queue_depth counts and xylem_serve_queue_wait_ms times.
+func (s *Server) acquireSolver(ctx context.Context) error {
+	s.m.queueDepth.Add(1)
+	defer s.m.queueDepth.Add(-1)
+	start := time.Now()
+	select {
+	case s.solvers <- struct{}{}:
+		s.m.queueWaitMs.Observe(float64(time.Since(start)) / 1e6)
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.ctx.Done():
+		return s.ctx.Err()
 	}
 }
 
@@ -360,163 +286,106 @@ func uniformFreqs(n int, f float64) []float64 {
 	return out
 }
 
-// executeBatch serves one dispatched batch: resolve the tenant's
-// artifacts once, then route each request down its execution path and
-// serve it on its own. Every request gets exactly one result.
-func (s *Server) executeBatch(b []*pending) {
-	sp := s.m.trace.Start("serve.batch")
-	s.m.batches.Inc()
-	s.m.batchWidth.Observe(float64(len(b)))
-	now := time.Now()
-	for _, pd := range b {
-		s.m.queueWaitMs.Observe(float64(now.Sub(pd.enq)) / 1e6)
-	}
-	width := len(b)
-
-	ent, hit, err := s.cache.get(s.ctx, b[0].tk)
+// solve resolves the request's tenant artifacts and routes it down its
+// execution path. hit reports whether the artifact cache served the
+// stack.
+func (s *Server) solve(req *SolveRequest) (resp *SolveResponse, hit bool, err error) {
+	kind, _ := stack.ParseScheme(req.Scheme)
+	ent, hit, err := s.cache.get(s.ctx, tenantKey{scheme: kind, grid: req.Grid})
 	if err != nil {
-		for _, pd := range b {
-			pd.done <- result{err: err, width: width}
-		}
-		sp.End(obs.A("width", float64(width)), obs.A("ok", 0))
-		return
+		return nil, false, err
 	}
-
-	deliver := func(pd *pending, resp *SolveResponse, err error) {
-		pd.done <- result{resp: resp, err: err, hit: hit, width: width}
+	switch {
+	case req.Mode != ModePower:
+		resp, err = s.serveApp(ent, req)
+	case req.FastPath:
+		resp, err = s.servePowerFast(ent, req)
+	default:
+		resp, err = s.servePowerCG(ent, req)
 	}
-
-	// Partition by execution path. Floorplan-reference validation (the
-	// stateful half of request validation) happens here, before any
-	// request joins a solve.
-	var powerCG, powerFast, appCG, appFast []*pending
-	for _, pd := range b {
-		switch {
-		case pd.req.Mode == ModePower:
-			if err := pd.req.Power.validateAgainst(ent.Stack); err != nil {
-				deliver(pd, nil, err)
-				continue
-			}
-			if pd.req.FastPath {
-				powerFast = append(powerFast, pd)
-			} else {
-				powerCG = append(powerCG, pd)
-			}
-		case pd.req.FastPath:
-			appFast = append(appFast, pd)
-		default:
-			appCG = append(appCG, pd)
-		}
-	}
-
-	s.servePowerCG(ent, powerCG, deliver)
-	s.servePowerFast(ent, powerFast, deliver)
-	s.serveApp(ent, appCG, false, deliver)
-	s.serveApp(ent, appFast, true, deliver)
-	sp.End(obs.A("width", float64(width)), obs.A("ok", 1))
+	return resp, hit, err
 }
 
-// servePowerCG serves explicit-power requests with one CG solve each
-// (perf.Evaluator.SolveBatch), so a response never depends on the
-// requests grouped with it.
-func (s *Server) servePowerCG(ent *Entry, pds []*pending, deliver func(*pending, *SolveResponse, error)) {
-	if len(pds) == 0 {
-		return
+// powerInputs checks an explicit-power request's floorplan references
+// against the tenant's stack (the stateful half of request validation)
+// and returns its block and slice powers.
+func powerInputs(st *stack.Stack, req *SolveRequest) ([]power.BlockPower, []power.SlicePower, error) {
+	if err := req.Power.validateAgainst(st); err != nil {
+		return nil, nil, err
 	}
-	st := ent.Stack
-	pms := make([]thermal.PowerMap, 0, len(pds))
-	kept := make([]*pending, 0, len(pds))
-	powers := make([][2]float64, 0, len(pds))
-	for _, pd := range pds {
-		procBP := pd.req.Power.blockPowers()
-		sliceP, err := pd.req.Power.slicePowers(st.Cfg.NumDRAMDies)
-		if err != nil {
-			deliver(pd, nil, err)
-			continue
-		}
-		pm, err := ent.Ev.BuildPowerMap(st, procBP, sliceP)
-		if err != nil {
-			deliver(pd, nil, err)
-			continue
-		}
-		pms = append(pms, pm)
-		kept = append(kept, pd)
-		powers = append(powers, [2]float64{power.TotalProc(procBP), power.TotalDRAM(sliceP)})
-	}
-	if len(kept) == 0 {
-		return
-	}
-	temps, errs, err := ent.Ev.SolveBatch(s.ctx, st, pms)
+	sliceP, err := req.Power.slicePowers(st.Cfg.NumDRAMDies)
 	if err != nil {
-		for _, pd := range kept {
-			deliver(pd, nil, err)
-		}
-		return
+		return nil, nil, err
 	}
-	for j, pd := range kept {
-		if errs[j] != nil {
-			deliver(pd, nil, errs[j])
-			continue
-		}
-		deliver(pd, powerResponse(pd.req, st, temps[j], powers[j][0], powers[j][1]), nil)
-	}
+	return req.Power.blockPowers(), sliceP, nil
 }
 
-// servePowerFast serves explicit-power requests from the Green's basis,
-// one GEMV each.
-func (s *Server) servePowerFast(ent *Entry, pds []*pending, deliver func(*pending, *SolveResponse, error)) {
+// servePowerCG serves an explicit-power request with one CG solve
+// (perf.Evaluator.SolveBatch on a single map).
+func (s *Server) servePowerCG(ent *Entry, req *SolveRequest) (*SolveResponse, error) {
 	st := ent.Stack
-	for _, pd := range pds {
-		procBP := pd.req.Power.blockPowers()
-		sliceP, err := pd.req.Power.slicePowers(st.Cfg.NumDRAMDies)
-		if err != nil {
-			deliver(pd, nil, err)
-			continue
-		}
-		temps, err := ent.Ev.SolveGreens(s.ctx, st, procBP, sliceP)
-		if err != nil {
-			deliver(pd, nil, err)
-			continue
-		}
-		deliver(pd, powerResponse(pd.req, st, temps, power.TotalProc(procBP), power.TotalDRAM(sliceP)), nil)
+	procBP, sliceP, err := powerInputs(st, req)
+	if err != nil {
+		return nil, err
 	}
+	pm, err := ent.Ev.BuildPowerMap(st, procBP, sliceP)
+	if err != nil {
+		return nil, err
+	}
+	temps, errs, err := ent.Ev.SolveBatch(s.ctx, st, []thermal.PowerMap{pm})
+	if err != nil {
+		return nil, err
+	}
+	if errs[0] != nil {
+		return nil, errs[0]
+	}
+	return powerResponse(req, st, temps[0], power.TotalProc(procBP), power.TotalDRAM(sliceP)), nil
 }
 
-// serveApp serves app-mode requests one at a time: activity (cached,
-// singleflight, shared across tenants), then the leakage fixed point —
-// CG solves, or GEMVs on the fast path. Each outcome is identical to the
-// figure pipeline's for the same operating point, and a request whose
-// fixed point fails fails alone.
-func (s *Server) serveApp(ent *Entry, pds []*pending, fast bool, deliver func(*pending, *SolveResponse, error)) {
+// servePowerFast serves an explicit-power request from the Green's
+// basis with one GEMV.
+func (s *Server) servePowerFast(ent *Entry, req *SolveRequest) (*SolveResponse, error) {
 	st := ent.Stack
-	for _, pd := range pds {
-		p, err := workload.ByName(pd.req.App.Name)
-		if err != nil {
-			deliver(pd, nil, badReq("app.name", "%v", err))
-			continue
-		}
-		if pd.req.App.Instructions > 0 {
-			p.Instructions = pd.req.App.Instructions
-		}
-		freqs := uniformFreqs(ent.Ev.SimCfg.Cores, pd.req.App.FreqGHz)
-		assigns := perf.UniformAssignments(p, ent.Ev.SimCfg.Cores)
-		res, err := ent.Ev.Activity(st.Cfg.NumDRAMDies, freqs, assigns)
-		if err != nil {
-			deliver(pd, nil, err)
-			continue
-		}
-		var out perf.Outcome
-		if fast {
-			out, err = ent.Ev.ThermalFastCtx(s.ctx, st, freqs, res)
-		} else {
-			out, err = ent.Ev.ThermalWarmCtx(s.ctx, st, freqs, res, nil)
-		}
-		if err != nil {
-			deliver(pd, nil, err)
-			continue
-		}
-		deliver(pd, appResponse(pd.req, st, out), nil)
+	procBP, sliceP, err := powerInputs(st, req)
+	if err != nil {
+		return nil, err
 	}
+	temps, err := ent.Ev.SolveGreens(s.ctx, st, procBP, sliceP)
+	if err != nil {
+		return nil, err
+	}
+	return powerResponse(req, st, temps, power.TotalProc(procBP), power.TotalDRAM(sliceP)), nil
+}
+
+// serveApp serves an app-mode request: activity (cached, singleflight,
+// shared across tenants), then the leakage fixed point — CG solves, or
+// GEMVs on the fast path. The outcome is identical to the figure
+// pipeline's for the same operating point.
+func (s *Server) serveApp(ent *Entry, req *SolveRequest) (*SolveResponse, error) {
+	st := ent.Stack
+	p, err := workload.ByName(req.App.Name)
+	if err != nil {
+		return nil, badReq("app.name", "%v", err)
+	}
+	if req.App.Instructions > 0 {
+		p.Instructions = req.App.Instructions
+	}
+	freqs := uniformFreqs(ent.Ev.SimCfg.Cores, req.App.FreqGHz)
+	assigns := perf.UniformAssignments(p, ent.Ev.SimCfg.Cores)
+	res, err := ent.Ev.Activity(st.Cfg.NumDRAMDies, freqs, assigns)
+	if err != nil {
+		return nil, err
+	}
+	var out perf.Outcome
+	if req.FastPath {
+		out, err = ent.Ev.ThermalFastCtx(s.ctx, st, freqs, res)
+	} else {
+		out, err = ent.Ev.ThermalWarmCtx(s.ctx, st, freqs, res, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return appResponse(req, st, out), nil
 }
 
 // layerMaxes summarises a field as one max temperature per layer.
@@ -623,10 +492,10 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.m.errors.Inc()
 }
 
-// handleSolve is the request path: decode, validate, admit, wait for
-// the batch pipeline's result, respond. The response body depends only
-// on the request and solver configuration; cache and batch facts ride
-// in X-Xylem-Cache and X-Xylem-Batch-Width headers.
+// handleSolve is the request path: decode, validate, admit, wait for a
+// solver, solve, respond. The response body depends only on the request
+// and solver configuration; the cache state rides in the X-Xylem-Cache
+// header.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -638,44 +507,35 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		err = s.admit()
+	}
 	if err != nil {
 		s.writeError(w, err)
 		sp.End(obs.A("ok", 0))
 		return
 	}
-	kind, _ := stack.ParseScheme(req.Scheme)
-	pd := &pending{
-		req:  req,
-		tk:   tenantKey{scheme: kind, grid: req.Grid},
-		seq:  s.seq.Add(1),
-		enq:  start,
-		done: make(chan result, 1),
+	defer s.release()
+
+	if err := s.acquireSolver(r.Context()); err != nil {
+		if r.Context().Err() == nil {
+			s.writeError(w, err)
+		}
+		sp.End(obs.A("ok", 0))
+		return
 	}
-	if err := s.admit(pd); err != nil {
+	resp, hit, err := s.solve(req)
+	<-s.solvers
+	if err != nil {
 		s.writeError(w, err)
 		sp.End(obs.A("ok", 0))
-		return
-	}
-
-	var res result
-	select {
-	case res = <-pd.done:
-	case <-r.Context().Done():
-		// Client gone; the batch still completes and the buffered done
-		// channel absorbs its result.
-		sp.End(obs.A("ok", 0))
-		return
-	}
-	if res.err != nil {
-		s.writeError(w, res.err)
-		sp.End(obs.A("ok", 0), obs.A("width", float64(res.width)))
 		return
 	}
 
 	// Encode before writing so the body lands in one write with a
 	// correct Content-Length.
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(res.resp); err != nil {
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
 		s.writeError(w, err)
 		sp.End(obs.A("ok", 0))
 		return
@@ -683,19 +543,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	cacheState := "miss"
-	if res.hit {
-		cacheState = "hit"
+	hitAttr := 0.0
+	if hit {
+		cacheState, hitAttr = "hit", 1
 	}
 	w.Header().Set("X-Xylem-Cache", cacheState)
-	w.Header().Set("X-Xylem-Batch-Width", strconv.Itoa(res.width))
 	_, _ = w.Write(buf.Bytes())
 	s.m.responses.Inc()
 	latMs := float64(time.Since(start)) / 1e6
 	s.m.latencyMs.Observe(latMs)
-	hitAttr := 0.0
-	if res.hit {
-		hitAttr = 1
-	}
-	sp.End(obs.A("ok", 1), obs.A("width", float64(res.width)),
-		obs.A("cache_hit", hitAttr), obs.A("ms", latMs))
+	sp.End(obs.A("ok", 1), obs.A("cache_hit", hitAttr), obs.A("ms", latMs))
 }

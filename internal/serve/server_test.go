@@ -6,15 +6,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/xylem-sim/xylem/internal/core"
 	"github.com/xylem-sim/xylem/internal/fault"
 	"github.com/xylem-sim/xylem/internal/floorplan"
 	"github.com/xylem-sim/xylem/internal/obs"
+	"github.com/xylem-sim/xylem/internal/stack"
+	"github.com/xylem-sim/xylem/internal/workload"
 )
 
 // testGrid keeps solver work small: the identity tests care about
@@ -64,87 +70,131 @@ func startTestServer(t *testing.T, mutate func(*Config)) *Server {
 // post fires req and returns the response.
 func post(t *testing.T, url string, req *SolveRequest) (*http.Response, []byte) {
 	t.Helper()
+	return postJSON(t, url, marshal(t, req))
+}
+
+func marshal(t *testing.T, req *SolveRequest) []byte {
+	t.Helper()
 	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return payload
+}
+
+// send posts payload and returns the response and its body. Goroutines
+// other than the test's own call it and report the error themselves.
+func send(url string, payload []byte) (*http.Response, []byte, error) {
 	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, body
+	return resp, body, err
 }
 
 func solveURL(s *Server) string { return "http://" + s.Addr() + "/v1/solve" }
 
-// TestByteIdentityAcrossCacheAndBatch pins the determinism contract:
-// one request's body is byte-identical whether it was served cold (no
-// cache, no batching), from a cache hit, or inside a width-4 batch.
-func TestByteIdentityAcrossCacheAndBatch(t *testing.T) {
-	target := testRequest(t, 0)
+// TestByteIdentityAcrossCacheAndConcurrency pins the determinism
+// contract: one request's body is byte-identical whether it was served
+// cold (no cache), from a cache hit, or alongside concurrent clients. The
+// warm server's /metrics scrape must also carry the serve and per-tenant
+// evaluator counters the traffic drove.
+func TestByteIdentityAcrossCacheAndConcurrency(t *testing.T) {
+	reqs := []*SolveRequest{testRequest(t, 0), testRequest(t, 1), testRequest(t, 2), testRequest(t, 3)}
 
-	cold := startTestServer(t, func(c *Config) { c.CacheCap = 0; c.MaxBatch = 1 })
-	resp, coldBody := post(t, solveURL(cold), target)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold solve: status %d: %s", resp.StatusCode, coldBody)
-	}
-	if got := resp.Header.Get("X-Xylem-Cache"); got != "miss" {
-		t.Fatalf("cold solve reported cache %q", got)
+	cold := startTestServer(t, func(c *Config) { c.CacheCap = 0 })
+	coldBodies := make([][]byte, len(reqs))
+	for i, r := range reqs {
+		resp, body := post(t, solveURL(cold), r)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cold solve %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Xylem-Cache"); got != "miss" {
+			t.Fatalf("cold solve reported cache %q", got)
+		}
+		coldBodies[i] = body
 	}
 
-	warm := startTestServer(t, func(c *Config) { c.MaxBatch = 1 })
-	_, first := post(t, solveURL(warm), target)
-	resp, hitBody := post(t, solveURL(warm), target)
+	reg := obs.New()
+	warm := startTestServer(t, func(c *Config) { c.Obs = reg })
+	_, first := post(t, solveURL(warm), reqs[0])
+	resp, hitBody := post(t, solveURL(warm), reqs[0])
 	if got := resp.Header.Get("X-Xylem-Cache"); got != "hit" {
 		t.Fatalf("second request reported cache %q; want hit", got)
 	}
 	if !bytes.Equal(first, hitBody) {
 		t.Fatal("cache hit body differs from the miss body")
 	}
-	if !bytes.Equal(coldBody, hitBody) {
+	if !bytes.Equal(coldBodies[0], hitBody) {
 		t.Fatal("warm-cache body differs from cold-path body")
 	}
+	msrv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer msrv.Close()
+	sr, err := http.Get("http://" + msrv.Addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := io.ReadAll(sr.Body)
+	sr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"xylem_serve_requests_total", "xylem_serve_cache_hits_total", "xylem_perf_solves_total"} {
+		if v := scrapedValue(string(scrape), name); v <= 0 {
+			t.Errorf("/metrics scrape: %s = %v after traffic; want > 0", name, v)
+		}
+	}
 
-	batch := startTestServer(t, func(c *Config) {
-		c.MaxBatch = 4
-		c.Linger = time.Second // batch dispatches on width, not linger
-		c.IdleBypass = false   // force full-width formation even when idle
-	})
+	conc := startTestServer(t, func(c *Config) { c.Solvers = 2 })
 	var (
-		mu      sync.Mutex
-		bodies  = map[int][]byte{}
-		widths  = map[int]string{}
 		wg      sync.WaitGroup
-		reqs    = []*SolveRequest{target, testRequest(t, 1), testRequest(t, 2), testRequest(t, 3)}
-		statuss = map[int]int{}
+		bodies  = make([][]byte, len(reqs))
+		statuss = make([]int, len(reqs))
+		errs    = make([]error, len(reqs))
 	)
 	for i, r := range reqs {
+		payload := marshal(t, r)
 		wg.Add(1)
-		go func(i int, r *SolveRequest) {
+		go func() {
 			defer wg.Done()
-			resp, body := post(t, solveURL(batch), r)
-			mu.Lock()
-			defer mu.Unlock()
-			bodies[i], widths[i], statuss[i] = body, resp.Header.Get("X-Xylem-Batch-Width"), resp.StatusCode
-		}(i, r)
+			var resp *http.Response
+			if resp, bodies[i], errs[i] = send(solveURL(conc), payload); errs[i] == nil {
+				statuss[i] = resp.StatusCode
+			}
+		}()
 	}
 	wg.Wait()
 	for i := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("concurrent request %d: %v", i, errs[i])
+		}
 		if statuss[i] != http.StatusOK {
-			t.Fatalf("batched request %d: status %d: %s", i, statuss[i], bodies[i])
+			t.Fatalf("concurrent request %d: status %d: %s", i, statuss[i], bodies[i])
 		}
-		if widths[i] != "4" {
-			t.Fatalf("batched request %d dispatched at width %s; want 4", i, widths[i])
+		if !bytes.Equal(bodies[i], coldBodies[i]) {
+			t.Fatalf("concurrent request %d: body differs from its cold solo body", i)
 		}
 	}
-	if !bytes.Equal(bodies[0], coldBody) {
-		t.Fatal("width-4 batched body differs from solo cold body")
+}
+
+// scrapedValue returns the value of the unlabelled sample name in a
+// Prometheus text scrape, or -1 when the scrape has no such line.
+func scrapedValue(scrape, name string) float64 {
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				return -1
+			}
+			return f
+		}
 	}
+	return -1
 }
 
 // TestByteIdentityGreens pins the fast path: the response that paid for
@@ -153,7 +203,7 @@ func TestByteIdentityGreens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("basis build in -short")
 	}
-	s := startTestServer(t, func(c *Config) { c.MaxBatch = 1 })
+	s := startTestServer(t, func(c *Config) {})
 	req := testRequest(t, 0)
 	req.FastPath = true
 	resp, first := post(t, solveURL(s), req)
@@ -169,14 +219,23 @@ func TestByteIdentityGreens(t *testing.T) {
 	}
 }
 
-// TestOverloadRejection checks the typed 429: queue full (no dispatcher
-// draining it) must reject with Retry-After and the wire error body.
+// fillSlots takes every admission slot, as Solvers+QueueCap admitted
+// requests would.
+func fillSlots(s *Server) {
+	for len(s.slots) < cap(s.slots) {
+		s.slots <- struct{}{}
+	}
+}
+
+// TestOverloadRejection checks the typed 429: with every admission slot
+// taken, a request must be rejected with Retry-After and the wire error
+// body.
 func TestOverloadRejection(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.QueueCap = 0 // nothing can be admitted without a ready dispatcher
 	cfg.RetryAfter = 2 * time.Second
 	cfg.Obs = obs.New()
-	s := New(cfg) // workers deliberately not started
+	s := New(cfg)
+	fillSlots(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -202,7 +261,7 @@ func TestOverloadRejection(t *testing.T) {
 // TestDrainingRejection checks the shutdown path's 503s on both the
 // solve and health endpoints.
 func TestDrainingRejection(t *testing.T) {
-	s := New(DefaultConfig()) // workers not started; drain flips the flag
+	s := New(DefaultConfig())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	s.beginDrain()
@@ -225,38 +284,64 @@ func TestDrainingRejection(t *testing.T) {
 	}
 }
 
-// TestGracefulDrainAnswersQueued checks that Shutdown solves what was
-// already admitted: a request in flight when drain begins still gets
-// its 200.
+// TestGracefulDrainAnswersQueued checks that Shutdown answers what was
+// already admitted: at Solvers 1, a request waiting for the solve token
+// when drain begins still gets its 200, while a late arrival gets 503.
 func TestGracefulDrainAnswersQueued(t *testing.T) {
-	s := startTestServer(t, func(c *Config) {
-		c.MaxBatch = 4
-		c.Linger = 30 * time.Second // only drain's flush can dispatch it
-		c.IdleBypass = false
-	})
+	s := startTestServer(t, func(c *Config) { c.Solvers = 1; c.Obs = obs.New() })
+	s.solvers <- struct{}{} // hold the only solve token
 	type res struct {
-		status int
-		body   []byte
+		resp *http.Response
+		body []byte
+		err  error
 	}
 	ch := make(chan res, 1)
+	payload := marshal(t, testRequest(t, 0))
 	go func() {
-		resp, body := post(t, solveURL(s), testRequest(t, 0))
-		ch <- res{resp.StatusCode, body}
+		resp, body, err := send(solveURL(s), payload)
+		ch <- res{resp, body, err}
 	}()
-	// Wait until the request is parked in batch formation, then drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Requests == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	waitFor(t, "request waiting for the solve token", func() bool { return s.Stats().QueueDepth == 1 })
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shut <- s.Shutdown(ctx)
+	}()
+	waitFor(t, "drain to begin", func() bool {
+		s.admitMu.RLock()
+		defer s.admitMu.RUnlock()
+		return s.draining
+	})
+	late := httptest.NewRecorder()
+	s.Handler().ServeHTTP(late, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(marshal(t, testRequest(t, 1)))))
+	if late.Code != http.StatusServiceUnavailable {
+		t.Fatalf("late arrival: status %d; want 503: %s", late.Code, late.Body)
 	}
-	time.Sleep(20 * time.Millisecond) // let it reach the planner
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+
+	<-s.solvers // let the waiting request solve
+	r := <-ch
+	if r.err != nil {
+		t.Fatalf("drained request: %v", r.err)
+	}
+	if r.resp.StatusCode != http.StatusOK {
+		t.Fatalf("drained request: status %d: %s", r.resp.StatusCode, r.body)
+	}
+	if err := <-shut; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	r := <-ch
-	if r.status != http.StatusOK {
-		t.Fatalf("drained request: status %d: %s", r.status, r.body)
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -303,12 +388,7 @@ func TestValidationErrors(t *testing.T) {
 
 func postJSON(t *testing.T, url string, payload []byte) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	resp, body, err := send(url, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +427,9 @@ func TestStatusForTaxonomy(t *testing.T) {
 // JSON body keeps the exact float seconds.
 func TestSubSecondRetryAfterClampsToOne(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.QueueCap = 0 // nothing can be admitted without a ready dispatcher
 	cfg.RetryAfter = 400 * time.Millisecond
-	s := New(cfg) // workers deliberately not started
+	s := New(cfg)
+	fillSlots(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -366,5 +446,46 @@ func TestSubSecondRetryAfterClampsToOne(t *testing.T) {
 	}
 	if eb.RetryAfterS != 0.4 {
 		t.Fatalf("retry_after_s %v; want exact 0.4", eb.RetryAfterS)
+	}
+}
+
+// TestAppModeMatchesCoreSystem pins app mode to the figure pipeline: an
+// app-mode response's hotspots agree within 1e-9 °C with
+// core.System.EvaluateUniform at the same operating point.
+func TestAppModeMatchesCoreSystem(t *testing.T) {
+	const app, freq, instr = "lu-nas", 2.4, 20000
+	s := startTestServer(t, func(c *Config) {})
+	resp, body := post(t, solveURL(s), &SolveRequest{
+		Scheme: "base", Grid: testGrid, Mode: ModeApp,
+		App: &AppSpec{Name: app, FreqGHz: freq, Instructions: instr},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("app request: status %d: %s", resp.StatusCode, body)
+	}
+	var got SolveResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := core.DefaultConfig()
+	cfg.Stack.GridRows, cfg.Stack.GridCols = testGrid, testGrid
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := workload.ByName(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.Instructions = instr
+	want, err := sys.EvaluateUniform(stack.Base, prof, freq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(got.ProcHotC - want.ProcHotC); d > 1e-9 {
+		t.Errorf("ProcHotC %.12f vs core.System %.12f (|Δ| %.3g > 1e-9)", got.ProcHotC, want.ProcHotC, d)
+	}
+	if d := math.Abs(got.DRAM0HotC - want.DRAM0HotC); d > 1e-9 {
+		t.Errorf("DRAM0HotC %.12f vs core.System %.12f (|Δ| %.3g > 1e-9)", got.DRAM0HotC, want.DRAM0HotC, d)
 	}
 }

@@ -1,22 +1,23 @@
 // Package serve is the Xylem thermal-solve serving daemon: an HTTP/JSON
 // front end over the perf/thermal pipeline that turns it into a
-// long-running service. Requests flow through four layers —
+// long-running service. Requests flow through three layers —
 //
-//	admission queue → batch former → artifact cache → solver
+//	admission → artifact cache → solver pool
 //
-// The bounded queue rejects overload with a typed 429 (and drains
-// gracefully on shutdown with 503s for late arrivals); the batch former
-// groups same-(scheme×grid) requests so a group resolves its tenant's
-// artifacts once, with a max-linger deadline so solo requests are never
-// starved; the keyed LRU cache holds built artifacts (stack → solver/MG
-// hierarchy → Green's basis) under perf.BasisKey content hashes with
-// singleflight builds, so repeat tenants skip all setup and can hit the
-// O(blocks) GEMV path.
+// Admission bounds the requests in the daemon at Solvers+QueueCap,
+// rejecting overload with a typed 429 (and draining gracefully on
+// shutdown with 503s for late arrivals); the keyed LRU cache holds built
+// artifacts (stack → solver/MG hierarchy → Green's basis) under
+// perf.BasisKey content hashes with singleflight builds, so repeat
+// tenants skip all setup and can hit the O(blocks) GEMV path; each
+// admitted request then waits for one of Solvers solve tokens and is
+// solved on its own.
 //
-// Responses are bitwise-deterministic: every request in a group is
-// solved on its own, the cache stores artifacts (never results), and cache/batch metadata travels in HTTP
-// headers — so the response body for a given request is byte-identical
-// across batch widths and cache states (pinned by test).
+// Responses are bitwise-deterministic: every request is solved on its
+// own, the cache stores artifacts (never results), and the cache state
+// travels in an HTTP header — so the response body for a given request
+// is byte-identical across cache states and concurrent traffic (pinned
+// by test).
 package serve
 
 import (
@@ -34,10 +35,10 @@ import (
 	"github.com/xylem-sim/xylem/internal/workload"
 )
 
-// Admission errors of the queue layer (satisfied via errors.Is).
+// Admission errors (satisfied via errors.Is).
 var (
-	// ErrOverload marks a request rejected because the admission queue
-	// was full — HTTP 429 with a Retry-After hint.
+	// ErrOverload marks a request rejected because every admission slot
+	// was taken — HTTP 429 with a Retry-After hint.
 	ErrOverload = errors.New("serve: admission queue full")
 	// ErrDraining marks a request rejected because the daemon is
 	// shutting down — HTTP 503.
@@ -115,9 +116,9 @@ type SolveRequest struct {
 }
 
 // SolveResponse is the wire response. Every field is a deterministic
-// function of the request and the solver configuration — cache and
-// batching metadata travel in headers, never here, so identical
-// requests get byte-identical bodies.
+// function of the request and the solver configuration — cache metadata
+// travels in a header, never here, so identical requests get
+// byte-identical bodies.
 type SolveResponse struct {
 	Scheme string `json:"scheme"`
 	Grid   int    `json:"grid"`

@@ -46,7 +46,7 @@ func (s *Solver) chunkBounds(c int) (lo, hi int) {
 // parallelism of the process. On a single-CPU box (GOMAXPROCS=1) pool
 // goroutines cannot overlap the calling goroutine, so a Workers>1
 // setting would pay the chunk hand-off and wake/barrier latency for
-// zero concurrency — the mg-parallel regression in BENCH_parallel.json.
+// zero concurrency, which measured slower than serial on a 1-CPU box.
 // Clamping here keeps every runChunks/runSpan call site honest and
 // means single-core runs never start a pool at all. Results are
 // bitwise-identical either way; only the schedule changes.

@@ -524,7 +524,7 @@ type SolveOpts struct {
 	// Precond overrides the preconditioner for this solve only
 	// (PrecondAuto = use Solver.DefaultPrecond, which defaults to the
 	// multigrid V-cycle). The Jacobi/MG cross-check tests and the
-	// parbench comparison mode select per solve through here.
+	// degrade ladder's Jacobi rung select per solve through here.
 	Precond Precond
 	// budget, when non-nil, is this solve's iteration budget drawn
 	// beforehand, and the hook is not consulted. Only the Green's basis
