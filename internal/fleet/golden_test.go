@@ -88,8 +88,8 @@ func TestFleetPoolWorkCounters(t *testing.T) {
 			for _, solver := range e.pool {
 				sum = sum.Add(solver.Stats())
 			}
-			if len(e.pool) != procs || e.met.solves != 159 || sum.Solves != 636 || sum.SolveIters != 7252 {
-				t.Errorf("GOMAXPROCS %d: %d solvers ran %d events as %d solves and %d CG iterations, want %d, 159, 636 and 7252",
+			if len(e.pool) != procs || e.met.solves != 159 || sum.Solves != 636 || sum.SolveIters != 4027 {
+				t.Errorf("GOMAXPROCS %d: %d solvers ran %d events as %d solves and %d CG iterations, want %d, 159, 636 and 4027",
 					procs, len(e.pool), e.met.solves, sum.Solves, sum.SolveIters, procs)
 			}
 		})

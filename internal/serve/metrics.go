@@ -2,10 +2,10 @@ package serve
 
 import "github.com/xylem-sim/xylem/internal/obs"
 
-// metricsSet holds the daemon's pre-resolved obs handles. A nil
-// registry yields nil handles throughout — every mutation is a no-op —
-// so an unobserved server pays one nil check per event, in line with
-// the obs package's zero-overhead contract.
+// metricsSet holds the daemon's pre-resolved obs handles. New always
+// resolves them against a registry (a private one when Config.Obs is
+// nil), so Stats reads live counts; a nil registry, as the cache tests
+// use, yields nil handles whose mutations are no-ops.
 type metricsSet struct {
 	requests    *obs.Counter
 	responses   *obs.Counter

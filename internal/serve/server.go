@@ -110,10 +110,14 @@ func New(cfg Config) *Server {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
+	reg := cfg.Obs // without one, Stats still counts into a private registry
+	if reg == nil {
+		reg = obs.New()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		m:       newMetricsSet(cfg.Obs),
+		m:       newMetricsSet(reg),
 		rootEv:  perf.NewEvaluator(),
 		slots:   make(chan struct{}, cfg.Solvers+cfg.QueueCap),
 		solvers: make(chan struct{}, cfg.Solvers),

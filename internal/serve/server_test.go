@@ -115,6 +115,12 @@ func TestByteIdentityAcrossCacheAndConcurrency(t *testing.T) {
 			t.Fatalf("cold solve reported cache %q", got)
 		}
 		coldBodies[i] = body
+		if i == 0 {
+			// No registry is configured, yet Stats counts the 200.
+			if st := cold.Stats(); st.Requests != 1 || st.Responses != 1 {
+				t.Fatalf("registry-less server after one 200: requests %d, responses %d; want 1, 1", st.Requests, st.Responses)
+			}
+		}
 	}
 
 	reg := obs.New()
@@ -288,7 +294,7 @@ func TestDrainingRejection(t *testing.T) {
 // already admitted: at Solvers 1, a request waiting for the solve token
 // when drain begins still gets its 200, while a late arrival gets 503.
 func TestGracefulDrainAnswersQueued(t *testing.T) {
-	s := startTestServer(t, func(c *Config) { c.Solvers = 1; c.Obs = obs.New() })
+	s := startTestServer(t, func(c *Config) { c.Solvers = 1 })
 	s.solvers <- struct{}{} // hold the only solve token
 	type res struct {
 		resp *http.Response

@@ -16,13 +16,7 @@ func TestKernelsMatchOracleAllSchemes(t *testing.T) {
 	for _, kind := range stack.AllSchemes {
 		for _, grid := range []int{5, 16, 24} {
 			t.Run(fmt.Sprintf("%v/grid%d", kind, grid), func(t *testing.T) {
-				cfg := stack.DefaultConfig()
-				cfg.GridRows, cfg.GridCols = grid, grid
-				st, err := stack.Build(cfg, kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				thermal.CheckKernelsAgainstOracle(t, st.Model)
+				thermal.CheckKernelsAgainstOracle(t, buildScheme(t, kind, grid).Model)
 			})
 		}
 	}

@@ -9,7 +9,7 @@
 // The steady-state solver uses preconditioned conjugate gradients on the
 // (symmetric positive definite) conductance matrix — by default with a
 // geometric multigrid V-cycle preconditioner (planar semi-coarsening with
-// Galerkin conductance aggregation and red-black line Gauss-Seidel
+// rediscretised coarse conductances and red-black line Gauss-Seidel
 // smoothing; see multigrid.go), with plain Jacobi diagonal scaling as the
 // selectable fallback. The transient solver wraps it in
 // unconditionally-stable backward-Euler steps.

@@ -16,16 +16,17 @@ package thermal
 // coupled unknown block.
 //
 // Concretely, each level halves the planar grid (2x2 cell aggregates,
-// ceil division so odd extents keep a slim last row/column) and builds
-// the coarse operator by Galerkin conductance aggregation with
-// piecewise-constant transfer operators: a coarse conductance is the sum
-// of the fine conductances crossing the aggregate boundary, coarse
-// ambient couplings and heat capacities are aggregate sums, and
-// intra-aggregate conductances drop out. For a conductance network this
-// reproduces P^T·A·P exactly while preserving the 7-point structure, so
-// every level is just a smaller instance of the same stencil — and the
-// heterogeneous per-cell lambda of TTSV pillars and shorted-microbump
-// schemes survives coarsening as honest aggregate conductance.
+// ceil division so odd extents keep a slim last row/column) and
+// rediscretises the conductance network on the aggregates: ambient
+// couplings, heat capacities and vertical conductances are aggregate
+// sums, intra-aggregate conductances drop out, and a lateral conductance
+// is half the sum of the fine ones crossing the aggregate face (see
+// coarsen). Every level is a smaller instance of the same 7-point SPD
+// stencil, and the per-cell lambda of TTSV pillars and shorted-microbump
+// schemes survives coarsening as honest aggregate conductance. The
+// Galerkin P^T·A·P keeps the full lateral sum: twice too stiff in the
+// plane, its V-cycle took 20 iterations at grid 16 and 53 at grid 128,
+// where this one takes 11-12 at every grid (DESIGN.md §11).
 //
 // The smoother is red-black line Gauss-Seidel over cell columns: columns
 // are 2-coloured by planar parity, and each update solves its column's
@@ -190,8 +191,12 @@ func (s *Solver) buildHierarchy() {
 	}
 }
 
-// coarsen builds the next-coarser level by Galerkin conductance
-// aggregation over 2x2 planar cell aggregates (layers kept).
+// mgLateralScale: a coarse face sums two fine lateral edges of λ·t each
+// (λ·(h·t)/h), where its 2h rediscretisation is λ·(2h·t)/(2h) = λ·t.
+const mgLateralScale = 0.5
+
+// coarsen builds the next-coarser level by rediscretising the
+// conductance network over 2x2 planar cell aggregates (layers kept).
 func coarsen(f *mgLevel) *mgLevel {
 	crows, ccols := (f.rows+1)/2, (f.cols+1)/2
 	c := &mgLevel{
@@ -217,20 +222,20 @@ func coarsen(f *mgLevel) *mgLevel {
 				// span one layer), so they all survive.
 				c.gUp[ci] += f.gUp[fi]
 				// A lateral edge survives iff it crosses an aggregate
-				// boundary (odd source index); edges interior to an
-				// aggregate drop out of the Galerkin product.
+				// boundary (odd source index), weighted by
+				// mgLateralScale; interior edges drop out.
 				if col&1 == 1 {
-					c.gRight[ci] += f.gRight[fi]
+					c.gRight[ci] += mgLateralScale * f.gRight[fi]
 				}
 				if row&1 == 1 {
-					c.gFront[ci] += f.gFront[fi]
+					c.gFront[ci] += mgLateralScale * f.gFront[fi]
 				}
 			}
 		}
 	}
 
-	// Diagonal by the same incident-conductance rule as Solver.assemble;
-	// with aggregate sums above this equals the Galerkin diagonal.
+	// Diagonal by the same incident-conductance rule as Solver.assemble,
+	// so each level is an SPD conductance network in its own right.
 	for lay := 0; lay < c.layers; lay++ {
 		for p := 0; p < c.nPerLayer; p++ {
 			i := lay*c.nPerLayer + p

@@ -76,9 +76,11 @@ func TestHierarchyShape(t *testing.T) {
 	}
 }
 
-// Galerkin aggregation must conserve the ambient coupling and the heat
-// capacity: each coarse cell's gAmb/capacity is the sum over its fine
-// aggregate, so level totals are invariant.
+// Coarsening must conserve the ambient coupling and the heat capacity
+// (each coarse cell's gAmb/capacity is the sum over its fine aggregate,
+// so level totals are invariant) and rediscretise the lateral links: a
+// level's gRight/gFront total is half the total of the finer level's
+// edges that cross an aggregate boundary (odd column/row source index).
 func TestCoarseningConservesTotals(t *testing.T) {
 	m := slabModel(17, 13, 4, 100e-6, 120, 30000)
 	s, err := NewSolver(m)
@@ -92,26 +94,52 @@ func TestCoarseningConservesTotals(t *testing.T) {
 		}
 		return t
 	}
+	// crossing sums the edges of f whose in-plane index along their own
+	// direction (col for gRight, row for gFront) is odd.
+	crossing := func(f *mgLevel, g []float64, byCol bool) float64 {
+		t := 0.0
+		for i, v := range g {
+			p := i % f.nPerLayer
+			k := p / f.cols
+			if byCol {
+				k = p % f.cols
+			}
+			if k&1 == 1 {
+				t += v
+			}
+		}
+		return t
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
 	wantAmb, wantCap := sum(s.levels[0].gAmb), sum(s.levels[0].capacity)
 	for i, l := range s.levels[1:] {
-		if a := sum(l.gAmb); math.Abs(a-wantAmb) > 1e-9*wantAmb {
+		f := s.levels[i]
+		if a := sum(l.gAmb); !near(a, wantAmb) {
 			t.Errorf("level %d gAmb total %g, want %g", i+1, a, wantAmb)
 		}
-		if c := sum(l.capacity); math.Abs(c-wantCap) > 1e-9*wantCap {
+		if c := sum(l.capacity); !near(c, wantCap) {
 			t.Errorf("level %d capacity total %g, want %g", i+1, c, wantCap)
+		}
+		if g, want := sum(l.gRight), 0.5*crossing(f, f.gRight, true); !near(g, want) {
+			t.Errorf("level %d gRight total %g, want half the crossing fine edges' %g", i+1, g, want)
+		}
+		if g, want := sum(l.gFront), 0.5*crossing(f, f.gFront, false); !near(g, want) {
+			t.Errorf("level %d gFront total %g, want half the crossing fine edges' %g", i+1, g, want)
 		}
 	}
 }
 
-// The V-cycle must be a symmetric operator — CG's convergence theory
-// requires ⟨u, M⁻¹v⟩ = ⟨v, M⁻¹u⟩ — which the pre/post smoother adjoint
-// pairing (forward colour order down, backward up) provides.
-func TestVCycleSymmetric(t *testing.T) {
-	m := slabModel(15, 11, 6, 100e-6, 120, 30000)
+// CheckVCycleSPD applies the V-cycle M⁻¹ to two fixed vectors u, v of
+// m and fails unless ⟨v, M⁻¹u⟩ = ⟨u, M⁻¹v⟩ to 1e-10 relative and both
+// ⟨u, M⁻¹u⟩ and ⟨v, M⁻¹v⟩ are positive. Exported for the scheme-stack
+// cases of TestVCycleSymmetric in package thermal_test.
+func CheckVCycleSPD(t *testing.T, m *Model) {
+	t.Helper()
 	s, err := NewSolver(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	s.ensureShifted(0)
 	u := make([]float64, s.n)
 	v := make([]float64, s.n)
@@ -126,8 +154,17 @@ func TestVCycleSymmetric(t *testing.T) {
 	a, b := dot(v, zu), dot(u, zv)
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	if math.Abs(a-b) > 1e-10*scale {
-		t.Fatalf("V-cycle not symmetric: <v,M⁻¹u>=%.15g vs <u,M⁻¹v>=%.15g", a, b)
+		t.Errorf("V-cycle not symmetric: <v,M⁻¹u>=%.15g vs <u,M⁻¹v>=%.15g", a, b)
 	}
+	if uu, vv := dot(u, zu), dot(v, zv); !(uu > 0 && vv > 0) {
+		t.Errorf("V-cycle not positive: <u,M⁻¹u>=%g, <v,M⁻¹v>=%g", uu, vv)
+	}
+}
+
+// SlabModel is slabModel's uniform 100 µm, λ 120 slab under a 30 kW/m²K
+// sink, exported for package thermal_test.
+func SlabModel(rows, cols, layers int) *Model {
+	return slabModel(rows, cols, layers, 100e-6, 120, 30000)
 }
 
 // MG-preconditioned CG must reach the same field as Jacobi-preconditioned
