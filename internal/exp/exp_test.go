@@ -2,6 +2,8 @@ package exp
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -440,5 +442,46 @@ func TestQuickOptionsAppsValid(t *testing.T) {
 	}
 	if _, err := r.app("nope"); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// Figure 7 at the paper's scale — the benchmark's fig7-sweep options:
+// five apps, 32×32 grid, 150k instructions per thread, one worker —
+// renders exactly the table pinned in perfbench/fig7_golden.txt (read,
+// never written here), so a change that moves a printed temperature
+// fails the tests, not only the benchmark.
+func TestFigure7PaperScaleGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale Figure 7 sweep")
+	}
+	if raceEnabled {
+		t.Skip("pins table values, not synchronisation; too slow under the race detector")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "perfbench", "fig7_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.Apps = []string{"lu-nas", "fft", "is", "radix", "mg"}
+	o.GridRows, o.GridCols = 32, 32
+	o.Instructions = 150_000
+	o.Workers = 1
+	r, err := NewRunner(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tab, err := r.Figure7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSpace(tab.String()), "\n")
+	wantLines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("Figure 7 has %d lines, golden %d:\n%s", len(got), len(wantLines), tab)
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("line %d: got %q, golden %q", i+1, got[i], wantLines[i])
+		}
 	}
 }

@@ -21,9 +21,8 @@ import (
 type Degrade struct {
 	// RelaxTol multiplies the solver's base CG tolerance when > 1.
 	// The leakage schedule (leakTol) loosens early iterations from this
-	// widened base, and the evaluator's relaxed-retry ladder
-	// (retryRelaxed) stacks on top: its per-attempt factors multiply
-	// the tolerance that failed.
+	// widened base, and the evaluator's relaxed retry (steadyState)
+	// stacks on top: it multiplies the tolerance that failed.
 	RelaxTol float64
 	// Precond, when not PrecondAuto, overrides the preconditioner for
 	// every solve (e.g. thermal.PrecondJacobi when the supervisor

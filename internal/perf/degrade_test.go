@@ -44,7 +44,7 @@ func TestEvaluateUnderDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := ev.EvaluateCtx(WithDegrade(context.Background(), Degrade{}), st, freqs, assigns)
+	same, err := ev.EvaluateWarmCtx(WithDegrade(context.Background(), Degrade{}), st, freqs, assigns, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestEvaluateUnderDegrade(t *testing.T) {
 		t.Errorf("zero directive changed the outcome: %+v != %+v", same, base)
 	}
 	ctx := WithDegrade(context.Background(), Degrade{RelaxTol: 100, Precond: thermal.PrecondJacobi})
-	deg, err := ev.EvaluateCtx(ctx, st, freqs, assigns)
+	deg, err := ev.EvaluateWarmCtx(ctx, st, freqs, assigns, nil)
 	if err != nil {
 		t.Fatalf("degraded evaluation failed: %v", err)
 	}

@@ -9,7 +9,6 @@ package perf
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/xylem-sim/xylem/internal/cpusim"
 	"github.com/xylem-sim/xylem/internal/power"
@@ -27,7 +26,7 @@ func (e *Evaluator) BuildPowerMap(st *stack.Stack, procBP []power.BlockPower, sl
 
 // SolveBatch solves each power map on the stack's cached solver, one
 // steady-state solve after another, each with its own relaxed-tolerance
-// retry ladder. Failures are per map: an unrecoverable one reports its
+// retry. Failures are per map: an unrecoverable one reports its
 // error in errs[j] and the maps after it are still solved. The
 // call-level error covers only solver construction.
 func (e *Evaluator) SolveBatch(ctx context.Context, st *stack.Stack, pms []thermal.PowerMap) ([]thermal.Temperature, []error, error) {
@@ -82,13 +81,7 @@ func (e *Evaluator) SolveGreens(ctx context.Context, st *stack.Stack, procBP []p
 // is no silent CG fallback: a stack whose basis cannot be built returns
 // the build error, so the caller knows the query was never served.
 func (e *Evaluator) ThermalFastCtx(ctx context.Context, st *stack.Stack, freqs []float64, res cpusim.Result) (Outcome, error) {
-	if res.TimeNs <= 0 {
-		return Outcome{}, fmt.Errorf("perf: activity has zero duration")
-	}
-	if err := e.validateFixedPoint(); err != nil {
-		return Outcome{}, err
-	}
-	sl, err := e.slot(st)
+	sl, err := e.thermalSlot(st, res)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -7,10 +7,11 @@ package perf
 // CG solve per column, cached singleflight like the activity cache, and
 // queried with a fused GEMV: O(blocks) work per cell instead of a full
 // multigrid-preconditioned Krylov iteration. The temperature-dependent
-// leakage fixed point runs on the reduced model with the same ConvergeC
-// semantics; CG remains both the fallback for stacks whose power cannot
-// be expressed in the basis and the exactness oracle (FastPathOracle
-// runs both paths and fails loudly if they disagree).
+// leakage fixed point runs on the reduced model through the same loop as
+// the CG path (fixedPoint), so it has the same ConvergeC semantics; CG
+// remains both the fallback for stacks whose power cannot be expressed
+// in the basis and the exactness oracle (FastPathOracle runs both paths
+// and fails loudly if they disagree).
 
 import (
 	"context"
@@ -372,109 +373,44 @@ func (ent *greensEntry) powerCoeffs(st *stack.Stack, procBP []power.BlockPower, 
 	return nil
 }
 
-// greensFixedPoint runs the temperature-dependent leakage fixed point on
-// the reduced model: per iteration one layer-restricted GEMV rebuilds
-// the proc metal layer (the only layer the leakage functionals read),
-// and after convergence one full-field GEMV reconstructs the complete
-// temperature field for the outcome. Convergence bookkeeping — hotspot
-// delta, ConvergeC semantics, LeakageIters budget — replays
-// ThermalWarmCtx exactly; only the linear-solve step differs.
+// greensFixedPoint runs the leakage fixed point (fixedPoint) on the
+// reduced model: its step is one layer-restricted GEMV that rebuilds the
+// proc metal layer (the only layer the leakage functionals read), and
+// after the last step one full-field GEMV reconstructs the complete
+// temperature field for the outcome.
 func (e *Evaluator) greensFixedPoint(ctx context.Context, st *stack.Stack, sl *solverSlot, ent *greensEntry, freqs []float64, res cpusim.Result) (Outcome, error) {
 	gb := ent.gb
-	nLayers := len(st.Model.Layers)
-	layerBuf := make([]float64, st.Model.Grid.NumCells())
+	p := make([]float64, gb.B)
 	// A sparse field holding only the proc metal layer: MeanOver and Max
 	// index just the layer they are asked about, so the leakage
 	// functionals never touch the nil layers.
-	tl := make(thermal.Temperature, nLayers)
-	var haveTemps bool
-	blockTemp := func(name string) float64 {
-		if !haveTemps {
-			return e.Power.TRefC
-		}
-		b, ok := st.Proc.Find(name)
-		if !ok {
-			return e.Power.TRefC
-		}
-		return tl.MeanOver(st.Model.Grid, st.ProcMetalLayer, b.Rect)
-	}
-
-	var out Outcome
-	p := make([]float64, gb.B)
-	prevHot := math.Inf(-1)
+	tl := make(thermal.Temperature, len(st.Model.Layers))
+	tl[st.ProcMetalLayer] = make([]float64, st.Model.Grid.NumCells())
 	m := e.metrics()
-	sp := m.trace.Start("perf.fixed_point_greens")
-	itersUsed, delta, converged := 0, math.Inf(1), false
-	defer func() {
-		m.leakIters.Observe(float64(itersUsed))
-		m.leakDelta.Set(delta)
-		if !converged {
-			m.leakExhausted.Inc()
-		}
-		conv := 0.0
-		if converged {
-			conv = 1
-		}
-		sp.End(obs.A("iters", float64(itersUsed)),
-			obs.A("delta_c", delta), obs.A("converged", conv))
-	}()
-	for iter := 0; iter < e.LeakageIters; iter++ {
+	step := func(_ int, procBP []power.BlockPower, sliceP []power.SlicePower) (thermal.Temperature, error) {
 		if err := ctx.Err(); err != nil {
-			return Outcome{}, err
-		}
-		procBP, err := e.Power.ProcPower(st.Proc, res, freqs, res.TimeNs, blockTemp)
-		if err != nil {
-			return Outcome{}, err
-		}
-		sliceP, err := e.Power.DRAMPower(res.DRAM, st.Cfg.NumDRAMDies, res.TimeNs)
-		if err != nil {
-			return Outcome{}, err
+			return nil, err
 		}
 		if err := ent.powerCoeffs(st, procBP, sliceP, p); err != nil {
-			return Outcome{}, err
+			return nil, err
 		}
 		sl.mu.Lock()
-		err = sl.s.GreensApplyLayer(gb, p, st.ProcMetalLayer, layerBuf)
+		err := sl.s.GreensApplyLayer(gb, p, st.ProcMetalLayer, tl[st.ProcMetalLayer])
 		sl.mu.Unlock()
 		if err != nil {
-			return Outcome{}, err
+			return nil, err
 		}
 		m.greensHits.Inc()
-		tl[st.ProcMetalLayer] = layerBuf
-		haveTemps = true
-		hot, _ := tl.Max(st.ProcMetalLayer)
-		out.ProcPowerW = power.TotalProc(procBP)
-		out.DRAMPowerW = power.TotalDRAM(sliceP)
-		out.ProcHotC = hot
-		itersUsed, delta = iter+1, math.Abs(hot-prevHot)
-		if delta < e.ConvergeC {
-			converged = true
-			break
-		}
-		prevHot = hot
+		return tl, nil
 	}
-
-	// One full-field reconstruction from the final coefficients — the
-	// same field the CG path's last solve would have produced, up to
-	// solver tolerance.
-	sl.mu.Lock()
-	temps, err := sl.s.GreensField(gb, p)
-	sl.mu.Unlock()
-	if err != nil {
-		return Outcome{}, err
+	// The full field from the final coefficients — the same field the CG
+	// path's last solve would have produced, up to solver tolerance.
+	field := func(thermal.Temperature, bool) (thermal.Temperature, error) {
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		return sl.s.GreensField(gb, p)
 	}
-	d0, _ := temps.Max(st.DRAMMetalLayers[0])
-	out.DRAM0HotC = d0
-	out.CoreHotC = make([]float64, len(res.Cores))
-	for c := range res.Cores {
-		out.CoreHotC[c] = temps.MaxOver(st.Model.Grid, st.ProcMetalLayer, st.Proc.CoreRect(c))
-	}
-	out.TimeNs = res.TimeNs
-	out.ThroughputGIPS = res.Throughput() / 1e9
-	out.EnergyJ = (out.ProcPowerW + out.DRAMPowerW) * res.TimeNs * 1e-9
-	out.Temps = temps
-	out.Result = res
-	return out, nil
+	return e.fixedPoint(st, freqs, res, "perf.fixed_point_greens", step, field)
 }
 
 // oracleCompare asserts the reduced and full outcomes of one operating

@@ -102,6 +102,16 @@ func TestGreensFastPathMatchesCGAllSchemes(t *testing.T) {
 					t.Fatalf("fast-path evaluation ran %d CG solves", d.Solves)
 				}
 
+				// Each path reports the hotspot of the field it reports.
+				for _, o := range []struct {
+					path string
+					o    Outcome
+				}{{"cg", full}, {"greens", fast}} {
+					if hot, _ := o.o.Temps.Max(st.ProcMetalLayer); o.o.ProcHotC != hot {
+						t.Fatalf("%s: ProcHotC %.17g is not the reported field's hotspot %.17g", o.path, o.o.ProcHotC, hot)
+					}
+				}
+
 				maxDiff := outcomeMaxDiff(t, fast, full)
 				t.Logf("%v@%d: reduced vs full max |Δ| = %.3g °C", kind, grid, maxDiff)
 				if maxDiff > 1e-6 {

@@ -170,7 +170,7 @@ func TestInexactLeakageMatchesReference(t *testing.T) {
 }
 
 // A loose solve (r ≥ 1) that exhausts a hook-collapsed budget retries at
-// the tolerance that failed times RelaxFactor — never tighter.
+// the tolerance that failed times retryRelax — never tighter.
 func TestLooseSolveRetryRelaxesFailedTol(t *testing.T) {
 	st := smallStack(t, stack.Base)
 	apps := []string{"lu-nas", "fft"}
@@ -206,11 +206,11 @@ func TestLooseSolveRetryRelaxesFailedTol(t *testing.T) {
 		}
 		seqOuts[i] = o
 	}
-	if seq.DegradedSolves != 1 {
-		t.Errorf("sequential DegradedSolves = %d, want 1", seq.DegradedSolves)
+	if got := seq.Stats().DegradedSolves; got != 1 {
+		t.Errorf("sequential DegradedSolves = %d, want 1", got)
 	}
 
-	// Replay point 0 by hand: iteration 0 at leakTol(Tol, 1)·RelaxFactor,
+	// Replay point 0 by hand: iteration 0 at leakTol(Tol, 1)·retryRelax,
 	// iteration 1 at Tol, warm from iteration 0.
 	ref, err := thermal.NewSolver(st.Model)
 	if err != nil {
@@ -220,7 +220,7 @@ func TestLooseSolveRetryRelaxesFailedTol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0, err := ref.SteadyStateOpts(context.Background(), pm, thermal.SolveOpts{Tol: leakTol(ref.Tol, 1) * seq.RelaxFactor})
+	t0, err := ref.SteadyStateOpts(context.Background(), pm, thermal.SolveOpts{Tol: leakTol(ref.Tol, 1) * retryRelax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestLooseSolveRetryRelaxesFailedTol(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tempsEqual(seqOuts[0].Temps, t1) {
-		t.Error("degraded point is not the replay retried at the failed tolerance × RelaxFactor")
+		t.Error("degraded point is not the replay retried at the failed tolerance × retryRelax")
 	}
 
 }

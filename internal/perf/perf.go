@@ -53,20 +53,6 @@ type Evaluator struct {
 	// evaluation entry instead of silently behaving like the sentinel.
 	ConvergeC float64
 
-	// SolveRetries is how many times a diverged or budget-exhausted
-	// steady-state solve is retried with the tolerance relaxed by
-	// RelaxFactor per attempt (graceful degradation instead of a failed
-	// experiment; 0 disables the fallback path). A successful retry
-	// increments DegradedSolves so callers can report that the outcome
-	// rests on a relaxed solve.
-	SolveRetries int
-	// RelaxFactor is the per-retry tolerance multiplier (default 100).
-	RelaxFactor float64
-	// DegradedSolves counts solves that only succeeded at relaxed
-	// tolerance. Writes are guarded by the evaluator's stats lock; read
-	// it only after concurrent work has drained (or via Stats).
-	DegradedSolves int
-
 	// Workers is handed to each newly built thermal solver as its CG
 	// kernel worker count (0 = serial kernels). It does not bound how
 	// many evaluations run concurrently — that is the caller's pool.
@@ -91,10 +77,6 @@ type Evaluator struct {
 	// met backs the Stats work counters with an obs registry — a private
 	// one by default, the caller's after AttachObs (see obs.go).
 	met *evalMetrics
-
-	// statsMu guards DegradedSolves (a plain exported field, unlike the
-	// registry-backed counters).
-	statsMu sync.Mutex
 }
 
 // IterHist is a power-of-two histogram of per-solve CG iteration counts:
@@ -204,8 +186,6 @@ func NewEvaluator() *Evaluator {
 		Power:        power.DefaultModel(),
 		LeakageIters: 4,
 		ConvergeC:    0.05,
-		SolveRetries: 1,
-		RelaxFactor:  100,
 		cache:        &activityCache{m: make(map[string]*activityCall)},
 		solvers:      make(map[*stack.Stack]*solverSlot),
 	}
@@ -252,16 +232,13 @@ type Stats struct {
 // mutually frozen while solves are in flight.
 func (e *Evaluator) Stats() Stats {
 	m := e.metrics()
-	e.statsMu.Lock()
-	degraded := e.DegradedSolves
-	e.statsMu.Unlock()
 	return Stats{
 		ActivityRuns:   int(m.activityRuns.Value()),
 		Solves:         int(m.solves.Value()),
 		SolveIters:     m.solveIters.Value(),
 		VCycles:        m.vcycles.Value(),
 		IterHist:       iterHistFromObs(m.iterHist),
-		DegradedSolves: degraded,
+		DegradedSolves: int(m.degraded.Value()),
 		GreensHits:     int(m.greensHits.Value()),
 		GreensMisses:   int(m.greensMisses.Value()),
 		BasisBuilds:    int(m.basisBuilds.Value()),
@@ -536,83 +513,55 @@ func (sl *solverSlot) baseTol(ctx context.Context) float64 {
 	return sl.s.Tol
 }
 
+// retryRelax is the degradation policy's tolerance multiplier: a solve
+// that diverges or runs out of budget is retried once at its tolerance
+// times retryRelax (graceful degradation instead of a failed experiment).
+const retryRelax = 100
+
 // steadyState runs one steady-state solve at tolerance tol with the
-// evaluator's degradation policy: a solve that diverges or runs out of
-// budget is retried up to SolveRetries times with the CG tolerance
-// relaxed by RelaxFactor per attempt (retryRelaxed). warm, when
-// non-nil, seeds CG with a nearby field. The slot's lock serialises
-// solves on the shared solver.
+// evaluator's degradation policy: a retryable failure is retried once at
+// tol·retryRelax — relaxing from the tolerance that failed, so a loose
+// leakage-iteration solve never retries tighter — and a successful retry
+// counts in Stats.DegradedSolves. The relaxed tolerance travels as a
+// per-solve parameter (thermal.SolveOpts); Solver.Tol is never written,
+// so concurrent solves on other stacks see no transient state. A
+// non-retryable failure (bad power, cancellation) propagates
+// immediately. warm, when non-nil, seeds CG with a nearby field. The
+// slot's lock serialises solves on the shared solver.
 func (e *Evaluator) steadyState(ctx context.Context, sl *solverSlot, pm thermal.PowerMap, warm thermal.Temperature, tol float64) (thermal.Temperature, error) {
 	deg := degradeFrom(ctx)
 	sl.mu.Lock()
-	solver := sl.s
-	t, err := solver.SteadyStateOpts(ctx, pm, thermal.SolveOpts{
-		Warm: warm, Tol: tol, Precond: deg.Precond,
-	})
-	e.noteSolve(solver)
-	sl.mu.Unlock()
-	if err == nil {
-		return t, nil
-	}
-	return e.retryRelaxed(ctx, sl, pm, warm, tol, err)
-}
-
-// retryRelaxed is the tail of steadyState's degradation policy: given a
-// first-attempt failure at tolerance tol, it retries the solve with that tolerance relaxed by
-// RelaxFactor per attempt — relaxing from the tolerance that failed, so
-// a loose leakage-iteration solve never retries tighter. The relaxed
-// tolerance travels as a per-solve parameter (thermal.SolveOpts) —
-// Solver.Tol is never written, so concurrent solves on other stacks see
-// no transient state. A non-retryable failure (bad power, cancellation)
-// propagates immediately.
-func (e *Evaluator) retryRelaxed(ctx context.Context, sl *solverSlot, pm thermal.PowerMap, warm thermal.Temperature, tol float64, err error) (thermal.Temperature, error) {
-	if e.SolveRetries <= 0 || !retryableSolveErr(err) {
-		return nil, err
-	}
-	relax := e.RelaxFactor
-	if relax <= 1 {
-		relax = 100
-	}
-	deg := degradeFrom(ctx)
-	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	solver := sl.s
-	for r := 1; r <= e.SolveRetries; r++ {
-		t, retryErr := solver.SteadyStateOpts(ctx, pm, thermal.SolveOpts{
-			Tol: tol * math.Pow(relax, float64(r)), Warm: warm, Precond: deg.Precond,
+	for retry := false; ; retry, tol = true, tol*retryRelax {
+		t, err := sl.s.SteadyStateOpts(ctx, pm, thermal.SolveOpts{
+			Warm: warm, Tol: tol, Precond: deg.Precond,
 		})
-		e.noteSolve(solver)
-		if retryErr == nil {
-			e.statsMu.Lock()
-			e.DegradedSolves++
-			e.statsMu.Unlock()
-			e.metrics().degraded.Inc()
+		e.noteSolve(sl.s)
+		switch {
+		case err == nil:
+			if retry {
+				e.metrics().degraded.Inc()
+			}
 			return t, nil
-		}
-		err = retryErr
-		if !retryableSolveErr(err) {
+		case !retryableSolveErr(err):
 			return nil, err
+		case retry:
+			return nil, fmt.Errorf("perf: steady-state solve failed after a relaxed-tolerance retry: %w", err)
 		}
 	}
-	return nil, fmt.Errorf("perf: steady-state solve failed after %d relaxed-tolerance retries: %w", e.SolveRetries, err)
 }
 
 // Evaluate computes the steady-state thermal outcome of running the given
 // assignment at the given per-core frequencies on the given stack.
 func (e *Evaluator) Evaluate(st *stack.Stack, freqs []float64, assigns []cpusim.Assignment) (Outcome, error) {
-	return e.EvaluateCtx(context.Background(), st, freqs, assigns)
+	return e.EvaluateWarmCtx(context.Background(), st, freqs, assigns, nil)
 }
 
-// EvaluateCtx is Evaluate with cancellation threaded through the thermal
-// solves.
-func (e *Evaluator) EvaluateCtx(ctx context.Context, st *stack.Stack, freqs []float64, assigns []cpusim.Assignment) (Outcome, error) {
-	return e.EvaluateWarmCtx(ctx, st, freqs, assigns, nil)
-}
-
-// EvaluateWarmCtx is EvaluateCtx with a warm-start field for the first
-// steady-state solve — typically the previous operating point's Temps in
-// a frequency-ladder sweep. The warm start seeds only the CG iterate;
-// the leakage fixed point runs exactly as from a cold start. Its early
+// EvaluateWarmCtx is Evaluate with cancellation threaded through the
+// thermal solves and a warm-start field for the first steady-state solve
+// (nil for none) — typically the previous operating point's Temps in a
+// frequency-ladder sweep. The warm start seeds only the CG iterate; the
+// leakage fixed point runs exactly as from a cold start. Its early
 // iterations solve at a loose tolerance (leakTol), so warm and cold
 // results are not bitwise equal; both report a full-tolerance field
 // within 1e-6 °C of the all-Tol fixed point, after the same number of
@@ -625,32 +574,30 @@ func (e *Evaluator) EvaluateWarmCtx(ctx context.Context, st *stack.Stack, freqs 
 	return e.ThermalWarmCtx(ctx, st, freqs, res, warm)
 }
 
-// Thermal runs the power/thermal fixed point for an existing activity
-// result.
-func (e *Evaluator) Thermal(st *stack.Stack, freqs []float64, res cpusim.Result) (Outcome, error) {
-	return e.ThermalCtx(context.Background(), st, freqs, res)
+// thermalSlot is the entry check of the thermal fixed points: it rejects
+// an empty activity result and an invalid fixed-point configuration, and
+// returns the stack's solver slot.
+func (e *Evaluator) thermalSlot(st *stack.Stack, res cpusim.Result) (*solverSlot, error) {
+	if res.TimeNs <= 0 {
+		return nil, fmt.Errorf("perf: activity has zero duration")
+	}
+	if err := e.validateFixedPoint(); err != nil {
+		return nil, err
+	}
+	return e.slot(st)
 }
 
-// ThermalCtx is Thermal with cancellation threaded through the solves.
-func (e *Evaluator) ThermalCtx(ctx context.Context, st *stack.Stack, freqs []float64, res cpusim.Result) (Outcome, error) {
-	return e.ThermalWarmCtx(ctx, st, freqs, res, nil)
-}
-
-// ThermalWarmCtx is ThermalCtx with a warm-start field for the first
-// solve; later leakage iterations warm-start from their predecessor.
+// ThermalWarmCtx runs the power/thermal fixed point for an existing
+// activity result, with cancellation threaded through the solves and a
+// warm-start field for the first solve (nil for none); later leakage
+// iterations warm-start from their predecessor.
 // With FastPath on, the fixed point runs on the Green's-function reduced
 // model instead (the warm seed is unused there — a GEMV has no iterate),
 // falling back to the CG path when no basis can be built; with
 // FastPathOracle both paths run, disagreement beyond OracleTolC is an
 // error, and the CG outcome is returned.
 func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs []float64, res cpusim.Result, warm thermal.Temperature) (Outcome, error) {
-	if res.TimeNs <= 0 {
-		return Outcome{}, fmt.Errorf("perf: activity has zero duration")
-	}
-	if err := e.validateFixedPoint(); err != nil {
-		return Outcome{}, err
-	}
-	sl, err := e.slot(st)
+	sl, err := e.thermalSlot(st, res)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -681,7 +628,7 @@ func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs [
 		if ferr != nil {
 			return Outcome{}, ferr
 		}
-		full, cerr := e.thermalCGWarmCtx(ctx, st, sl, freqs, res, warm, false)
+		full, cerr := e.cgFixedPoint(ctx, st, sl, freqs, res, warm, false)
 		if cerr != nil {
 			return Outcome{}, cerr
 		}
@@ -690,95 +637,104 @@ func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs [
 		}
 		return full, nil
 	}
-	return e.thermalCGWarmCtx(ctx, st, sl, freqs, res, warm, fellBack)
+	return e.cgFixedPoint(ctx, st, sl, freqs, res, warm, fellBack)
 }
 
-// thermalCGWarmCtx is the full-solve fixed point — the evaluation
-// pipeline as it exists without the fast path. fellBack marks solves run
-// because a requested fast path had no basis; they count as
-// GreensMisses.
-func (e *Evaluator) thermalCGWarmCtx(ctx context.Context, st *stack.Stack, sl *solverSlot, freqs []float64, res cpusim.Result, warm thermal.Temperature, fellBack bool) (Outcome, error) {
-	var temps thermal.Temperature
-	blockTemp := func(name string) float64 {
-		if temps == nil {
-			return e.Power.TRefC
-		}
-		b, ok := st.Proc.Find(name)
-		if !ok {
-			return e.Power.TRefC
-		}
-		return temps.MeanOver(st.Model.Grid, st.ProcMetalLayer, b.Rect)
-	}
-
-	var out Outcome
-	prevHot := math.Inf(-1)
-	seed := warm
-	base := sl.baseTol(ctx)
+// cgFixedPoint is the full-solve fixed point — the evaluation pipeline as
+// it exists without the fast path. Its step solves each iteration's power
+// map at leakTol, warm from the previous field; a point that converged on
+// a loose solve re-solves its last power map at full tolerance. fellBack
+// marks solves run because a requested fast path had no basis; they count
+// as GreensMisses.
+func (e *Evaluator) cgFixedPoint(ctx context.Context, st *stack.Stack, sl *solverSlot, freqs []float64, res cpusim.Result, warm thermal.Temperature, fellBack bool) (Outcome, error) {
 	m := e.metrics()
-	sp := m.trace.Start("perf.fixed_point")
-	itersUsed, delta, converged := 0, math.Inf(1), false
-	defer func() {
-		m.leakIters.Observe(float64(itersUsed))
-		m.leakDelta.Set(delta)
-		if !converged {
-			m.leakExhausted.Inc()
-		}
-		conv := 0.0
-		if converged {
-			conv = 1
-		}
-		sp.End(obs.A("iters", float64(itersUsed)),
-			obs.A("delta_c", delta), obs.A("converged", conv))
-	}()
-	for iter := 0; iter < e.LeakageIters; iter++ {
-		procBP, err := e.Power.ProcPower(st.Proc, res, freqs, res.TimeNs, blockTemp)
-		if err != nil {
-			return Outcome{}, err
-		}
-		sliceP, err := e.Power.DRAMPower(res.DRAM, st.Cfg.NumDRAMDies, res.TimeNs)
-		if err != nil {
-			return Outcome{}, err
-		}
-		pm, err := e.buildPowerMap(st, procBP, sliceP)
-		if err != nil {
-			return Outcome{}, err
-		}
-		tol := leakTol(base, e.LeakageIters-1-iter)
-		temps, err = e.steadyState(ctx, sl, pm, seed, tol)
-		if err != nil {
-			return Outcome{}, err
-		}
-		if fellBack {
+	base := sl.baseTol(ctx)
+	var pm thermal.PowerMap
+	var tol float64
+	solve := func(seed thermal.Temperature, at float64) (thermal.Temperature, error) {
+		t, err := e.steadyState(ctx, sl, pm, seed, at)
+		if err == nil && fellBack {
 			m.greensMisses.Inc()
 		}
-		seed = temps
-		hot, _ := temps.Max(st.ProcMetalLayer)
+		return t, err
+	}
+	step := func(iter int, procBP []power.BlockPower, sliceP []power.SlicePower) (thermal.Temperature, error) {
+		var err error
+		if pm, err = e.buildPowerMap(st, procBP, sliceP); err != nil {
+			return nil, err
+		}
+		tol = leakTol(base, e.LeakageIters-1-iter)
+		warm, err = solve(warm, tol)
+		return warm, err
+	}
+	field := func(temps thermal.Temperature, converged bool) (thermal.Temperature, error) {
+		if !converged || tol <= base {
+			return temps, nil
+		}
+		// Converged on a loose solve: re-solve the same power map at full
+		// tolerance, warm from the loose field.
+		temps, err := solve(temps, base)
+		if err == nil {
+			m.leakResolves.Inc()
+		}
+		return temps, err
+	}
+	return e.fixedPoint(st, freqs, res, "perf.fixed_point", step, field)
+}
+
+// fixedPoint is the temperature-dependent leakage fixed point both
+// thermal paths share: per iteration it assembles block and slice powers
+// with leakage at the previous field's block temperatures, hands them to
+// step (the path's linear step, returning a field whose proc metal layer
+// is current), and stops once successive proc hotspots differ by less
+// than ConvergeC or after LeakageIters iterations. field then returns the
+// full field the outcome reports. Only a fixed point that returns an
+// outcome records the leakage metrics (iterations, last delta, budget
+// exhaustion); a failed one just ends its span with ok 0.
+func (e *Evaluator) fixedPoint(st *stack.Stack, freqs []float64, res cpusim.Result, span string,
+	step func(iter int, procBP []power.BlockPower, sliceP []power.SlicePower) (thermal.Temperature, error),
+	field func(temps thermal.Temperature, converged bool) (thermal.Temperature, error)) (Outcome, error) {
+	m := e.metrics()
+	sp := m.trace.Start(span)
+	fail := func(err error) (Outcome, error) {
+		sp.End(obs.A("ok", 0))
+		return Outcome{}, err
+	}
+	var out Outcome
+	var temps thermal.Temperature
+	prevHot := math.Inf(-1)
+	iters, delta, converged := 0, math.Inf(1), false
+	for iters < e.LeakageIters && !converged {
+		procBP, sliceP, err := e.powers(st, freqs, res, temps)
+		if err != nil {
+			return fail(err)
+		}
+		if temps, err = step(iters, procBP, sliceP); err != nil {
+			return fail(err)
+		}
 		out.ProcPowerW = power.TotalProc(procBP)
 		out.DRAMPowerW = power.TotalDRAM(sliceP)
-		out.ProcHotC = hot
-		itersUsed, delta = iter+1, math.Abs(hot-prevHot)
-		if delta < e.ConvergeC {
-			converged = true
-			if tol > base {
-				// Converged on a loose solve: re-solve the same power map
-				// at full tolerance, warm from the loose field.
-				temps, err = e.steadyState(ctx, sl, pm, temps, base)
-				if err != nil {
-					return Outcome{}, err
-				}
-				if fellBack {
-					m.greensMisses.Inc()
-				}
-				m.leakResolves.Inc()
-				out.ProcHotC, _ = temps.Max(st.ProcMetalLayer)
-			}
-			break
-		}
-		prevHot = hot
+		hot, _ := temps.Max(st.ProcMetalLayer)
+		iters, delta = iters+1, math.Abs(hot-prevHot)
+		converged, prevHot = delta < e.ConvergeC, hot
+	}
+	temps, err := field(temps, converged)
+	if err != nil {
+		return fail(err)
 	}
 
-	d0, _ := temps.Max(st.DRAMMetalLayers[0])
-	out.DRAM0HotC = d0
+	m.leakIters.Observe(float64(iters))
+	m.leakDelta.Set(delta)
+	conv := 1.0
+	if !converged {
+		conv = 0
+		m.leakExhausted.Inc()
+	}
+	sp.End(obs.A("ok", 1), obs.A("iters", float64(iters)),
+		obs.A("delta_c", delta), obs.A("converged", conv))
+
+	out.ProcHotC, _ = temps.Max(st.ProcMetalLayer)
+	out.DRAM0HotC, _ = temps.Max(st.DRAMMetalLayers[0])
 	out.CoreHotC = make([]float64, len(res.Cores))
 	for c := range res.Cores {
 		out.CoreHotC[c] = temps.MaxOver(st.Model.Grid, st.ProcMetalLayer, st.Proc.CoreRect(c))
@@ -791,6 +747,28 @@ func (e *Evaluator) thermalCGWarmCtx(ctx context.Context, st *stack.Stack, sl *s
 	return out, nil
 }
 
+// powers assembles the per-block processor and per-die DRAM powers of an
+// activity result, with leakage at each block's mean temperature on the
+// proc metal layer of temps (nil for the leakage reference temperature).
+func (e *Evaluator) powers(st *stack.Stack, freqs []float64, res cpusim.Result, temps thermal.Temperature) ([]power.BlockPower, []power.SlicePower, error) {
+	blockTemp := func(name string) float64 {
+		b, ok := st.Proc.Find(name)
+		if temps == nil || !ok {
+			return e.Power.TRefC
+		}
+		return temps.MeanOver(st.Model.Grid, st.ProcMetalLayer, b.Rect)
+	}
+	procBP, err := e.Power.ProcPower(st.Proc, res, freqs, res.TimeNs, blockTemp)
+	if err != nil {
+		return nil, nil, err
+	}
+	sliceP, err := e.Power.DRAMPower(res.DRAM, st.Cfg.NumDRAMDies, res.TimeNs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return procBP, sliceP, nil
+}
+
 // PowerMap converts an activity result into a thermal power map for a
 // stack, using the temperature field temps for the leakage term (nil for
 // an isothermal estimate at the leakage reference temperature).
@@ -798,21 +776,7 @@ func (e *Evaluator) PowerMap(st *stack.Stack, freqs []float64, res cpusim.Result
 	if res.TimeNs <= 0 {
 		return nil, fmt.Errorf("perf: activity has zero duration")
 	}
-	blockTemp := func(name string) float64 {
-		if temps == nil {
-			return e.Power.TRefC
-		}
-		b, ok := st.Proc.Find(name)
-		if !ok {
-			return e.Power.TRefC
-		}
-		return temps.MeanOver(st.Model.Grid, st.ProcMetalLayer, b.Rect)
-	}
-	procBP, err := e.Power.ProcPower(st.Proc, res, freqs, res.TimeNs, blockTemp)
-	if err != nil {
-		return nil, err
-	}
-	sliceP, err := e.Power.DRAMPower(res.DRAM, st.Cfg.NumDRAMDies, res.TimeNs)
+	procBP, sliceP, err := e.powers(st, freqs, res, temps)
 	if err != nil {
 		return nil, err
 	}

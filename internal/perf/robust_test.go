@@ -3,6 +3,7 @@ package perf
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -41,8 +42,8 @@ func TestEvaluateRetriesDivergedSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("evaluation did not recover from a single divergence: %v", err)
 	}
-	if ev.DegradedSolves != 1 {
-		t.Errorf("DegradedSolves = %d, want 1", ev.DegradedSolves)
+	if got := ev.Stats().DegradedSolves; got != 1 {
+		t.Errorf("DegradedSolves = %d, want 1", got)
 	}
 	if solver.Tol != origTol {
 		t.Errorf("solver tolerance left at %g, want %g restored", solver.Tol, origTol)
@@ -74,8 +75,8 @@ func TestEvaluatePersistentDivergenceFails(t *testing.T) {
 	}
 }
 
-// Bad power is a data error, not a numerical one: no retry, immediate
-// classified failure. SolveRetries=0 must also disable the fallback.
+// Bad power is a data error, not a numerical one, and neither is a
+// hook's injected failure: no retry, one solve, immediate failure.
 func TestNoRetryOnBadPowerOrDisabled(t *testing.T) {
 	ev := NewEvaluator()
 	st := smallStack(t, stack.Base)
@@ -83,20 +84,26 @@ func TestNoRetryOnBadPowerOrDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ev.SolveRetries = 0
-	calls := 0
-	solver.Hook = func() (int, error) {
-		calls++
-		return 0, &fault.DivergenceError{Injected: true}
-	}
-	pm := st.Model.NewPowerMap()
 	sl, err := ev.slot(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ev.steadyState(context.Background(), sl, pm, nil, solver.Tol)
-	if !errors.Is(err, fault.ErrDiverged) || calls != 1 {
-		t.Fatalf("retries disabled: err = %v after %d solves, want 1 failed solve", err, calls)
+
+	bad := st.Model.NewPowerMap()
+	bad[st.ProcMetalLayer][0] = math.NaN()
+	_, err = ev.steadyState(context.Background(), sl, bad, nil, solver.Tol)
+	if s := ev.Stats(); !errors.Is(err, fault.ErrBadPower) || s.Solves != 1 || s.DegradedSolves != 0 {
+		t.Fatalf("bad power: err = %v after %d solves (%d degraded), want ErrBadPower after 1",
+			err, s.Solves, s.DegradedSolves)
+	}
+
+	calls := 0
+	solver.Hook = func() (int, error) {
+		calls++
+		return 0, fault.ErrInjected
+	}
+	_, err = ev.steadyState(context.Background(), sl, st.Model.NewPowerMap(), nil, solver.Tol)
+	if !errors.Is(err, fault.ErrInjected) || calls != 1 {
+		t.Fatalf("injected failure: err = %v after %d solves, want 1 failed solve", err, calls)
 	}
 }
