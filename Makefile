@@ -23,9 +23,10 @@ test-fast:
 	$(GO) test ./...
 
 # The simulator is single-threaded per run, but the race detector still
-# guards the test harness itself.
+# guards the test harness itself. The timeout matches `make test` and CI:
+# internal/perf alone takes ~13-15 min under race on a 2-vCPU host.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -timeout 30m ./internal/...
 
 # Regenerate every paper figure at reduced scale (~20 min).
 bench:

@@ -1,7 +1,7 @@
 // Command perfab runs the repository's benchmark as an A/B comparison of
 // two revisions. It exports each revision's committed files with `git
-// archive` into its own fresh directory under a new temporary directory
-// (whose path it prints), then runs
+// archive` into its own fresh directory under a new temporary directory,
+// which it removes when it exits (on errors too), then runs
 //
 //	bash perfbench/run.sh --workload W --seed S --trace 0
 //
@@ -59,7 +59,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("exported trees in", dir)
+	defer os.RemoveAll(dir)
 	trees := [2]string{filepath.Join(dir, "parent"), filepath.Join(dir, "change")}
 	for i, rev := range [2]string{*parent, *change} {
 		if err := export(rev, trees[i]); err != nil {

@@ -71,6 +71,8 @@ type Evaluator struct {
 	mu      sync.Mutex // guards the cache pointers/maps below
 	cache   *activityCache
 	solvers map[*stack.Stack]*solverSlot
+	// fps caches each stack's floorplan footprints on its grid.
+	fps map[*stack.Stack]*stackFootprints
 	// basisCache is the singleflight Green's-basis cache, keyed by
 	// BasisKey content hashes (greens.go).
 	basisCache map[string]*basisCall
@@ -751,12 +753,13 @@ func (e *Evaluator) fixedPoint(st *stack.Stack, freqs []float64, res cpusim.Resu
 // activity result, with leakage at each block's mean temperature on the
 // proc metal layer of temps (nil for the leakage reference temperature).
 func (e *Evaluator) powers(st *stack.Stack, freqs []float64, res cpusim.Result, temps thermal.Temperature) ([]power.BlockPower, []power.SlicePower, error) {
+	fps := e.footprints(st)
 	blockTemp := func(name string) float64 {
-		b, ok := st.Proc.Find(name)
+		fp, ok := fps.proc[name]
 		if temps == nil || !ok {
 			return e.Power.TRefC
 		}
-		return temps.MeanOver(st.Model.Grid, st.ProcMetalLayer, b.Rect)
+		return fp.Mean(temps[st.ProcMetalLayer])
 	}
 	procBP, err := e.Power.ProcPower(st.Proc, res, freqs, res.TimeNs, blockTemp)
 	if err != nil {
@@ -783,36 +786,75 @@ func (e *Evaluator) PowerMap(st *stack.Stack, freqs []float64, res cpusim.Result
 	return e.buildPowerMap(st, procBP, sliceP)
 }
 
-// buildPowerMap distributes block and slice powers onto the thermal grid.
+// stackFootprints are a stack's floorplan blocks rasterised onto its
+// thermal grid once: every processor block by name, the whole DRAM die,
+// and every DRAM bank block bank_ch<c>b<b> by (c, b). The power map and
+// the leakage block temperatures read them every fixed-point iteration.
+type stackFootprints struct {
+	proc  map[string]thermal.Footprint
+	die   thermal.Footprint
+	banks map[[2]int]thermal.Footprint
+}
+
+// footprints returns (building on first use) the stack's footprints.
+func (e *Evaluator) footprints(st *stack.Stack) *stackFootprints {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if fps, ok := e.fps[st]; ok {
+		return fps
+	}
+	g := st.Model.Grid
+	fps := &stackFootprints{
+		proc:  make(map[string]thermal.Footprint, len(st.Proc.Blocks)),
+		die:   thermal.NewFootprint(g, geom.NewRect(0, 0, st.DRAM.Width, st.DRAM.Height)),
+		banks: make(map[[2]int]thermal.Footprint),
+	}
+	for _, b := range st.Proc.Blocks {
+		fps.proc[b.Name] = thermal.NewFootprint(g, b.Rect)
+	}
+	for _, b := range st.DRAM.Blocks {
+		var ch, bank int
+		if _, err := fmt.Sscanf(b.Name, "bank_ch%db%d", &ch, &bank); err == nil && b.Name == fmt.Sprintf("bank_ch%db%d", ch, bank) {
+			fps.banks[[2]int{ch, bank}] = thermal.NewFootprint(g, b.Rect)
+		}
+	}
+	if e.fps == nil {
+		e.fps = make(map[*stack.Stack]*stackFootprints)
+	}
+	e.fps[st] = fps
+	return fps
+}
+
+// buildPowerMap distributes block and slice powers onto the thermal grid
+// through the stack's footprints.
 func (e *Evaluator) buildPowerMap(st *stack.Stack, procBP []power.BlockPower, sliceP []power.SlicePower) (thermal.PowerMap, error) {
 	pm := st.Model.NewPowerMap()
-	g := st.Model.Grid
+	fps := e.footprints(st)
 
 	for _, bp := range procBP {
-		b, ok := st.Proc.Find(bp.Name)
+		fp, ok := fps.proc[bp.Name]
 		if !ok {
 			return nil, fmt.Errorf("perf: power for unknown proc block %q", bp.Name)
 		}
-		pm.AddBlock(g, st.ProcMetalLayer, b.Rect, bp.Watts)
+		pm.AddFootprint(st.ProcMetalLayer, fp, bp.Watts)
 	}
 
 	if len(sliceP) != len(st.DRAMMetalLayers) {
 		return nil, fmt.Errorf("perf: %d slice powers for %d DRAM dies", len(sliceP), len(st.DRAMMetalLayers))
 	}
-	die := geom.NewRect(0, 0, st.DRAM.Width, st.DRAM.Height)
 	for s, sp := range sliceP {
 		layer := st.DRAMMetalLayers[s]
-		pm.AddBlock(g, layer, die, sp.BackgroundW)
+		pm.AddFootprint(layer, fps.die, sp.BackgroundW)
 		for ch := range sp.BankW {
 			for b, w := range sp.BankW[ch] {
 				if w == 0 {
 					continue
 				}
-				blk, ok := st.DRAM.Find(fmt.Sprintf("bank_ch%db%d", ch, b))
+				fp, ok := fps.banks[[2]int{ch, b}]
 				if !ok {
 					return nil, fmt.Errorf("perf: no bank block ch%d b%d in DRAM floorplan", ch, b)
 				}
-				pm.AddBlock(g, layer, blk.Rect, w)
+				pm.AddFootprint(layer, fp, w)
 			}
 		}
 	}

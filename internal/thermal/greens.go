@@ -105,20 +105,16 @@ func (s *Solver) greensCompat(gb *GreensBasis) error {
 }
 
 // unitRHS scatters src's unit power into the flat right-hand-side vector
-// b, replicating PowerMap.AddBlock's per-cell weights with blockPower=1.
+// b through the footprint PowerMap.AddBlock uses, with blockPower=1
+// (1·frac is frac exactly, so the weights are frac·cellArea/area).
 func (s *Solver) unitRHS(src UnitSource, b []float64) error {
 	if src.Layer < 0 || src.Layer >= len(s.m.Layers) {
 		return fmt.Errorf("thermal: greens source %q on layer %d of %d", src.Name, src.Layer, len(s.m.Layers))
 	}
-	area := src.Rect.Area()
-	if area <= 0 {
+	if area := src.Rect.Area(); area <= 0 {
 		return fmt.Errorf("thermal: greens source %q has area %g", src.Name, area)
 	}
-	g := s.m.Grid
-	cellArea := g.CellArea()
-	g.OverlapFractions(src.Rect, func(row, col int, frac float64) {
-		b[s.idx(src.Layer, g.Index(row, col))] += frac * cellArea / area
-	})
+	NewFootprint(s.m.Grid, src.Rect).scatter(b, s.idx(src.Layer, 0), 1)
 	return nil
 }
 

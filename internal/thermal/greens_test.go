@@ -612,3 +612,33 @@ func FuzzDecodeGreensBasis(f *testing.F) {
 		}
 	})
 }
+
+// CheckUnitRHS requires unitRHS of every source to equal, bit for bit,
+// the textbook unit right-hand side frac·cellArea/area taken straight off
+// OverlapFractions. Exported for the scheme-stack test in package
+// thermal_test.
+func CheckUnitRHS(t *testing.T, m *Model, srcs []UnitSource) {
+	t.Helper()
+	s, err := NewSolver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Grid
+	got, want := make([]float64, s.n), make([]float64, s.n)
+	for _, src := range srcs {
+		clear(got)
+		clear(want)
+		if err := s.unitRHS(src, got); err != nil {
+			t.Fatal(err)
+		}
+		area, cellArea := src.Rect.Area(), g.CellArea()
+		g.OverlapFractions(src.Rect, func(row, col int, frac float64) {
+			want[s.idx(src.Layer, g.Index(row, col))] += frac * cellArea / area
+		})
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("source %s cell %d: unitRHS %v, textbook %v", src.Name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -9,10 +9,11 @@ import (
 	"github.com/xylem-sim/xylem/internal/geom"
 )
 
-// Textbook oracles for the multigrid kernels. Both are written straight
+// Textbook oracles for the multigrid kernels. They are written straight
 // from assemble's definitions — a neighbour term exists iff the
-// neighbour cell exists, the shifted diagonal is diag + shift·capacity —
-// and neither calls applyRange, smoothLevel, factorRange or any other
+// neighbour cell exists, the shifted diagonal is diag + shift·capacity,
+// a coarse cell is the 2x2 aggregate of its fine children — and none
+// calls applyRange, smoothLevel, factorRange, the transfers or any other
 // kernel under test, nor reads the solver's scratch. Their per-cell
 // operation order is the kernels' documented one, so the kernels must
 // match them under == (signed zeros aside: a kernel may add a ±0 product
@@ -113,11 +114,63 @@ func oracleSmooth(l *mgLevel, shift float64, b, x []float64, reverse bool) {
 	}
 }
 
-// CheckKernelsAgainstOracle requires applyRange and smoothLevel (one
-// forward and one reverse sweep) to equal the oracles under == on every
-// level of m's hierarchy, at shifts 0 and 1e3 and at Workers 1, 2 and 4,
-// and the three worker counts to agree bitwise. Exported for the
-// scheme-stack test in package thermal_test.
+// oracleResidual returns b − (G + shift·C)·x on level l.
+func oracleResidual(l *mgLevel, shift float64, b, x []float64) []float64 {
+	r := oracleApply(l, shift, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	return r
+}
+
+// oracleRestrict returns the coarse vector whose every cell sums its
+// (up to four) fine children of r in row-major order.
+func oracleRestrict(f, c *mgLevel, r []float64) []float64 {
+	out := make([]float64, c.n)
+	for lay := 0; lay < c.layers; lay++ {
+		for R := 0; R < c.rows; R++ {
+			for C := 0; C < c.cols; C++ {
+				acc := 0.0
+				for _, d := range [4][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+					if row, col := 2*R+d[0], 2*C+d[1]; row < f.rows && col < f.cols {
+						acc += r[lay*f.nPerLayer+row*f.cols+col]
+					}
+				}
+				out[lay*c.nPerLayer+R*c.cols+C] = acc
+			}
+		}
+	}
+	return out
+}
+
+// oracleProlong adds the coarse vector cx to every fine cell of x, each
+// cell taking its 2x2 aggregate's value.
+func oracleProlong(f, c *mgLevel, cx, x []float64) {
+	for lay := 0; lay < f.layers; lay++ {
+		for row := 0; row < f.rows; row++ {
+			for col := 0; col < f.cols; col++ {
+				x[lay*f.nPerLayer+row*f.cols+col] += cx[lay*c.nPerLayer+(row/2)*c.cols+col/2]
+			}
+		}
+	}
+}
+
+// CheckKernelsAgainstOracle checks the multigrid kernels on every level
+// of m's hierarchy, at shifts 0 and 1e3 and at Workers 1, 2 and 4, and
+// requires the three worker counts to agree bitwise on every output:
+//   - applyRange equals oracleApply;
+//   - a forward and then a reverse smoothLevel sweep equal oracleSmooth;
+//   - a zero-start forward sweep over a non-zero x equals oracleSmooth's
+//     forward sweep of a zeroed iterate;
+//   - after a forward sweep, the residual of colour 1 (swept last) is at
+//     most 1e-12·‖b‖₂ in every cell, the identity restrictResidual rests
+//     on;
+//   - restrictResidual equals the textbook residual, with colour 1's set
+//     to 0, summed over each coarse cell's children;
+//   - prolongColour followed by a reverse sweep equals full aggregate
+//     prolongation followed by a reverse sweep, bit for bit.
+//
+// Exported for the scheme-stack test in package thermal_test.
 func CheckKernelsAgainstOracle(t *testing.T, m *Model) {
 	t.Helper()
 	for _, shift := range []float64{0, 1e3} {
@@ -146,14 +199,54 @@ func CheckKernelsAgainstOracle(t *testing.T, m *Model) {
 
 				xs := append([]float64(nil), x...)
 				want := append([]float64(nil), x...)
-				s.smoothLevel(l, b, xs, false)
+				s.smoothLevel(l, b, xs, false, false)
+				fwd := append([]float64(nil), xs...)
+				res := oracleResidual(l, shift, b, fwd)
+				bnorm := math.Sqrt(dot(b, b))
+				for i := range res {
+					p := i % l.nPerLayer
+					if (p/l.cols+p%l.cols)&1 == 1 {
+						if math.Abs(res[i]) > 1e-12*bnorm {
+							t.Fatalf("%s: colour-1 residual %g at cell %d after a forward sweep, ‖b‖ %g", where, res[i], i, bnorm)
+						}
+						res[i] = 0
+					}
+				}
 				oracleSmooth(l, shift, b, want, false)
 				requireEqual(t, where+" forward sweep", xs, want)
-				s.smoothLevel(l, b, xs, true)
+				s.smoothLevel(l, b, xs, true, false)
 				oracleSmooth(l, shift, b, want, true)
 				requireEqual(t, where+" reverse sweep", xs, want)
 
-				got = append(got, y, xs)
+				xz := append([]float64(nil), x...)
+				s.smoothLevel(l, b, xz, false, true)
+				want = make([]float64, l.n)
+				oracleSmooth(l, shift, b, want, false)
+				requireEqual(t, where+" zero-start forward sweep", xz, want)
+
+				got = append(got, y, xs, xz)
+				if li+1 == len(s.levels) {
+					continue
+				}
+				next := s.levels[li+1]
+				s.restrictResidual(l, next, b, fwd)
+				requireEqual(t, where+" fused restriction", next.b, oracleRestrict(l, next, res))
+
+				for i := range next.x {
+					next.x[i] = rng.NormFloat64() * 1e-2
+				}
+				xc := append([]float64(nil), fwd...)
+				xf := append([]float64(nil), fwd...)
+				s.prolongColour(l, next, xc)
+				oracleProlong(l, next, next.x, xf)
+				s.smoothLevel(l, b, xc, true, false)
+				s.smoothLevel(l, b, xf, true, false)
+				for i := range xf {
+					if math.Float64bits(xc[i]) != math.Float64bits(xf[i]) {
+						t.Fatalf("%s: colour prolongation + reverse sweep gives %v at cell %d, full prolongation %v", where, xc[i], i, xf[i])
+					}
+				}
+				got = append(got, append([]float64(nil), next.b...), xc)
 			}
 			s.Close()
 			if ref == nil {
@@ -202,26 +295,33 @@ func oracleModel(rows, cols, layers int) *Model {
 // TestKernelsMatchOracle checks the kernels against the oracles on odd
 // and even extents and on the degenerate shapes the row-sweep kernels
 // must route around: fewer than four columns, fewer than three rows, a
-// single cell column, and one- and two-layer stacks. The 27×42×30 shape
-// crosses the parallel threshold. Its planar chunk width, 273 = 6.5·42,
-// puts every other smoother chunk boundary mid-row and the rest at a
-// row start, and its 8192-cell apply chunks split rows too. With an
-// even column count the cell past a row end has the sweeping colour,
-// and with an odd row count so does the cell before a layer's first
-// row, so under -race the shape covers the reads the guarded edge
-// columns and rows exist to avoid.
+// single cell column, and one- and two-layer stacks. The 27×42×30 and
+// 4×300×30 shapes cross the parallel threshold, so the smoother runs
+// row blocks with seam rows in its second phase: 27×42×30 in blocks of
+// 6 rows with a short last block of 3, 4×300×30 in one-row blocks whose
+// every row is a seam. The 8192-cell apply chunks of 27×42×30 split
+// rows. With an even column count the cell past a row end has the
+// sweeping colour, and with an odd row count so does the cell before a
+// layer's first row, so under -race the shape covers the reads the
+// guarded edge columns and rows exist to avoid.
 func TestKernelsMatchOracle(t *testing.T) {
 	shapes := [][3]int{
 		{5, 5, 4}, {16, 16, 5}, {24, 24, 3}, {7, 9, 6},
 		{9, 3, 5}, {6, 2, 4}, {5, 1, 3}, {2, 9, 4}, {1, 8, 3}, {1, 1, 3},
 		{8, 7, 1}, {9, 6, 2}, {3, 3, 2},
-		{27, 42, 30},
+		{27, 42, 30}, {4, 300, 30},
 	}
 	for _, sh := range shapes {
 		m := oracleModel(sh[0], sh[1], sh[2])
-		if sh == [3]int{27, 42, 30} {
-			if w := planarChunkWidth(sh[2]); m.NumCells() < parallelMinCells || w%sh[1] == 0 {
-				t.Fatalf("27x42x30 must run parallel with mid-row chunks (cells %d, width %d)", m.NumCells(), w)
+		l := &mgLevel{rows: sh[0], cols: sh[1], layers: sh[2], n: m.NumCells()}
+		switch sh {
+		case [3]int{27, 42, 30}:
+			if h := l.chunkRows(); l.n < parallelMinCells || h < 2 || sh[0]%h == 0 {
+				t.Fatalf("27x42x30 must run parallel in multi-row blocks with a short last block (cells %d, rows per block %d)", l.n, h)
+			}
+		case [3]int{4, 300, 30}:
+			if l.n < parallelMinCells || l.chunkRows() != 1 {
+				t.Fatalf("4x300x30 must run parallel in one-row blocks (cells %d, rows per block %d)", l.n, l.chunkRows())
 			}
 		}
 		t.Run(fmt.Sprintf("%dx%dx%d", sh[0], sh[1], sh[2]), func(t *testing.T) {

@@ -51,14 +51,16 @@ func (k KernelBench) StencilApply() {
 }
 
 // ThomasSweep runs one red-black line-smoothing sweep (forward colour
-// order) on the finest level: per planar column, one tridiagonal Thomas
-// solve through the stack's layers. Interior rows sweep their interior
-// columns layer-outer (solveRow), so the columns' recurrences pipeline;
-// edge rows and columns solve one column at a time (solveColumn). This
-// is the multigrid smoother's unit of work.
+// order, from a non-zero iterate) on the finest level: per planar
+// column, one tridiagonal Thomas solve through the stack's layers, with
+// precomputed pivots. The two colours run as a row wavefront
+// (smoothLevel). Interior rows sweep their interior columns layer-outer
+// (solveRow), so the columns' recurrences pipeline; edge rows and
+// columns solve one column at a time (solveColumn). This is the
+// multigrid smoother's unit of work.
 func (k KernelBench) ThomasSweep() {
 	s := k.s
-	s.smoothLevel(s.levels[0], s.r, s.z, false)
+	s.smoothLevel(s.levels[0], s.r, s.z, false, false)
 }
 
 // FusedReduction runs classic CG's per-iteration fused pass (applyDot,

@@ -136,22 +136,69 @@ func (p PowerMap) Total() float64 {
 	return t
 }
 
+// Footprint is a rectangle rasterised onto a grid once: the cells it
+// overlaps, in OverlapFractions order, the fraction of each cell it
+// covers, and the cell and rectangle areas. A floorplan block's
+// footprint is fixed for a stack, so its power and mean temperature can
+// be taken every leakage iteration without redoing the geometry.
+type Footprint struct {
+	cells          []int
+	frac           []float64
+	cellArea, area float64
+}
+
+// NewFootprint rasterises rect onto g. A rectangle of non-positive area
+// has an empty footprint.
+func NewFootprint(g geom.Grid, rect geom.Rect) Footprint {
+	fp := Footprint{cellArea: g.CellArea(), area: rect.Area()}
+	if fp.area <= 0 {
+		return fp
+	}
+	g.OverlapFractions(rect, func(row, col int, frac float64) {
+		fp.cells = append(fp.cells, g.Index(row, col))
+		fp.frac = append(fp.frac, frac)
+	})
+	return fp
+}
+
+// scatter adds w watts spread uniformly over the footprint to dst, whose
+// cell c is dst[off+c]. frac is the fraction of the *cell* covered;
+// frac·cellArea/area is the fraction of the *block* inside the cell.
+func (fp Footprint) scatter(dst []float64, off int, w float64) {
+	for k, c := range fp.cells {
+		dst[off+c] += w * fp.frac[k] * fp.cellArea / fp.area
+	}
+}
+
+// Mean returns the area-weighted mean of layer over the footprint (NaN
+// for an empty one).
+func (fp Footprint) Mean(layer []float64) float64 {
+	sum, wsum := 0.0, 0.0
+	for k, c := range fp.cells {
+		sum += layer[c] * fp.frac[k]
+		wsum += fp.frac[k]
+	}
+	if wsum == 0 {
+		return math.NaN()
+	}
+	return sum / wsum
+}
+
 // AddBlock distributes blockPower watts uniformly over the part of rect
 // that falls inside the grid, adding to layer li of the map.
 func (p PowerMap) AddBlock(g geom.Grid, li int, rect geom.Rect, blockPower float64) {
 	if blockPower == 0 {
 		return
 	}
-	area := rect.Area()
-	if area <= 0 {
+	p.AddFootprint(li, NewFootprint(g, rect), blockPower)
+}
+
+// AddFootprint is AddBlock over a precomputed footprint.
+func (p PowerMap) AddFootprint(li int, fp Footprint, blockPower float64) {
+	if blockPower == 0 {
 		return
 	}
-	cellArea := g.CellArea()
-	g.OverlapFractions(rect, func(row, col int, frac float64) {
-		// frac is the fraction of the *cell* covered; convert to the
-		// fraction of the *block* inside this cell.
-		p[li][g.Index(row, col)] += blockPower * frac * cellArea / area
-	})
+	fp.scatter(p[li], 0, blockPower)
 }
 
 // Temperature holds a solved temperature field, °C, indexed like PowerMap.
@@ -182,15 +229,7 @@ func (t Temperature) MaxOverall() float64 {
 // MeanOver returns the area-weighted mean temperature of layer li over
 // rect.
 func (t Temperature) MeanOver(g geom.Grid, li int, rect geom.Rect) float64 {
-	sum, wsum := 0.0, 0.0
-	g.OverlapFractions(rect, func(row, col int, frac float64) {
-		sum += t[li][g.Index(row, col)] * frac
-		wsum += frac
-	})
-	if wsum == 0 {
-		return math.NaN()
-	}
-	return sum / wsum
+	return NewFootprint(g, rect).Mean(t[li])
 }
 
 // MaxOver returns the maximum temperature of layer li over cells that

@@ -30,18 +30,35 @@ package thermal
 //
 // The smoother is red-black line Gauss-Seidel over cell columns: columns
 // are 2-coloured by planar parity, and each update solves its column's
-// vertical tridiagonal system exactly (Thomas algorithm) given the
-// current lateral neighbour values. Red columns read only black columns
-// and vice versa, and each column writes only its own cells, so a colour
-// half-sweep is embarrassingly parallel over the fixed planar chunks and
-// bitwise-identical for any Workers setting. The V-cycle runs one
-// forward (red, black) pre-smoothing sweep, restricts the residual
-// (aggregate sums), recurses, prolongs (aggregate injection), and one
-// backward (black, red) post-smoothing sweep; the coarsest (~3x3 planar)
-// level is solved with a fixed number of symmetric sweeps. Backward
-// post-smoothing is the adjoint of forward pre-smoothing (each colour
-// block solve is symmetric), so the whole cycle is a symmetric positive
-// operator — a legal CG preconditioner.
+// vertical tridiagonal system exactly (Thomas algorithm, pivots
+// precomputed per shift) given the current lateral neighbour values.
+// Colour-0 columns read only colour-1 columns and vice versa, and each
+// column writes only its own cells, so the lines of a colour are
+// independent.
+// One sweep runs both colours as a row wavefront over fixed row blocks
+// (smoothLevel): each line reads exactly the values the two-phase
+// colour sweep gives it, so the result is bitwise the same at any
+// Workers setting.
+//
+// The V(1,1) cycle runs one forward (colour 0, colour 1) pre-sweep, the
+// residual restriction (aggregate sums), the coarse cycle, the
+// prolongation (aggregate injection) and one reverse (colour 1,
+// colour 0) post-sweep; the coarsest (~3x3 planar) level is solved with
+// a fixed number of symmetric sweeps. The cycle skips the work red-black
+// line smoothing makes redundant, each step exact in real arithmetic:
+//
+//   - The pre-sweep starts from the zero iterate, so its first colour
+//     solves from b alone and nothing clears x first.
+//   - After the forward sweep the colour-1 line equations hold, so their
+//     residual is zero: restriction sums only the colour-0 residuals,
+//     computed in the same pass (restrictResidual).
+//   - The post-sweep's first colour, 1, overwrites every colour-1 cell
+//     reading only colour-0 ones, so prolongation adds the correction to
+//     colour 0 only (prolongColour).
+//
+// Reverse post-smoothing is the adjoint of forward pre-smoothing (each
+// colour block solve is symmetric), so the whole cycle is a symmetric
+// positive operator — a legal CG preconditioner.
 //
 // The shift term of backward-Euler transient steps (shift·C) enters every
 // level through the aggregated capacities: ensureShifted folds it into a
@@ -92,10 +109,6 @@ func ParsePrecond(name string) (Precond, bool) {
 }
 
 const (
-	// mgPreSweeps/mgPostSweeps are the smoothing sweeps per V-cycle
-	// flank. One line sweep per flank is the standard V(1,1) cycle.
-	mgPreSweeps  = 1
-	mgPostSweeps = 1
 	// mgCoarsestSweeps is the number of symmetric line-GS sweeps used as
 	// the coarsest-level solve. The coarsest planar grid is at most
 	// mgCoarsestDim^2 columns, where this many sweeps reduce the error
@@ -124,10 +137,9 @@ type mgLevel struct {
 	// Scratch. sdiag is diag + shift·capacity for the current shift
 	// (see ensureShifted); x/b are the level's correction and
 	// right-hand side (nil at level 0, where cg's own vectors serve).
-	// r holds the residual from residualRange until restrictTo
-	// consumes it, and during a smoothing sweep the line smoother's
-	// eliminated right-hand sides (solveRow). A V-cycle never smooths
-	// between those two calls, so the uses cannot overlap.
+	// r holds the line smoother's eliminated right-hand sides (solveRow)
+	// and, during restrictResidual, the bottom and top layers' A·x rows;
+	// each line or row writes only its own cells.
 	sdiag, r, x, b []float64
 
 	// Precomputed Thomas factorisation of the vertical tridiagonals
@@ -289,12 +301,10 @@ func (s *Solver) ensureShifted(shift float64) {
 }
 
 // factorRange precomputes the Thomas forward-elimination factors for the
-// vertical tridiagonals of planar columns [lo, hi). The pivot chain
-// denom = sdiag − sub·cpPrev, cpPrev = sup/denom is exactly the one the
-// line smoother used to recompute on every sweep; since it never touches
-// the right-hand side, hoisting it here leaves each sweep's remaining
-// arithmetic — and therefore the smoother's output — bit-identical.
-// Columns are independent, so chunked execution is deterministic.
+// vertical tridiagonals of planar columns [lo, hi): the pivot chain
+// denom = sdiag − sub·cpPrev, cpPrev = sup/denom. It never touches the
+// right-hand side, so every sweep reuses it. Columns are independent,
+// so chunked execution is deterministic.
 func (l *mgLevel) factorRange(lo, hi int) {
 	npl := l.nPerLayer
 	for p := lo; p < hi; p++ {
@@ -422,18 +432,8 @@ func (s *Solver) applyDot(l *mgLevel, x, y []float64) float64 {
 	return s.sumPartials()
 }
 
-// residualRange computes r[lo:hi] = (b − A·x)[lo:hi] into the level's
-// residual scratch.
-func (l *mgLevel) residualRange(b, x []float64, lo, hi int) {
-	l.applyRange(x, l.r, lo, hi)
-	for i := lo; i < hi; i++ {
-		l.r[i] = b[i] - l.r[i]
-	}
-}
-
-// planarChunkWidth is the fixed chunk width, in columns, of the line
-// smoother's kernels: a function of the layer count only, chosen so one
-// chunk carries about chunkCells cells of work.
+// planarChunkWidth is the planar width, in columns, of about chunkCells
+// cells of work: a function of the layer count only.
 func planarChunkWidth(layers int) int {
 	w := chunkCells / layers
 	if w < 1 {
@@ -442,56 +442,93 @@ func planarChunkWidth(layers int) int {
 	return w
 }
 
-// smoothLevel runs one red-black line Gauss-Seidel sweep on the level.
-// forward sweeps red then black; reverse sweeps black then red (the
-// adjoint, used for post-smoothing so the V-cycle stays symmetric).
-func (s *Solver) smoothLevel(l *mgLevel, b, x []float64, reverse bool) {
-	order := [2]int{0, 1}
-	if reverse {
-		order = [2]int{1, 0}
+// chunkRows is the fixed row-block height of the line smoother's chunks.
+// A level below the parallel threshold is one block, so its sweep is a
+// single wavefront; a larger one takes blocks of whole rows carrying
+// about chunkCells cells, at least one row each. The block grid depends
+// only on the level's shape, never on Workers.
+func (l *mgLevel) chunkRows() int {
+	if l.n < parallelMinCells {
+		return l.rows
 	}
-	w := planarChunkWidth(l.layers)
-	for _, color := range order {
-		color := color
-		s.runSpan(l.nPerLayer, w, l.n, func(lo, hi int) {
-			l.smoothSpan(b, x, color, lo, hi)
-		})
-	}
+	return max(1, planarChunkWidth(l.layers)/l.cols)
 }
 
-// smoothSpan solves every column of the given colour with planar index
-// in [lo, hi). It walks rows directly — same-colour columns sit at
-// stride 2 within a row. On the interior rows the columns 1..cols−2 go
-// to solveRow in one layer-outer sweep; the first and last rows and the
-// row-end columns keep the guarded solveColumn, because there the
-// unguarded neighbour reads would leave the array or, at a row end,
-// read a same-colour cell of the next row that another chunk may be
-// writing. Same-colour columns are independent, so the result does not
-// depend on the chunking.
-func (l *mgLevel) smoothSpan(b, x []float64, color, lo, hi int) {
+// smoothLevel runs one red-black line Gauss-Seidel sweep on the level:
+// forward sweeps colour 0 then colour 1, reverse sweeps colour 1 then
+// colour 0 (the adjoint, used for post-smoothing so the V-cycle stays
+// symmetric). zero declares the iterate zero on entry: the first colour
+// then solves its lines from b alone and x is never read, so the caller
+// need not clear it.
+//
+// The two colours run as one row wavefront per row block: the first
+// colour on row r, then the second colour on row r−1, whose lateral
+// neighbours (the first colour on rows r−2…r) are final by then. A
+// block's first row needs the first colour of the row above, and its
+// last row that of the row below, both in neighbouring blocks, so where
+// such a block exists those rows take the second colour in a second
+// phase, after every block's first phase. Each line still reads exactly
+// the neighbour values the two-phase colour sweep gives it, so the
+// result is bitwise the same at any block grid and Workers setting, and
+// each row is visited twice in close succession.
+func (s *Solver) smoothLevel(l *mgLevel, b, x []float64, reverse, zero bool) {
+	first := 0
+	if reverse {
+		first = 1
+	}
+	h := l.chunkRows()
+	s.runSpan(l.rows, h, l.n, func(r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			l.sweepRow(b, x, r, first, zero)
+			if p := r - 1; p >= r0 && (p > r0 || r0 == 0) {
+				l.sweepRow(b, x, p, 1-first, false)
+			}
+		}
+		if last := r1 - 1; r1 == l.rows && (last > r0 || r0 == 0) {
+			l.sweepRow(b, x, last, 1-first, false)
+		}
+	})
+	if h >= l.rows {
+		return
+	}
+	s.runSpan(l.rows, h, l.n, func(r0, r1 int) {
+		if r0 > 0 {
+			l.sweepRow(b, x, r0, 1-first, false)
+		}
+		if last := r1 - 1; r1 < l.rows && (last > r0 || r0 == 0) {
+			l.sweepRow(b, x, last, 1-first, false)
+		}
+	})
+}
+
+// sweepRow solves every line of the given colour in one planar row.
+// Same-colour lines sit at stride 2. With zero set they solve from b
+// alone (solveRowZero). Otherwise, on the interior rows the columns
+// 1..cols−2 go to solveRow in one layer-outer sweep; the first and last
+// rows and the row-end columns keep the guarded solveColumn, because
+// there the unguarded neighbour reads would leave the array or, at a row
+// end, read a same-colour cell of the next row that another block may
+// be writing.
+func (l *mgLevel) sweepRow(b, x []float64, row, color int, zero bool) {
 	cols := l.cols
-	for p := lo; p < hi; {
-		row := p / cols
-		rs := row * cols
-		end := min(rs+cols, hi)
-		col := p - rs
-		if (row+col)&1 != color {
-			col++
+	rs := row * cols
+	col := (row ^ color) & 1
+	if zero {
+		l.solveRowZero(b, x, rs+col, rs+cols)
+		return
+	}
+	if row > 0 && row < l.rows-1 {
+		if col == 0 {
+			l.solveColumn(b, x, rs, row, 0)
+			col = 2
 		}
-		if row > 0 && row < l.rows-1 {
-			if col == 0 {
-				l.solveColumn(b, x, rs, row, 0)
-				col = 2
-			}
-			if c1 := min(end-rs, cols-1); col < c1 {
-				l.solveRow(b, x, rs+col, rs+c1)
-				col += (c1 - col + 1) &^ 1
-			}
+		if c1 := cols - 1; col < c1 {
+			l.solveRow(b, x, rs+col, rs+c1)
+			col += (c1 - col + 1) &^ 1
 		}
-		for ; rs+col < end; col += 2 {
-			l.solveColumn(b, x, rs+col, row, col)
-		}
-		p = end
+	}
+	for ; col < cols; col += 2 {
+		l.solveColumn(b, x, rs+col, row, col)
 	}
 }
 
@@ -549,12 +586,12 @@ func (l *mgLevel) solveColumn(b, x []float64, p, row, col int) {
 // p0, p0+2, … below p1 of one row, all with interior planar coordinates
 // (1 ≤ row ≤ rows−2, 1 ≤ col ≤ cols−2), layer-outer: one forward loop
 // per layer over the row's columns, writing the eliminated right-hand
-// sides to the level's r scratch, then one back-substitution loop per
-// layer. The columns' recurrences are independent, so their divisions
-// pipeline at any row width. Every lateral neighbour is in range and
-// belongs to the other colour, so the right-hand side is the full
-// unguarded four-term sum — solveColumn's expression plus a ±0 product
-// wherever a conductance is zero.
+// sides to the level's r scratch, then backSub. The columns'
+// recurrences are independent, so their divisions pipeline at any row
+// width. Every lateral neighbour is in range and belongs to the other
+// colour, so the right-hand side is the full unguarded four-term sum —
+// solveColumn's expression plus a ±0 product wherever a conductance is
+// zero.
 func (l *mgLevel) solveRow(b, x []float64, p0, p1 int) {
 	npl, cols, m := l.nPerLayer, l.cols, p1-p0
 	rp := l.r
@@ -585,6 +622,41 @@ func (l *mgLevel) solveRow(b, x []float64, p0, p1 int) {
 			rps[j] = (rhs - sub*rpd[j]) / fds[j]
 		}
 	}
+	l.backSub(x, p0, m)
+}
+
+// solveRowZero is solveRow for a zero iterate: every lateral term of the
+// right-hand side is a product with +0, so each line solves from b
+// alone and no neighbour is read. That holds on any column of any row,
+// so the row needs no guarded edge columns.
+func (l *mgLevel) solveRowZero(b, x []float64, p0, p1 int) {
+	npl, m := l.nPerLayer, p1-p0
+	if m <= 0 {
+		return
+	}
+	rp := l.r
+	bb, fds, rps := b[p0:][:m], l.fden[p0:][:m], rp[p0:][:m]
+	for j := 0; j < m; j += 2 {
+		rps[j] = bb[j] / fds[j]
+	}
+	for i0 := p0 + npl; i0 < l.n; i0 += npl {
+		bb := b[i0:][:m]
+		fds := l.fden[i0:][:m]
+		rps := rp[i0:][:m]
+		gds := l.gUp[i0-npl:][:m]
+		rpd := rp[i0-npl:][:m]
+		for j := 0; j < m; j += 2 {
+			sub := -gds[j]
+			rps[j] = (bb[j] - sub*rpd[j]) / fds[j]
+		}
+	}
+	l.backSub(x, p0, m)
+}
+
+// backSub is the Thomas back-substitution of the columns p0, p0+2, …
+// below p0+m from their eliminated right-hand sides in the r scratch.
+func (l *mgLevel) backSub(x []float64, p0, m int) {
+	npl, rp := l.nPerLayer, l.r
 	top := l.n - npl + p0
 	xt, rpt := x[top:][:m], rp[top:][:m]
 	for j := 0; j < m; j += 2 {
@@ -601,104 +673,117 @@ func (l *mgLevel) solveRow(b, x []float64, p0, p1 int) {
 	}
 }
 
-// restrictTo transfers the fine residual to the coarse right-hand side:
-// each coarse cell sums its (up to four) fine children in fixed
-// row-major order, so the result is independent of chunk scheduling.
-// It walks coarse rows, locating each row's fine row pair once instead
-// of advancing a (layer, row, col) triple per cell.
-func (s *Solver) restrictTo(f, c *mgLevel) {
-	s.runSpan(c.n, chunkCells, c.n, func(lo, hi int) {
-		p0 := lo % c.nPerLayer
-		lay := lo / c.nPerLayer
-		R, C := p0/c.cols, p0%c.cols
-		pairs := f.cols / 2 // coarse columns with two fine children
-		for ci := lo; ci < hi; {
-			end := min(hi, ci-C+c.cols)
-			fb := lay*f.nPerLayer + 2*R*f.cols
-			r0 := f.r[fb:][:f.cols]
-			r1 := r0
-			two := 2*R+1 < f.rows
-			if two {
-				r1 = f.r[fb+f.cols:][:f.cols]
-			}
-			for ; ci < end; ci, C = ci+1, C+1 {
-				fc := 2 * C
-				acc := 0.0
-				acc += r0[fc]
-				if C < pairs {
-					acc += r0[fc+1]
-				}
-				if two {
-					acc += r1[fc]
-					if C < pairs {
-						acc += r1[fc+1]
-					}
-				}
-				c.b[ci] = acc
-			}
-			C = 0
-			if R++; R == c.rows {
-				R = 0
-				lay++
+// Colour-aware grid transfers. A forward sweep ends with colour 1, whose
+// line equations then hold: its residual is zero in exact arithmetic, so
+// restriction sums only the colour-0 residuals. Of a coarse cell's 2x2
+// children those are (2R, 2C) and (2R+1, 2C+1). The reverse post-sweep
+// starts with colour 1, which overwrites every colour-1 cell reading only
+// colour-0 neighbours, so prolongation adds the correction to the same
+// colour-0 children only. Both kernels walk coarse rows in chunks of
+// about chunkCells fine cells.
+
+// transferRows is the chunk height, in coarse rows, of the transfers.
+func transferRows(f *mgLevel) int { return max(1, chunkCells/(2*f.cols)) }
+
+// restrictResidual sets the coarse right-hand side c.b to the sum of the
+// colour-0 residuals b − A·x of each coarse cell's children on f.
+func (s *Solver) restrictResidual(f, c *mgLevel, b, x []float64) {
+	s.runSpan(c.layers*c.rows, transferRows(f), f.n, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			lay, R := k/c.rows, k%c.rows
+			cb := c.b[lay*c.nPerLayer+R*c.cols:][:c.cols]
+			clear(cb)
+			f.addColourResidual(b, x, lay, 2*R, cb)
+			if 2*R+1 < f.rows {
+				f.addColourResidual(b, x, lay, 2*R+1, cb)
 			}
 		}
 	})
 }
 
-// prolongFrom adds the coarse correction back into the fine iterate by
-// aggregate injection (the transpose of restrictTo's sum), one fine row
-// at a time against its parent coarse row.
-func (s *Solver) prolongFrom(f, c *mgLevel, x []float64) {
-	s.runSpan(f.n, chunkCells, f.n, func(lo, hi int) {
-		p0 := lo % f.nPerLayer
-		lay := lo / f.nPerLayer
-		row, col := p0/f.cols, p0%f.cols
-		for i := lo; i < hi; {
-			end := min(hi, i-col+f.cols)
-			cx := c.x[lay*c.nPerLayer+(row>>1)*c.cols:][:c.cols]
-			xs := x[i:end]
-			for j := range xs {
-				xs[j] += cx[(col+j)>>1]
+// addColourResidual adds the residual (b − A·x) of every colour-0 cell
+// of one row of one layer to dst[col/2], with A·x in applyRange's term
+// order. On an interior layer every neighbour read stays in the array
+// and a missing coupling is a zero conductance (see applyRange), so the
+// row takes the unguarded seven-term expression. On the bottom and top
+// layers applyCells's guarded walk computes the row's A·x into the r
+// scratch, which no sweep is using: each row is owned by one chunk.
+func (l *mgLevel) addColourResidual(b, x []float64, lay, row int, dst []float64) {
+	cols, npl := l.cols, l.nPerLayer
+	i0 := lay*npl + row*cols
+	c0 := row & 1
+	if lay == 0 || lay == l.layers-1 {
+		l.applyCells(x, l.r, i0, i0+cols)
+		for col := c0; col < cols; col += 2 {
+			dst[col>>1] += b[i0+col] - l.r[i0+col]
+		}
+		return
+	}
+	m := cols
+	bb := b[i0:][:m]
+	sdg := l.sdiag[i0:][:m]
+	grs := l.gRight[i0:][:m]
+	gls := l.gRight[i0-1:][:m]
+	gfs := l.gFront[i0:][:m]
+	gbs := l.gFront[i0-cols:][:m]
+	gus := l.gUp[i0:][:m]
+	gds := l.gUp[i0-npl:][:m]
+	xc := x[i0:][:m]
+	xr := x[i0+1:][:m]
+	xl := x[i0-1:][:m]
+	xf := x[i0+cols:][:m]
+	xb := x[i0-cols:][:m]
+	xu := x[i0+npl:][:m]
+	xd := x[i0-npl:][:m]
+	for j := c0; j < m; j += 2 {
+		ax := sdg[j]*xc[j] - grs[j]*xr[j] - gfs[j]*xf[j] - gls[j]*xl[j] - gbs[j]*xb[j] - gus[j]*xu[j] - gds[j]*xd[j]
+		dst[j>>1] += bb[j] - ax
+	}
+}
+
+// prolongColour adds the coarse correction c.x to the colour-0 children
+// of each coarse cell on the fine iterate x.
+func (s *Solver) prolongColour(f, c *mgLevel, x []float64) {
+	s.runSpan(c.layers*c.rows, transferRows(f), f.n, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			lay, R := k/c.rows, k%c.rows
+			cx := c.x[lay*c.nPerLayer+R*c.cols:][:c.cols]
+			i0 := lay*f.nPerLayer + 2*R*f.cols
+			x0 := x[i0:][:f.cols]
+			for C, v := range cx {
+				x0[2*C] += v
 			}
-			i, col = end, 0
-			if row++; row == f.rows {
-				row = 0
-				lay++
+			if 2*R+1 < f.rows {
+				x1 := x[i0+f.cols:][:f.cols]
+				for C := 0; 2*C+1 < f.cols; C++ {
+					x1[2*C+1] += cx[C]
+				}
 			}
 		}
 	})
 }
 
 // vcycle applies one V(1,1) multigrid cycle for the residual equation
-// A·x = b at level li, overwriting x with the correction. The cycle is a
-// fixed linear, symmetric, positive operator, which is what makes it a
-// legal CG preconditioner. ensureShifted must have run for the solve's
-// shift.
+// A·x = b at level li, overwriting x with the correction. The pre-sweep
+// starts from the zero iterate, so x need not be cleared; the residual
+// is restricted from colour 0 only and the correction prolonged to
+// colour 0 only (see the transfers above). Each of those steps is exact
+// in real arithmetic, so the cycle is the textbook fixed linear,
+// symmetric, positive operator, which is what makes it a legal CG
+// preconditioner. ensureShifted must have run for the solve's shift.
 func (s *Solver) vcycle(li int, b, x []float64) {
 	l := s.levels[li]
-	s.runSpan(l.n, chunkCells, l.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] = 0
-		}
-	})
 	if li == len(s.levels)-1 {
 		for k := 0; k < mgCoarsestSweeps; k++ {
-			s.smoothLevel(l, b, x, false)
-			s.smoothLevel(l, b, x, true)
+			s.smoothLevel(l, b, x, false, k == 0)
+			s.smoothLevel(l, b, x, true, false)
 		}
 		return
 	}
-	for k := 0; k < mgPreSweeps; k++ {
-		s.smoothLevel(l, b, x, false)
-	}
-	s.runSpan(l.n, chunkCells, l.n, func(lo, hi int) {
-		l.residualRange(b, x, lo, hi)
-	})
+	s.smoothLevel(l, b, x, false, true)
 	next := s.levels[li+1]
-	s.restrictTo(l, next)
+	s.restrictResidual(l, next, b, x)
 	s.vcycle(li+1, next.b, next.x)
-	s.prolongFrom(l, next, x)
-	for k := 0; k < mgPostSweeps; k++ {
-		s.smoothLevel(l, b, x, true)
-	}
+	s.prolongColour(l, next, x)
+	s.smoothLevel(l, b, x, true, false)
 }

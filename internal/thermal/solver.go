@@ -48,8 +48,9 @@ type Solver struct {
 	capacity []float64
 
 	// scratch buffers reused across solves. partial holds the per-chunk
-	// reduction partials (see parallel.go); one slot per chunk.
-	r, z, p, ap, partial []float64
+	// reduction partials (see parallel.go); one slot per chunk. rhs and
+	// sol are SteadyStateOpts's right-hand side and iterate.
+	r, z, p, ap, partial, rhs, sol []float64
 
 	// Tol is the relative-residual convergence tolerance for CG. A
 	// per-call override goes through SolveOpts — concurrent users must
@@ -130,6 +131,8 @@ func NewSolver(m *Model) (*Solver, error) {
 	s.z = make([]float64, s.n)
 	s.p = make([]float64, s.n)
 	s.ap = make([]float64, s.n)
+	s.rhs = make([]float64, s.n)
+	s.sol = make([]float64, s.n)
 	s.partial = make([]float64, numChunks(s.n))
 	s.assemble()
 	s.buildHierarchy()
@@ -165,6 +168,8 @@ func (s *Solver) Clone() *Solver {
 	c.z = make([]float64, c.n)
 	c.p = make([]float64, c.n)
 	c.ap = make([]float64, c.n)
+	c.rhs = make([]float64, c.n)
+	c.sol = make([]float64, c.n)
 	c.partial = make([]float64, numChunks(c.n))
 	c.levels = make([]*mgLevel, len(s.levels))
 	for i, l := range s.levels {
@@ -565,30 +570,27 @@ func (s *Solver) solveBudget(opts SolveOpts) (budget, error) {
 	return s.drawBudget()
 }
 
-// SteadyStateOpts is SteadyStateCtx with per-solve options.
+// SteadyStateOpts is SteadyStateCtx with per-solve options. The
+// right-hand side and iterate live in solver-owned scratch; only the
+// returned field is allocated.
 func (s *Solver) SteadyStateOpts(ctx context.Context, power PowerMap, opts SolveOpts) (Temperature, error) {
 	if err := s.validatePower(power); err != nil {
 		return nil, err
 	}
-	b := make([]float64, s.n)
+	b, x := s.rhs, s.sol
 	for li, lp := range power {
-		for c, w := range lp {
-			b[s.idx(li, c)] = w
-		}
+		copy(b[li*s.nPerLayer:], lp)
 	}
 	for i, g := range s.gAmb {
 		if g != 0 {
 			b[i] += g * s.m.Ambient
 		}
 	}
-	var x []float64
 	if opts.Warm != nil {
-		var err error
-		if x, err = s.vectorFromField(opts.Warm); err != nil {
+		if err := s.loadField(x, opts.Warm); err != nil {
 			return nil, err
 		}
 	} else {
-		x = make([]float64, s.n)
 		for i := range x {
 			x[i] = s.m.Ambient // cold start at ambient
 		}
@@ -599,28 +601,38 @@ func (s *Solver) SteadyStateOpts(ctx context.Context, power PowerMap, opts Solve
 	return s.fieldFromVector(x), nil
 }
 
-// fieldFromVector reshapes the flat unknown vector into a Temperature.
+// fieldFromVector reshapes the flat unknown vector into a fresh
+// Temperature, its layers slices of one backing array.
 func (s *Solver) fieldFromVector(x []float64) Temperature {
+	flat := append([]float64(nil), x[:s.n]...)
 	out := make(Temperature, len(s.m.Layers))
-	for li := range s.m.Layers {
-		out[li] = append([]float64(nil), x[li*s.nPerLayer:(li+1)*s.nPerLayer]...)
+	for li := range out {
+		out[li] = flat[li*s.nPerLayer : (li+1)*s.nPerLayer : (li+1)*s.nPerLayer]
 	}
 	return out
 }
 
-// vectorFromField flattens a Temperature into an unknown vector.
+// vectorFromField flattens a Temperature into a fresh unknown vector.
 func (s *Solver) vectorFromField(t Temperature) ([]float64, error) {
-	if len(t) != len(s.m.Layers) {
-		return nil, fmt.Errorf("thermal: field has %d layers, model has %d", len(t), len(s.m.Layers))
-	}
 	x := make([]float64, s.n)
+	if err := s.loadField(x, t); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// loadField flattens a Temperature into the unknown vector x.
+func (s *Solver) loadField(x []float64, t Temperature) error {
+	if len(t) != len(s.m.Layers) {
+		return fmt.Errorf("thermal: field has %d layers, model has %d", len(t), len(s.m.Layers))
+	}
 	for li := range t {
 		if len(t[li]) != s.nPerLayer {
-			return nil, fmt.Errorf("thermal: field layer %d has %d cells", li, len(t[li]))
+			return fmt.Errorf("thermal: field layer %d has %d cells", li, len(t[li]))
 		}
 		copy(x[li*s.nPerLayer:], t[li])
 	}
-	return x, nil
+	return nil
 }
 
 // AmbientHeatFlow returns the total heat flowing out of the stack to
