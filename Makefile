@@ -28,11 +28,12 @@ test-fast:
 race:
 	$(GO) test -race -timeout 30m ./internal/...
 
-# Regenerate every paper figure at reduced scale (~20 min).
+# Regenerate every paper figure at reduced scale (~1.5 min on a 2-vCPU host).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run XXX -timeout 0 . | tee bench_output.txt
 
-# Paper-scale figures (32x32 grid, 400k-instruction traces; ~1 h).
+# Paper-scale figures (32x32 grid, 400k-instruction traces; ~3 min on a
+# 2-vCPU host).
 bench-full:
 	XYLEM_BENCH_FULL=1 $(GO) test -bench=. -benchmem -benchtime=1x -run XXX -timeout 0 . | tee bench_output_full.txt
 

@@ -98,15 +98,12 @@ Prometheus/JSON metrics and a trace dump while they run; 'xylem trace
 
 Sweep commands accept -checkpoint DIR to persist crash-safe progress
 snapshots, -resume to continue from them, and -retries/-quarantine to
-retry failing points down a degradation ladder. -fastpath on|oracle
-serves steady-state thermal queries from a precomputed Green's-function
-basis (oracle runs both paths and fails on disagreement).`)
+retry failing points down a degradation ladder.`)
 }
 
 // cliOpts holds the shared experiment flags registered by optFlags.
 type cliOpts struct {
 	apps, freqs, precond   *string
-	fastpath               *string
 	grid, instr, workers   *int
 	cpuprofile, memprofile *string
 	metricsAddr            *string
@@ -127,7 +124,6 @@ func optFlags(fs *flag.FlagSet) *cliOpts {
 		workers:     fs.Int("workers", 0, "concurrent experiment points (0 = all CPUs, 1 = serial)"),
 		freqs:       fs.String("freqs", "2.4,2.8,3.2,3.5", "frequencies for temperature sweeps (GHz)"),
 		precond:     fs.String("precond", "", "CG preconditioner: auto (multigrid), mg, or jacobi"),
-		fastpath:    fs.String("fastpath", "", "Green's-function reduced-order serving: off, on, or oracle"),
 		cpuprofile:  fs.String("cpuprofile", "", "write a CPU profile to this path"),
 		memprofile:  fs.String("memprofile", "", "write a heap profile to this path at exit"),
 		metricsAddr: fs.String("metrics-addr", "", "serve Prometheus/JSON metrics and a trace dump on this address (empty = off)"),
@@ -159,7 +155,6 @@ func (c *cliOpts) options() (exp.Options, error) {
 	o.Instructions = *c.instr
 	o.Workers = *c.workers
 	o.Precond = *c.precond
-	o.FastPath = *c.fastpath
 	if *c.freqs != "" {
 		o.Freqs = nil
 		for _, s := range strings.Split(*c.freqs, ",") {
@@ -270,10 +265,6 @@ func runFigure(r *exp.Runner, id string) error {
 	if d.Solves > 0 {
 		fmt.Printf("solver work: %d solves, %d CG iters, %d V-cycles, %d degraded; iters/solve %s\n",
 			d.Solves, d.SolveIters, d.VCycles, d.DegradedSolves, d.IterHist)
-	}
-	if d.GreensHits > 0 || d.GreensMisses > 0 || d.BasisBuilds > 0 {
-		fmt.Printf("greens fast path: %d hits, %d CG fallbacks, %d basis builds\n",
-			d.GreensHits, d.GreensMisses, d.BasisBuilds)
 	}
 	if quar := r.Quarantined(); len(quar) > 0 {
 		fmt.Printf("quarantined %d point(s) — their table cells are gaps:\n", len(quar))

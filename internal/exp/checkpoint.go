@@ -18,7 +18,8 @@ import (
 )
 
 // Crash-safe sweep checkpointing. A paper-scale temperature sweep is
-// hours of solver work; this file lets it persist its progress through
+// minutes of solver work (Figure 7 ~40 s, every paper-scale figure ~3
+// min on a 2-vCPU host); this file lets it persist its progress through
 // the ckpt store and resume after a crash to byte-identical tables.
 //
 // The unit of progress is one frequency-ladder rung of one work item,
@@ -32,14 +33,15 @@ import (
 // A snapshot is only valid for the run configuration that wrote it, so
 // every snapshot embeds a signature of the sweep-shaping options (apps,
 // grid, instruction budget, frequency ladder, warm-start mode,
-// preconditioner, fast-path mode). Workers is deliberately excluded:
-// results land in serial-order slots regardless of worker count, so a
-// sweep checkpointed under -workers 8 resumes correctly under -workers 1
-// and vice versa. The signature also keeps the batch width and CG
-// recurrence fields that earlier runs could vary, fixed at the bytes a
-// default run wrote (batch=1, cg=auto): snapshots of default runs still
-// resume, and those written with batched solves or an explicit CG
-// recurrence are rejected with ErrCkptMismatch.
+// preconditioner). Workers is deliberately excluded: results land in
+// serial-order slots regardless of worker count, so a sweep checkpointed
+// under -workers 8 resumes correctly under -workers 1 and vice versa.
+// The signature also keeps the batch width, CG recurrence and fast-path
+// fields that earlier runs could vary, fixed at the bytes a default run
+// wrote (batch=1, cg=auto, fastpath=off): snapshots of default runs
+// still resume, and those written with batched solves, an explicit CG
+// recurrence or the Green's-function sweep fast path are rejected with
+// ErrCkptMismatch.
 
 // CkptConfig enables crash-safe checkpointing of a sweep.
 type CkptConfig struct {
@@ -106,7 +108,6 @@ type Manifest struct {
 	MigrationPeriodMs float64   `json:"migration_period_ms,omitempty"`
 	NoWarmStart       bool      `json:"no_warm_start,omitempty"`
 	Precond           string    `json:"precond,omitempty"`
-	FastPath          string    `json:"fast_path,omitempty"`
 }
 
 // manifest captures the sweep-shaping options.
@@ -116,7 +117,7 @@ func (o Options) manifest(label string) Manifest {
 		GridRows: o.GridRows, GridCols: o.GridCols,
 		Instructions: o.Instructions, Freqs: o.Freqs,
 		MigrationGHz: o.MigrationGHz, MigrationPeriodMs: o.MigrationPeriodMs,
-		NoWarmStart: o.NoWarmStart, Precond: o.Precond, FastPath: o.FastPath,
+		NoWarmStart: o.NoWarmStart, Precond: o.Precond,
 	}
 }
 
@@ -128,7 +129,7 @@ func (m Manifest) Options() Options {
 		GridRows: m.GridRows, GridCols: m.GridCols,
 		Instructions: m.Instructions, Freqs: m.Freqs,
 		MigrationGHz: m.MigrationGHz, MigrationPeriodMs: m.MigrationPeriodMs,
-		NoWarmStart: m.NoWarmStart, Precond: m.Precond, FastPath: m.FastPath,
+		NoWarmStart: m.NoWarmStart, Precond: m.Precond,
 	}
 }
 
@@ -158,12 +159,12 @@ func ReadManifest(dir string) (Manifest, error) {
 // exact, not a rounded decimal. The version prefix is xyck3: adding the
 // CG-variant field retired xyck2, as the fast-path mode retired xyck1
 // before it — older snapshots are rejected with ErrCkptMismatch instead
-// of misdecoded. batch=1 and cg=auto are literals (see the file
-// comment).
+// of misdecoded. batch=1, cg=auto and fastpath=off are literals (see the
+// file comment).
 func (o Options) sweepSignature(label string, apps []workload.Profile) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "xyck3|%s|grid=%dx%d|instr=%d|warm=%v|batch=1|precond=%s|cg=auto|fastpath=%s|apps=",
-		label, o.GridRows, o.GridCols, o.Instructions, !o.NoWarmStart, o.Precond, o.fastPathMode())
+	fmt.Fprintf(&b, "xyck3|%s|grid=%dx%d|instr=%d|warm=%v|batch=1|precond=%s|cg=auto|fastpath=off|apps=",
+		label, o.GridRows, o.GridCols, o.Instructions, !o.NoWarmStart, o.Precond)
 	for i, a := range apps {
 		if i > 0 {
 			b.WriteByte(',')
@@ -348,7 +349,7 @@ func encodeStats(s perf.Stats) []byte {
 	e.I64(s.BatchedColumns)
 	e.I64(s.DeflatedColumns)
 	e.I64(int64(s.GreensHits))
-	e.I64(int64(s.GreensMisses))
+	e.I64(0) // the retired sweep fast path's CG-fallback count
 	e.I64(int64(s.BasisBuilds))
 	e.U32(uint32(len(s.IterHist)))
 	for k := range s.IterHist {
@@ -374,7 +375,7 @@ func decodeStats(b []byte) (perf.Stats, error) {
 	s.BatchedColumns = d.I64()
 	s.DeflatedColumns = d.I64()
 	s.GreensHits = int(d.I64())
-	s.GreensMisses = int(d.I64())
+	d.I64() // the retired sweep fast path's CG-fallback count
 	s.BasisBuilds = int(d.I64())
 	if n := int(d.U32()); n != len(s.IterHist) {
 		if err := d.Err(); err != nil {

@@ -73,17 +73,9 @@ type Options struct {
 	NoWarmStart bool
 	// Precond selects the CG preconditioner for every thermal solve:
 	// "" or "auto" (multigrid default), "mg", or "jacobi". Results agree
-	// to solver tolerance either way; the parallel benchmark uses it to
-	// compare iteration counts.
+	// to solver tolerance either way (pinned by TestJacobiSweepTables),
+	// with Jacobi taking many more CG iterations.
 	Precond string
-	// FastPath selects the Green's-function reduced-order serving mode
-	// for every thermal query: "" or "off" (full CG solves), "on" (serve
-	// from a precomputed per-stack basis, results agree to solver
-	// tolerance), or "oracle" (run both paths, fail on disagreement,
-	// return the CG result — tables byte-identical to off). With a
-	// Checkpoint directory configured, bases persist there so a resumed
-	// run skips the precompute.
-	FastPath string
 	// Obs, when non-nil, wires the whole pipeline — experiment points,
 	// evaluator work counters, thermal solver spans, DTM events — to this
 	// metrics registry. Metrics are write-only and never feed back into
@@ -166,20 +158,11 @@ func NewRunner(opts Options) (*Runner, error) {
 		return nil, fmt.Errorf("exp: unknown preconditioner %q (want auto, mg or jacobi)", opts.Precond)
 	}
 	sys.Ev.Precond = pc
-	fp, err := perf.ParseFastPath(opts.FastPath)
-	if err != nil {
-		return nil, err
-	}
-	sys.Ev.FastPath = fp
 	if opts.Obs != nil {
 		sys.Ev.AttachObs(opts.Obs)
 		sys.DTM.AttachObs(opts.Obs)
 	}
-	r := &Runner{Sys: sys, Opts: opts, obs: newRunnerObs(opts.Obs)}
-	if err := r.prepareFastPath(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return &Runner{Sys: sys, Opts: opts, obs: newRunnerObs(opts.Obs)}, nil
 }
 
 // apps returns the selected profiles with the instruction override

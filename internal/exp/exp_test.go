@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/xylem-sim/xylem/internal/perf"
 	"github.com/xylem-sim/xylem/internal/stack"
 )
 
@@ -484,4 +485,48 @@ func TestFigure7PaperScaleGolden(t *testing.T) {
 			t.Errorf("line %d: got %q, golden %q", i+1, got[i], wantLines[i])
 		}
 	}
+}
+
+// A Figure 7 sweep under Jacobi-preconditioned CG must render the same
+// tables as the multigrid sweep, and must take more CG iterations in
+// total. Neither sweep touches the Green's-function path.
+func TestJacobiSweepTables(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		// The Jacobi sweep takes ~20x the multigrid sweep's CG
+		// iterations; it pins floating-point agreement, not
+		// synchronisation.
+		t.Skip("runs two Figure 7 sweeps, one under Jacobi")
+	}
+	mg, mgStats := runFigure7(t, "")
+	jacobi, jacobiStats := runFigure7(t, "jacobi")
+	for _, s := range []perf.Stats{mgStats, jacobiStats} {
+		if s.GreensHits != 0 || s.BasisBuilds != 0 {
+			t.Fatalf("sweep touched the Green's-function path: %+v", s)
+		}
+	}
+	if jacobi != mg {
+		t.Fatalf("Jacobi tables differ from multigrid tables:\n%s\nvs\n%s", jacobi, mg)
+	}
+	if mgStats.SolveIters >= jacobiStats.SolveIters {
+		t.Fatalf("multigrid took %d CG iterations, not below Jacobi's %d", mgStats.SolveIters, jacobiStats.SolveIters)
+	}
+}
+
+// runFigure7 renders Figure 7 on two quick-scale apps, serially, under
+// the given preconditioner and returns the table with the solver work.
+func runFigure7(t *testing.T, precond string) (string, perf.Stats) {
+	t.Helper()
+	o := QuickOptions()
+	o.Apps = []string{"lu-nas", "fft"}
+	o.Workers = 1
+	o.Precond = precond
+	r, err := NewRunner(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tab, err := r.Figure7()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab.String(), r.Sys.Ev.Stats()
 }

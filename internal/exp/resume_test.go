@@ -250,6 +250,23 @@ func TestSweepSignatureDefaultPinned(t *testing.T) {
 // its manifest's batch_width and cg fields no longer rebuild into the
 // options, so the resuming run's signature differs from the stored one.
 func TestResumeRejectsBatchedPipelinedSnapshot(t *testing.T) {
+	requireResumeRejects(t, strings.NewReplacer("|batch=1|", "|batch=4|", "|cg=auto|", "|cg=pipelined|"),
+		`{"batch_width":4,"cg":"pipelined",`)
+}
+
+// Likewise a snapshot of a sweep served by the retired Green's-function
+// fast path: it is refused, not silently finished on CG.
+func TestResumeRejectsFastPathSnapshot(t *testing.T) {
+	requireResumeRejects(t, strings.NewReplacer("|fastpath=off|", "|fastpath=on|"), `{"fast_path":"on",`)
+}
+
+// requireResumeRejects saves a snapshot of a tiny Figure 7 run whose
+// signature is rewritten by sig and whose manifest JSON gains the
+// fields in manPrefix (an opening brace and trailing comma included),
+// then resumes it through `xylem resume`'s path — the manifest rebuilds
+// the options — and requires ErrCkptMismatch.
+func requireResumeRejects(t *testing.T, sig *strings.Replacer, manPrefix string) {
+	t.Helper()
 	dir := t.TempDir()
 	o := tinyOptions()
 	r := newTinyRunner(t, o, nil)
@@ -257,18 +274,21 @@ func TestResumeRejectsBatchedPipelinedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := strings.NewReplacer("|batch=1|", "|batch=4|", "|cg=auto|", "|cg=pipelined|").Replace(o.sweepSignature("7", apps))
+	stored := sig.Replace(o.sweepSignature("7", apps))
+	if stored == o.sweepSignature("7", apps) {
+		t.Fatalf("signature rewrite left %q unchanged", stored)
+	}
 	man, err := json.Marshal(o.manifest("7"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	man = append([]byte(`{"batch_width":4,"cg":"pipelined",`), man[1:]...)
+	man = append([]byte(manPrefix), man[1:]...)
 	store, err := ckpt.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := ckpt.NewSnapshot()
-	snap.Put(secSig, []byte(sig))
+	snap.Put(secSig, []byte(stored))
 	snap.Put(secManifest, man)
 	if _, err := store.Save(snap); err != nil {
 		t.Fatal(err)
@@ -282,7 +302,7 @@ func TestResumeRejectsBatchedPipelinedSnapshot(t *testing.T) {
 	ro.Workers = 1
 	ro.Checkpoint = &CkptConfig{Dir: dir, Resume: true, Label: m.Label}
 	if _, _, err := newTinyRunner(t, ro, nil).Figure7(); !errors.Is(err, ErrCkptMismatch) {
-		t.Fatalf("resuming a batched, pipelined snapshot: err = %v, want ErrCkptMismatch", err)
+		t.Fatalf("resuming a snapshot signed %q: err = %v, want ErrCkptMismatch", stored, err)
 	}
 }
 

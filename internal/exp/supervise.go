@@ -12,12 +12,13 @@ import (
 	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
-// The run supervisor. A long sweep should not lose hours of work to
-// one misbehaving point: when a point fails with a retryable solver
-// error (divergence, budget exhaustion), the supervisor retries it down
-// a degradation ladder — first with the CG tolerance relaxed, then with
-// the Jacobi preconditioner in place of the multigrid cycle — waiting a
-// capped exponential backoff between attempts. The backoff jitter is a
+// The run supervisor. A long sweep (every paper-scale figure takes ~3
+// min on a 2-vCPU host) should not lose its work to one misbehaving
+// point: when a point fails with a retryable solver error (divergence,
+// budget exhaustion), the supervisor retries it down a degradation
+// ladder — first with the CG tolerance relaxed, then with the Jacobi
+// preconditioner in place of the multigrid cycle — waiting a capped
+// exponential backoff between attempts. The backoff jitter is a
 // deterministic draw from the fault package's hash RNG keyed by (seed,
 // point, attempt), so a supervised run's retry schedule is itself
 // reproducible. A point that exhausts the ladder either fails the sweep

@@ -75,11 +75,10 @@ func (e *Evaluator) SolveGreens(ctx context.Context, st *stack.Stack, procBP []p
 }
 
 // ThermalFastCtx runs the power/thermal fixed point of one activity
-// result on the Green's-function reduced model, regardless of the
-// evaluator's FastPath field — the per-request fast-path knob the
-// serving daemon exposes. Unlike ThermalWarmCtx with FastPathOn there
-// is no silent CG fallback: a stack whose basis cannot be built returns
-// the build error, so the caller knows the query was never served.
+// result on the Green's-function reduced model — the per-request
+// fast-path knob the serving daemon exposes. There is no silent CG
+// fallback: a stack whose basis cannot be built returns the build error,
+// so the caller knows the query was never served.
 func (e *Evaluator) ThermalFastCtx(ctx context.Context, st *stack.Stack, freqs []float64, res cpusim.Result) (Outcome, error) {
 	sl, err := e.thermalSlot(st, res)
 	if err != nil {

@@ -1,17 +1,17 @@
 package perf
 
-// Green's-function fast path: serve steady-state thermal queries from a
-// precomputed reduced-order basis instead of a CG solve. The basis — one
-// unit-power response field per floorplan block, plus per-die DRAM
-// background terms — is built once per stack content (BasisKey) by one
-// CG solve per column, cached singleflight like the activity cache, and
-// queried with a fused GEMV: O(blocks) work per cell instead of a full
-// multigrid-preconditioned Krylov iteration. The temperature-dependent
-// leakage fixed point runs on the reduced model through the same loop as
-// the CG path (fixedPoint), so it has the same ConvergeC semantics; CG
-// remains both the fallback for stacks whose power cannot be expressed
-// in the basis and the exactness oracle (FastPathOracle runs both paths
-// and fails loudly if they disagree).
+// Green's-function fast path of the serving daemon: answer one
+// steady-state thermal query from a precomputed reduced-order basis
+// instead of a CG solve (SolveGreens, ThermalFastCtx in direct.go). The
+// basis — one unit-power response field per floorplan block, plus
+// per-die DRAM background terms — is built once per stack content
+// (BasisKey) by one CG solve per column, cached singleflight like the
+// activity cache, and queried with a fused GEMV: O(blocks) work per cell
+// instead of a full multigrid-preconditioned Krylov iteration. The
+// temperature-dependent leakage fixed point runs on the reduced model
+// through the same loop as the CG path (fixedPoint), so it has the same
+// ConvergeC semantics. Sweeps do not use it: a warm-started MG-CG sweep
+// is cheaper than building a basis per scheme (DESIGN.md §15).
 
 import (
 	"context"
@@ -27,51 +27,6 @@ import (
 	"github.com/xylem-sim/xylem/internal/stack"
 	"github.com/xylem-sim/xylem/internal/thermal"
 )
-
-// FastPath selects how the evaluator serves steady-state thermal queries.
-type FastPath int
-
-const (
-	// FastPathOff is the default: every query is a CG solve.
-	FastPathOff FastPath = iota
-	// FastPathOn serves queries from the Green's-function basis, falling
-	// back to CG (counted in GreensMisses) when no basis can be built.
-	FastPathOn
-	// FastPathOracle runs both paths on every evaluation, fails if they
-	// disagree beyond OracleTolC, and returns the CG result — so tables
-	// are byte-identical to a FastPathOff run by construction.
-	FastPathOracle
-)
-
-// OracleTolC is the agreement bound of the oracle mode, in °C. The two
-// paths differ only by solver tolerance (the reduced model is exact
-// superposition of tolerance-accurate unit solves), so observed
-// deviations sit orders of magnitude below this; the bound only has to
-// be far under the 0.1 °C print precision of the tables.
-const OracleTolC = 1e-3
-
-// ParseFastPath maps the CLI/Options spelling onto a FastPath mode.
-func ParseFastPath(s string) (FastPath, error) {
-	switch s {
-	case "", "off":
-		return FastPathOff, nil
-	case "on", "greens":
-		return FastPathOn, nil
-	case "oracle":
-		return FastPathOracle, nil
-	}
-	return FastPathOff, fmt.Errorf("perf: unknown fast-path mode %q (want off, on or oracle)", s)
-}
-
-func (f FastPath) String() string {
-	switch f {
-	case FastPathOn:
-		return "on"
-	case FastPathOracle:
-		return "oracle"
-	}
-	return "off"
-}
 
 // greensEntry pairs a basis with the column tables the power coefficient
 // mapping uses, resolved once from the qualified column names —
@@ -191,23 +146,11 @@ func BasisKey(st *stack.Stack) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// newGreensEntry wraps a built (or loaded) basis with its column index,
-// validating the basis against the stack's source list and model shape.
-func newGreensEntry(st *stack.Stack, gb *thermal.GreensBasis) (*greensEntry, error) {
-	srcs := unitSources(st)
-	if gb.B != len(srcs) {
-		return nil, fmt.Errorf("perf: basis has %d columns, stack has %d sources", gb.B, len(srcs))
-	}
-	m := st.Model
-	if gb.Rows != m.Grid.Rows || gb.Cols != m.Grid.Cols || gb.Layers != len(m.Layers) {
-		return nil, fmt.Errorf("perf: basis shaped %dx%dx%d, stack model is %dx%dx%d",
-			gb.Rows, gb.Cols, gb.Layers, m.Grid.Rows, m.Grid.Cols, len(m.Layers))
-	}
+// newGreensEntry wraps a basis built from the stack's sources srcs
+// (column i solves srcs[i]) with its column index.
+func newGreensEntry(st *stack.Stack, srcs []thermal.UnitSource, gb *thermal.GreensBasis) *greensEntry {
 	idx := make(map[string]int, len(srcs))
 	for i, s := range srcs {
-		if gb.Names[i] != s.Name {
-			return nil, fmt.Errorf("perf: basis column %d is %q, stack source is %q", i, gb.Names[i], s.Name)
-		}
 		idx[s.Name] = i
 	}
 	ent := &greensEntry{
@@ -238,7 +181,7 @@ func newGreensEntry(st *stack.Stack, gb *thermal.GreensBasis) (*greensEntry, err
 			ent.dramBank[s] = append(ent.dramBank[s], banks)
 		}
 	}
-	return ent, nil
+	return ent
 }
 
 // bases returns the evaluator's basis cache, creating it on first use.
@@ -262,24 +205,6 @@ func (e *Evaluator) GreensBasisFor(ctx context.Context, st *stack.Stack) (*therm
 		return nil, err
 	}
 	return ent.gb, nil
-}
-
-// InstallBasis hands the evaluator a prebuilt basis (typically decoded
-// from a checkpoint) for the stack, after validating it matches the
-// stack's model shape and source list. Subsequent fast-path queries for
-// any stack with the same BasisKey are served from it without a build.
-func (e *Evaluator) InstallBasis(st *stack.Stack, gb *thermal.GreensBasis) error {
-	ent, err := newGreensEntry(st, gb)
-	if err != nil {
-		return err
-	}
-	call := &basisCall{done: make(chan struct{}), ent: ent}
-	close(call.done)
-	key := BasisKey(st)
-	e.mu.Lock()
-	e.bases()[key] = call
-	e.mu.Unlock()
-	return nil
 }
 
 // greensFor is the singleflight core behind GreensBasisFor: resolve the
@@ -324,8 +249,9 @@ func (e *Evaluator) greensFor(ctx context.Context, st *stack.Stack) (*greensEntr
 func (e *Evaluator) buildBasis(ctx context.Context, st *stack.Stack, sl *solverSlot) (*greensEntry, error) {
 	m := e.metrics()
 	sp := m.trace.Start("perf.basis_build")
+	srcs := unitSources(st)
 	sl.mu.Lock()
-	gb, err := sl.s.BuildGreensBasis(ctx, unitSources(st))
+	gb, err := sl.s.BuildGreensBasis(ctx, srcs)
 	sl.mu.Unlock()
 	if err != nil {
 		sp.End(obs.A("ok", 0))
@@ -333,7 +259,7 @@ func (e *Evaluator) buildBasis(ctx context.Context, st *stack.Stack, sl *solverS
 	}
 	m.basisBuilds.Inc()
 	sp.End(obs.A("ok", 1), obs.A("columns", float64(gb.B)))
-	return newGreensEntry(st, gb)
+	return newGreensEntry(st, srcs, gb), nil
 }
 
 // powerCoeffs folds the pipeline's per-block powers onto the basis
@@ -411,39 +337,4 @@ func (e *Evaluator) greensFixedPoint(ctx context.Context, st *stack.Stack, sl *s
 		return sl.s.GreensField(gb, p)
 	}
 	return e.fixedPoint(st, freqs, res, "perf.fixed_point_greens", step, field)
-}
-
-// oracleCompare asserts the reduced and full outcomes of one operating
-// point agree within OracleTolC on every reported temperature — the
-// exactness contract the oracle mode gates whole sweeps on.
-func oracleCompare(fast, full Outcome) error {
-	diff := func(what string, a, b float64) error {
-		if d := math.Abs(a - b); d > OracleTolC || math.IsNaN(d) {
-			return fmt.Errorf("perf: fast path disagrees with CG on %s: %.9f vs %.9f (|Δ| %.3g > %g)",
-				what, a, b, d, OracleTolC)
-		}
-		return nil
-	}
-	if err := diff("ProcHotC", fast.ProcHotC, full.ProcHotC); err != nil {
-		return err
-	}
-	if err := diff("DRAM0HotC", fast.DRAM0HotC, full.DRAM0HotC); err != nil {
-		return err
-	}
-	if len(fast.CoreHotC) != len(full.CoreHotC) {
-		return fmt.Errorf("perf: fast path reported %d cores, CG %d", len(fast.CoreHotC), len(full.CoreHotC))
-	}
-	for c := range fast.CoreHotC {
-		if err := diff(fmt.Sprintf("CoreHotC[%d]", c), fast.CoreHotC[c], full.CoreHotC[c]); err != nil {
-			return err
-		}
-	}
-	for li := range full.Temps {
-		for i := range full.Temps[li] {
-			if err := diff(fmt.Sprintf("Temps[%d][%d]", li, i), fast.Temps[li][i], full.Temps[li][i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -23,7 +23,6 @@ type evalMetrics struct {
 	vcycles      *obs.Counter
 	iterHist     *obs.Histogram
 	greensHits   *obs.Counter
-	greensMisses *obs.Counter
 	basisBuilds  *obs.Counter
 
 	leakIters     *obs.Histogram
@@ -53,7 +52,6 @@ func newEvalMetrics(r *obs.Registry, external bool) *evalMetrics {
 		vcycles:       r.Counter("xylem_perf_vcycles_total"),
 		iterHist:      r.Histogram("xylem_perf_solve_iters", iterBounds),
 		greensHits:    r.Counter("xylem_perf_greens_hits_total"),
-		greensMisses:  r.Counter("xylem_perf_greens_misses_total"),
 		basisBuilds:   r.Counter("xylem_perf_basis_builds_total"),
 		leakIters:     r.Histogram("xylem_perf_leakage_iters", obs.PowerOfTwoBounds(6)),
 		leakDelta:     r.Gauge("xylem_perf_leakage_last_delta_c"),

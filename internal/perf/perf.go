@@ -63,11 +63,6 @@ type Evaluator struct {
 	// Set it before the evaluator is shared across goroutines.
 	Precond thermal.Precond
 
-	// FastPath selects the Green's-function reduced-order serving mode
-	// (see greens.go): off (default), on, or oracle. Set it before the
-	// evaluator is shared across goroutines.
-	FastPath FastPath
-
 	mu      sync.Mutex // guards the cache pointers/maps below
 	cache   *activityCache
 	solvers map[*stack.Stack]*solverSlot
@@ -219,13 +214,11 @@ type Stats struct {
 	BatchedColumns  int64
 	DeflatedColumns int64
 	// GreensHits counts thermal queries served from the Green's-function
-	// basis (one per reduced fixed-point iteration — the CG solves the
-	// fast path replaced); GreensMisses counts CG solves run as fast-path
-	// fallbacks while FastPath was enabled; BasisBuilds counts bases
-	// actually precomputed (cache hits and installed bases don't add).
-	GreensHits   int
-	GreensMisses int
-	BasisBuilds  int
+	// basis (one per SolveGreens call or reduced fixed-point iteration —
+	// the CG solves the fast path replaced); BasisBuilds counts bases
+	// actually precomputed (cache hits don't add).
+	GreensHits  int
+	BasisBuilds int
 }
 
 // Stats returns a snapshot of the work counters. Read it after the
@@ -242,7 +235,6 @@ func (e *Evaluator) Stats() Stats {
 		IterHist:       iterHistFromObs(m.iterHist),
 		DegradedSolves: int(m.degraded.Value()),
 		GreensHits:     int(m.greensHits.Value()),
-		GreensMisses:   int(m.greensMisses.Value()),
 		BasisBuilds:    int(m.basisBuilds.Value()),
 	}
 }
@@ -260,7 +252,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		BatchedColumns:  s.BatchedColumns - prev.BatchedColumns,
 		DeflatedColumns: s.DeflatedColumns - prev.DeflatedColumns,
 		GreensHits:      s.GreensHits - prev.GreensHits,
-		GreensMisses:    s.GreensMisses - prev.GreensMisses,
 		BasisBuilds:     s.BasisBuilds - prev.BasisBuilds,
 	}
 	for k := range d.IterHist {
@@ -283,7 +274,6 @@ func (s Stats) Add(o Stats) Stats {
 		BatchedColumns:  s.BatchedColumns + o.BatchedColumns,
 		DeflatedColumns: s.DeflatedColumns + o.DeflatedColumns,
 		GreensHits:      s.GreensHits + o.GreensHits,
-		GreensMisses:    s.GreensMisses + o.GreensMisses,
 		BasisBuilds:     s.BasisBuilds + o.BasisBuilds,
 	}
 	for k := range t.IterHist {
@@ -593,80 +583,30 @@ func (e *Evaluator) thermalSlot(st *stack.Stack, res cpusim.Result) (*solverSlot
 // activity result, with cancellation threaded through the solves and a
 // warm-start field for the first solve (nil for none); later leakage
 // iterations warm-start from their predecessor.
-// With FastPath on, the fixed point runs on the Green's-function reduced
-// model instead (the warm seed is unused there — a GEMV has no iterate),
-// falling back to the CG path when no basis can be built; with
-// FastPathOracle both paths run, disagreement beyond OracleTolC is an
-// error, and the CG outcome is returned.
 func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs []float64, res cpusim.Result, warm thermal.Temperature) (Outcome, error) {
 	sl, err := e.thermalSlot(st, res)
 	if err != nil {
 		return Outcome{}, err
 	}
-
-	fellBack := false
-	switch e.FastPath {
-	case FastPathOn:
-		ent, gerr := e.greensFor(ctx, st)
-		if gerr == nil {
-			return e.greensFixedPoint(ctx, st, sl, ent, freqs, res)
-		}
-		if ctx.Err() != nil {
-			return Outcome{}, gerr
-		}
-		// Basis unavailable (build failure): serve this stack by CG and
-		// count the fallback solves.
-		fellBack = true
-	case FastPathOracle:
-		ent, gerr := e.greensFor(ctx, st)
-		if gerr != nil {
-			if ctx.Err() != nil {
-				return Outcome{}, gerr
-			}
-			fellBack = true
-			break
-		}
-		fast, ferr := e.greensFixedPoint(ctx, st, sl, ent, freqs, res)
-		if ferr != nil {
-			return Outcome{}, ferr
-		}
-		full, cerr := e.cgFixedPoint(ctx, st, sl, freqs, res, warm, false)
-		if cerr != nil {
-			return Outcome{}, cerr
-		}
-		if err := oracleCompare(fast, full); err != nil {
-			return Outcome{}, err
-		}
-		return full, nil
-	}
-	return e.cgFixedPoint(ctx, st, sl, freqs, res, warm, fellBack)
+	return e.cgFixedPoint(ctx, st, sl, freqs, res, warm)
 }
 
-// cgFixedPoint is the full-solve fixed point — the evaluation pipeline as
-// it exists without the fast path. Its step solves each iteration's power
-// map at leakTol, warm from the previous field; a point that converged on
-// a loose solve re-solves its last power map at full tolerance. fellBack
-// marks solves run because a requested fast path had no basis; they count
-// as GreensMisses.
-func (e *Evaluator) cgFixedPoint(ctx context.Context, st *stack.Stack, sl *solverSlot, freqs []float64, res cpusim.Result, warm thermal.Temperature, fellBack bool) (Outcome, error) {
+// cgFixedPoint is the full-solve fixed point. Its step solves each
+// iteration's power map at leakTol, warm from the previous field; a
+// point that converged on a loose solve re-solves its last power map at
+// full tolerance.
+func (e *Evaluator) cgFixedPoint(ctx context.Context, st *stack.Stack, sl *solverSlot, freqs []float64, res cpusim.Result, warm thermal.Temperature) (Outcome, error) {
 	m := e.metrics()
 	base := sl.baseTol(ctx)
 	var pm thermal.PowerMap
 	var tol float64
-	solve := func(seed thermal.Temperature, at float64) (thermal.Temperature, error) {
-		t, err := e.steadyState(ctx, sl, pm, seed, at)
-		if err == nil && fellBack {
-			m.greensMisses.Inc()
-		}
-		return t, err
-	}
 	step := func(iter int, procBP []power.BlockPower, sliceP []power.SlicePower) (thermal.Temperature, error) {
 		var err error
 		if pm, err = e.buildPowerMap(st, procBP, sliceP); err != nil {
 			return nil, err
 		}
 		tol = leakTol(base, e.LeakageIters-1-iter)
-		warm, err = solve(warm, tol)
+		warm, err = e.steadyState(ctx, sl, pm, warm, tol)
 		return warm, err
 	}
 	field := func(temps thermal.Temperature, converged bool) (thermal.Temperature, error) {
@@ -675,7 +615,7 @@ func (e *Evaluator) cgFixedPoint(ctx context.Context, st *stack.Stack, sl *solve
 		}
 		// Converged on a loose solve: re-solve the same power map at full
 		// tolerance, warm from the loose field.
-		temps, err := solve(temps, base)
+		temps, err := e.steadyState(ctx, sl, pm, temps, base)
 		if err == nil {
 			m.leakResolves.Inc()
 		}

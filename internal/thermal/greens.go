@@ -44,14 +44,11 @@ package thermal
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/geom"
 )
 
@@ -405,95 +402,4 @@ func (s *Solver) GreensField(gb *GreensBasis, p []float64) (Temperature, error) 
 		t[li] = x[li*s.nPerLayer : (li+1)*s.nPerLayer : (li+1)*s.nPerLayer]
 	}
 	return t, nil
-}
-
-// EncodeGreensBasis appends the basis to e in raw IEEE-754 bits, so a
-// persisted basis reproduces queries bit for bit after a reload.
-func EncodeGreensBasis(e *ckpt.Enc, gb *GreensBasis) {
-	e.U32(uint32(gb.Rows))
-	e.U32(uint32(gb.Cols))
-	e.U32(uint32(gb.Layers))
-	e.U32(uint32(gb.B))
-	e.F64(gb.Ambient)
-	for _, n := range gb.Names {
-		e.Str(n)
-	}
-	e.F64s(gb.G)
-}
-
-// ErrNonFiniteBasis marks a decoded Green's basis carrying a NaN or ±Inf
-// coefficient. The zero-skipping GEMV is bitwise-equal to the dense one
-// only for a finite basis (Inf·0 is NaN, not ±0), so such a basis is
-// rejected rather than served. NonFiniteBasisError carries the detail.
-var ErrNonFiniteBasis = errors.New("thermal: non-finite greens basis coefficient")
-
-// NonFiniteBasisError reports the first non-finite coefficient of a
-// decoded basis.
-type NonFiniteBasisError struct {
-	// Column and Cell locate the coefficient; Value is what was read.
-	Column, Cell int
-	Value        float64
-}
-
-func (e *NonFiniteBasisError) Error() string {
-	return fmt.Sprintf("thermal: greens basis column %d cell %d is %v", e.Column, e.Cell, e.Value)
-}
-
-// Is makes errors.Is(err, ErrNonFiniteBasis) match.
-func (e *NonFiniteBasisError) Is(target error) bool { return target == ErrNonFiniteBasis }
-
-// DecodeGreensBasis reads EncodeGreensBasis's layout back, validating
-// internal consistency (column count, coefficient count, finiteness)
-// before any of it is used, and allocating no more than a small multiple
-// of the input: the column count is bounded by the bytes left before the
-// name table is made (each name costs at least its 4-byte length), and
-// the coefficient count is checked without overflow. Whether the basis
-// matches the *current* stack spec is the caller's check — the content
-// key lives with the persistence layer.
-func DecodeGreensBasis(d *ckpt.Dec) (*GreensBasis, error) {
-	gb := &GreensBasis{
-		Rows:   int(d.U32()),
-		Cols:   int(d.U32()),
-		Layers: int(d.U32()),
-		B:      int(d.U32()),
-	}
-	gb.Ambient = d.F64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if gb.Rows < 1 || gb.Cols < 1 || gb.Layers < 1 || gb.B < 1 {
-		return nil, fmt.Errorf("thermal: greens basis shaped %dx%dx%d with %d columns", gb.Rows, gb.Cols, gb.Layers, gb.B)
-	}
-	if gb.B > d.Remaining()/4 {
-		return nil, fmt.Errorf("thermal: greens basis claims %d columns, only %d bytes left", gb.B, d.Remaining())
-	}
-	// The stored slice length is a uint32, so any shape whose coefficient
-	// count exceeds it is corrupt; multiplying under that cap never
-	// overflows.
-	want := 1
-	for _, f := range [...]int{gb.Rows, gb.Cols, gb.Layers, gb.B} {
-		if f > math.MaxUint32/want {
-			return nil, fmt.Errorf("thermal: greens basis shaped %dx%dx%d with %d columns overflows the coefficient count",
-				gb.Rows, gb.Cols, gb.Layers, gb.B)
-		}
-		want *= f
-	}
-	gb.Names = make([]string, gb.B)
-	for i := range gb.Names {
-		gb.Names[i] = d.Str()
-	}
-	gb.G = d.F64s()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if len(gb.G) != want {
-		return nil, fmt.Errorf("thermal: greens basis has %d coefficients, want %d", len(gb.G), want)
-	}
-	n := gb.Cells()
-	for i, v := range gb.G {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, &NonFiniteBasisError{Column: i / n, Cell: i % n, Value: v}
-		}
-	}
-	return gb, nil
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/fault"
 	"github.com/xylem-sim/xylem/internal/geom"
 )
@@ -156,48 +155,6 @@ func TestGreensApplyDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d cell %d: %x != serial %x", workers, i, math.Float64bits(got[i]), math.Float64bits(serial[i]))
 			}
 		}
-	}
-}
-
-// A persisted basis must reproduce queries bit for bit: the codec stores
-// raw IEEE-754 bits and round-trips every field exactly.
-func TestGreensBasisCodecRoundTrip(t *testing.T) {
-	m := slabModel(10, 10, 3, 100e-6, 120, 25000)
-	s, err := NewSolver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := greensTestSources(m, 0, 4)
-	gb, err := s.BuildGreensBasis(context.Background(), srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e ckpt.Enc
-	EncodeGreensBasis(&e, gb)
-	back, err := DecodeGreensBasis(ckpt.NewDec(e.Data()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Rows != gb.Rows || back.Cols != gb.Cols || back.Layers != gb.Layers || back.B != gb.B {
-		t.Fatalf("shape changed in round-trip: %+v vs %+v", back, gb)
-	}
-	if math.Float64bits(back.Ambient) != math.Float64bits(gb.Ambient) {
-		t.Fatalf("ambient changed: %v vs %v", back.Ambient, gb.Ambient)
-	}
-	for i, n := range gb.Names {
-		if back.Names[i] != n {
-			t.Fatalf("name %d changed: %q vs %q", i, back.Names[i], n)
-		}
-	}
-	for i := range gb.G {
-		if math.Float64bits(back.G[i]) != math.Float64bits(gb.G[i]) {
-			t.Fatalf("coefficient %d changed bits: %x vs %x", i, math.Float64bits(back.G[i]), math.Float64bits(gb.G[i]))
-		}
-	}
-
-	// Truncated payloads must fail loudly, not decode garbage.
-	if _, err := DecodeGreensBasis(ckpt.NewDec(e.Data()[:len(e.Data())/2])); err == nil {
-		t.Fatal("truncated basis decoded without error")
 	}
 }
 
@@ -533,84 +490,6 @@ func TestGreensKernelMatchesDenseOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-// encodedTestBasis is a small valid basis in EncodeGreensBasis's layout.
-func encodedTestBasis() []byte {
-	gb := &GreensBasis{Rows: 2, Cols: 2, Layers: 1, B: 3, Ambient: 45, Names: []string{"a", "b", "c"}}
-	for i := 0; i < gb.Cells()*gb.B; i++ {
-		gb.G = append(gb.G, 0.125*float64(i))
-	}
-	var e ckpt.Enc
-	EncodeGreensBasis(&e, gb)
-	return e.Data()
-}
-
-// DecodeGreensBasis must reject hostile headers before allocating for
-// them, and must reject non-finite coefficients with a typed error.
-func TestDecodeGreensBasisRejects(t *testing.T) {
-	header := func(rows, cols, layers, B uint32) *ckpt.Enc {
-		var e ckpt.Enc
-		e.U32(rows)
-		e.U32(cols)
-		e.U32(layers)
-		e.U32(B)
-		e.F64(45)
-		return &e
-	}
-	// 24 bytes claiming 2^32-1 columns: rejected before the name table.
-	if _, err := DecodeGreensBasis(ckpt.NewDec(header(1, 1, 1, math.MaxUint32).Data())); err == nil {
-		t.Fatal("huge column count decoded")
-	}
-	// A shape whose coefficient count exceeds any storable slice.
-	e := header(math.MaxUint32, math.MaxUint32, 2, 1)
-	e.Str("a")
-	e.F64s([]float64{1})
-	if _, err := DecodeGreensBasis(ckpt.NewDec(e.Data())); err == nil {
-		t.Fatal("overflowing shape decoded")
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		e := header(2, 1, 1, 1)
-		e.Str("a")
-		e.F64s([]float64{1, bad})
-		_, err := DecodeGreensBasis(ckpt.NewDec(e.Data()))
-		var nf *NonFiniteBasisError
-		if !errors.Is(err, ErrNonFiniteBasis) || !errors.As(err, &nf) || nf.Column != 0 || nf.Cell != 1 {
-			t.Fatalf("coefficient %v: got %v, want a NonFiniteBasisError at column 0 cell 1", bad, err)
-		}
-	}
-	if _, err := DecodeGreensBasis(ckpt.NewDec(encodedTestBasis())); err != nil {
-		t.Fatalf("valid basis rejected: %v", err)
-	}
-}
-
-// FuzzDecodeGreensBasis feeds arbitrary bytes to the basis decoder: it
-// must never panic, must return either an error or an internally
-// consistent finite basis, and must allocate no more than a constant
-// times the input length.
-func FuzzDecodeGreensBasis(f *testing.F) {
-	f.Add(encodedTestBasis())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		gb, err := DecodeGreensBasis(ckpt.NewDec(data))
-		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(data))+64<<10 {
-			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
-		}
-		if err != nil {
-			return
-		}
-		if len(gb.Names) != gb.B || len(gb.G) != gb.Cells()*gb.B {
-			t.Fatalf("inconsistent basis: %d names, %d coefficients for %dx%dx%d with %d columns",
-				len(gb.Names), len(gb.G), gb.Rows, gb.Cols, gb.Layers, gb.B)
-		}
-		for i, v := range gb.G {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("coefficient %d decoded as %v", i, v)
-			}
-		}
-	})
 }
 
 // CheckUnitRHS requires unitRHS of every source to equal, bit for bit,
