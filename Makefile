@@ -42,11 +42,12 @@ bench-full:
 bench-smoke:
 	$(GO) test -short -bench 'BenchmarkThermalSteadyState|BenchmarkFig08TemperatureReduction' -benchtime=1x -run XXX -timeout 20m .
 
-# CI gate for the solver kernels: a short run of the three kernel
+# CI gate for the hot kernels: a short run of the three solver kernel
 # micro-benchmarks (stencil apply, Thomas sweep, CG's fused apply+dot
-# pass). The Go tests gate the Figure 7 tables these kernels produce.
+# pass) and of one Figure 7 cpusim activity run. The Go tests gate the
+# Figure 7 tables these kernels produce and cpusim's results bit for bit.
 kernel-smoke:
-	$(GO) test -short -bench 'BenchmarkStencilApply|BenchmarkThomasSweep|BenchmarkFusedReduction' -benchtime=1x -run XXX -timeout 10m .
+	$(GO) test -short -bench 'BenchmarkStencilApply|BenchmarkThomasSweep|BenchmarkFusedReduction|BenchmarkCpusimRun' -benchtime=1x -run XXX -timeout 10m .
 
 # CPU+heap profile of a Figure 7 sweep; inspect with
 # `go tool pprof cpu.prof`.

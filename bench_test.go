@@ -509,6 +509,35 @@ func BenchmarkCPUSim(b *testing.B) {
 	b.SetBytes(int64(instr * cfg.Cores)) // "bytes" = simulated instructions
 }
 
+// BenchmarkCpusimRun prices one Figure 7 activity run: lu-nas on all
+// eight cores at 3.5 GHz, 150k measured instructions per thread after a
+// 75k-instruction warm-up, as perf.UniformAssignments sets it up. Every
+// figure pays this once per (app, GHz) pair before its thermal solves;
+// "bytes" are simulated instructions, warm-up included.
+func BenchmarkCpusimRun(b *testing.B) {
+	p, err := workload.ByName("lu-nas")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cpusim.DefaultConfig()
+	freqs := make([]float64, cfg.Cores)
+	for i := range freqs {
+		freqs[i] = 3.5
+	}
+	p.Instructions = 150_000
+	as := perf.UniformAssignments(p, cfg.Cores)
+	b.SetBytes(int64((p.Instructions + as[0].Warmup) * cfg.Cores))
+	for i := 0; i < b.N; i++ {
+		s, err := cpusim.New(cfg, freqs, as)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDRAMAccess measures the controller's transaction throughput.
 func BenchmarkDRAMAccess(b *testing.B) {
 	c, err := dram.NewController(dram.DefaultConfig())

@@ -76,7 +76,7 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 func cmdFleet(args []string) error {
 	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
 	build := fleetFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	cfg, err := build()

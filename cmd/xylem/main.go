@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,12 +34,17 @@ import (
 	"github.com/xylem-sim/xylem/internal/workload"
 )
 
-func main() {
-	if len(os.Args) < 2 {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run executes one command line and returns the process exit status:
+// 0 on success and for -h, 2 for a usage error (the FlagSet has already
+// printed it with the flag list), 1 for any other failure.
+func run(argv []string) int {
+	if len(argv) < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	cmd, args := os.Args[1], os.Args[2:]
+	cmd, args := argv[0], argv[1:]
 	var err error
 	switch cmd {
 	case "temps":
@@ -67,14 +73,33 @@ func main() {
 		err = cmdFleet(args)
 	default:
 		usage()
-		os.Exit(2)
+		return 2
 	}
 	stopProfiles()
 	stopMetrics()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xylem:", err)
-		os.Exit(1)
+	var ue usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		return 2
 	}
+	fmt.Fprintln(os.Stderr, "xylem:", err)
+	return 1
+}
+
+// usageError is a flag-parse failure its FlagSet has already reported.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// parseFlags parses a subcommand's flags, marking a failure as a
+// usage error so run reports it once and exits 2.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	return nil
 }
 
 func usage() {
@@ -182,7 +207,7 @@ func (c *cliOpts) options() (exp.Options, error) {
 // `xylem resume` can rerun it.
 func newRunner(fs *flag.FlagSet, args []string, label string) (*exp.Runner, error) {
 	c := optFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return nil, err
 	}
 	o, err := c.options()
@@ -217,7 +242,7 @@ func cmdFigureFlag(args []string) error {
 	id := fs.String("id", "", "figure id: 7..19, area, refresh, d2d, profile, workloads, or org")
 	csvPath := fs.String("csv", "", "also write the table as CSV to this path")
 	c := optFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *id == "" {
@@ -392,7 +417,7 @@ func cmdHeatmap(args []string) error {
 	instr := fs.Int("instr", 150000, "per-thread instruction budget")
 	ppmPath := fs.String("ppm", "", "also write a PPM image to this path")
 	cfgPath := fs.String("config", "", "JSON stack configuration file (see internal/config)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	kind, err := config.BuildScheme(*schemeName)
@@ -465,7 +490,7 @@ func cmdFaults(args []string) error {
 	workers := fs.Int("workers", 0, "concurrent (rate, seed) runs (0 = all CPUs, 1 = serial)")
 	quick := fs.Bool("quick", false, "reduced sweep for smoke testing")
 	csvPath := fs.String("csv", "", "also write the table as CSV to this path")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	fo := exp.DefaultFaultOptions()
@@ -535,7 +560,7 @@ func cmdTrace(args []string) error {
 	n := fs.Int("n", 100000, "instructions to record")
 	out := fs.String("o", "", "output path (default stdout)")
 	obsAddr := fs.String("obs", "", "fetch the solve-trace ring from a running xylem's metrics address instead")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *obsAddr != "" {

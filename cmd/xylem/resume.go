@@ -23,7 +23,7 @@ func cmdResume(args []string) error {
 	quarantine := fs.Bool("quarantine", false, "skip points that exhaust their retries instead of failing the sweep")
 	retrySeed := fs.Uint64("retry-seed", 1, "seed for the deterministic retry-backoff jitter")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus/JSON metrics and a trace dump on this address (empty = off)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *dir == "" {

@@ -48,7 +48,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	build := serveFlags(fs)
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget at shutdown")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	cfg, metricsAddr, err := build()

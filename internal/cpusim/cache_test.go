@@ -20,6 +20,13 @@ func TestCacheGeometry(t *testing.T) {
 	if _, err := newCache(100, 3, 64); err == nil {
 		t.Fatal("non-dividing geometry accepted")
 	}
+	// Indexing is by shift and mask: set count and line size must be
+	// powers of two, and a line must leave room for the state bits.
+	for _, g := range [][3]int{{3 * 2 * 64, 2, 64}, {48 * 16, 1, 48}, {2 * 16, 1, 2}} {
+		if _, err := newCache(g[0], g[1], g[2]); err == nil {
+			t.Fatalf("geometry %v accepted", g)
+		}
+	}
 }
 
 func TestCacheHitAfterFill(t *testing.T) {
@@ -109,14 +116,14 @@ func TestCacheNoDuplicateLines(t *testing.T) {
 	for set := 0; set < c.sets; set++ {
 		seen := map[uint64]bool{}
 		for w := 0; w < c.assoc; w++ {
-			l := c.lines[set*c.assoc+w]
-			if l.state == stateInvalid {
+			l := &c.lines[set*c.assoc+w]
+			if l.state() == stateInvalid {
 				continue
 			}
-			if seen[l.tag] {
-				t.Fatalf("set %d holds tag %#x twice", set, l.tag)
+			if seen[c.lineAddr(l)] {
+				t.Fatalf("set %d holds line %#x twice", set, c.lineAddr(l))
 			}
-			seen[l.tag] = true
+			seen[c.lineAddr(l)] = true
 		}
 	}
 }

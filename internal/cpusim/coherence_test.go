@@ -12,10 +12,10 @@ func collectStates(s *Sim) map[uint64][]lineState {
 	for _, c := range s.cores {
 		for i := range c.l2.lines {
 			l := &c.l2.lines[i]
-			if l.state == stateInvalid {
+			if l.state() == stateInvalid {
 				continue
 			}
-			out[l.base] = append(out[l.base], l.state)
+			out[c.l2.lineAddr(l)] = append(out[c.l2.lineAddr(l)], l.state())
 		}
 	}
 	return out
@@ -136,7 +136,7 @@ func TestMESIScriptedTransitions(t *testing.T) {
 	// or Shared in the reader with the writer invalid — never two owners.
 	var owners int
 	for _, c := range s.cores[:2] {
-		if l := c.l2.lookup(shared); l != nil && (l.state == stateModified || l.state == stateExclusive) {
+		if l := c.l2.lookup(shared); l != nil && (l.state() == stateModified || l.state() == stateExclusive) {
 			owners++
 		}
 	}
@@ -172,11 +172,11 @@ func TestL1L2Inclusion(t *testing.T) {
 	for ci, c := range s.cores {
 		for i := range c.l1d.lines {
 			l := &c.l1d.lines[i]
-			if l.state == stateInvalid {
+			if l.state() == stateInvalid {
 				continue
 			}
-			if c.l2.lookup(l.base) == nil {
-				t.Fatalf("core %d: L1D line %#x missing from L2 (inclusion violated)", ci, l.base)
+			if addr := c.l1d.lineAddr(l); c.l2.lookup(addr) == nil {
+				t.Fatalf("core %d: L1D line %#x missing from L2 (inclusion violated)", ci, addr)
 			}
 		}
 	}

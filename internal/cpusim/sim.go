@@ -3,6 +3,7 @@ package cpusim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/xylem-sim/xylem/internal/dram"
 	"github.com/xylem-sim/xylem/internal/workload"
@@ -13,7 +14,6 @@ type Config struct {
 	Cores      int
 	IssueWidth int
 
-	L1ISizeKB, L1IAssoc int
 	L1DSizeKB, L1DAssoc int
 	L2SizeKB, L2Assoc   int
 	LineSize            int
@@ -43,14 +43,14 @@ type Config struct {
 }
 
 // DefaultConfig returns Table 3's architecture: eight 4-issue cores,
-// 32 KB 2-way L1s (2-cycle RT), 256 KB 8-way private WB L2 (10-cycle RT),
+// 32 KB 2-way L1Ds (2-cycle RT; traces carry no fetch addresses, so
+// the L1I is not simulated), 256 KB 8-way private WB L2 (10-cycle RT),
 // 64 B lines, a 512-bit snoopy MESI bus, and Wide I/O DRAM.
 func DefaultConfig() Config {
 	return Config{
 		Cores:      8,
 		IssueWidth: 4,
-		L1ISizeKB:  32, L1IAssoc: 2,
-		L1DSizeKB: 32, L1DAssoc: 2,
+		L1DSizeKB:  32, L1DAssoc: 2,
 		L2SizeKB: 256, L2Assoc: 8,
 		LineSize:          64,
 		L1Cycles:          2,
@@ -161,7 +161,6 @@ type core struct {
 	// L2 load misses.
 	depLoadFrac float64
 
-	l1i *cache
 	l1d *cache
 	l2  *cache
 
@@ -169,6 +168,9 @@ type core struct {
 	cycles float64
 	done   bool
 	active bool
+
+	// Per-instruction costs in ns: cycles/freqGHz, divided out once.
+	issueNs, fpNs, branchNs, l2Ns float64
 
 	// outstanding load-miss completion times (bounded by the profile's
 	// MLP); the core stalls when full.
@@ -188,7 +190,21 @@ type Sim struct {
 	busFreeNs float64
 	// warmupEndNs is the barrier time at which measurement started.
 	warmupEndNs float64
+	// issueCycles is the base issue cost, 1/width cycles per instruction.
+	issueCycles float64
+	// tree is runPhase's tournament over the cores' clocks.
+	tree []clockNode
 }
+
+// clockNode is a core's clock as IEEE bits (doneClock once it is done,
+// and for padding) and its index. Times are never negative, so the bit
+// patterns order like the times.
+type clockNode struct {
+	t  uint64
+	id int
+}
+
+const doneClock = math.MaxUint64
 
 // New builds a simulator for the given thread assignments. freqGHz gives
 // each core's clock; idle cores (no assignment) contribute no activity.
@@ -205,15 +221,16 @@ func New(cfg Config, freqGHz []float64, assigns []Assignment) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{cfg: cfg, mem: mem}
+	s := &Sim{cfg: cfg, mem: mem, issueCycles: 1 / float64(cfg.IssueWidth)}
+	s.tree = make([]clockNode, 2<<bits.Len(uint(cfg.Cores-1)))
+	for k := range s.tree {
+		s.tree[k].t = doneClock
+	}
 	s.cores = make([]*core, cfg.Cores)
 	for i := range s.cores {
-		if freqGHz[i] <= 0 {
-			return nil, fmt.Errorf("cpusim: core %d frequency %g GHz", i, freqGHz[i])
-		}
-		l1i, err := newCache(cfg.L1ISizeKB*1024, cfg.L1IAssoc, cfg.LineSize)
-		if err != nil {
-			return nil, err
+		f := freqGHz[i]
+		if !(f > 0) {
+			return nil, fmt.Errorf("cpusim: core %d frequency %g GHz", i, f)
 		}
 		l1d, err := newCache(cfg.L1DSizeKB*1024, cfg.L1DAssoc, cfg.LineSize)
 		if err != nil {
@@ -223,7 +240,9 @@ func New(cfg Config, freqGHz []float64, assigns []Assignment) (*Sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.cores[i] = &core{id: i, freqGHz: freqGHz[i], l1i: l1i, l1d: l1d, l2: l2, done: true}
+		s.cores[i] = &core{id: i, freqGHz: f, l1d: l1d, l2: l2, done: true,
+			issueNs: s.issueCycles / f, fpNs: cfg.FPExtraCycles / f,
+			branchNs: cfg.BranchExtraCycles / f, l2Ns: float64(cfg.L2Cycles) / f}
 	}
 	for _, a := range assigns {
 		if a.Core < 0 || a.Core >= cfg.Cores {
@@ -254,23 +273,36 @@ func New(cfg Config, freqGHz []float64, assigns []Assignment) (*Sim, error) {
 }
 
 // runPhase executes every unfinished core to its current budget,
-// advancing the earliest-in-time core first so bus transactions interleave
-// deterministically.
+// advancing the earliest-in-time core first (the lowest index on a tie)
+// so bus transactions interleave deterministically.
 func (s *Sim) runPhase() {
-	for {
-		var next *core
-		for _, c := range s.cores {
-			if c.done {
-				continue
-			}
-			if next == nil || c.timeNs < next.timeNs {
-				next = c
-			}
+	for _, c := range s.cores {
+		s.setLeaf(c)
+	}
+	for s.tree[1].t != doneClock {
+		c := s.cores[s.tree[1].id]
+		s.step(c)
+		s.setLeaf(c)
+	}
+}
+
+// setLeaf stores core c's clock in s.tree, a tournament whose leaves
+// n..2n-1 are the cores and whose node k is the earlier of its children
+// (the left, lower-indexed one on a tie), and replays c's path to the
+// root, node 1: the core to step next.
+func (s *Sim) setLeaf(c *core) {
+	n := len(s.tree) / 2
+	leaf := clockNode{doneClock, c.id}
+	if !c.done {
+		leaf.t = math.Float64bits(c.timeNs)
+	}
+	s.tree[n+c.id] = leaf
+	for k := (n + c.id) / 2; k >= 1; k /= 2 {
+		l, r := s.tree[2*k], s.tree[2*k+1]
+		if r.t < l.t {
+			l = r
 		}
-		if next == nil {
-			return
-		}
-		s.step(next)
+		s.tree[k] = l
 	}
 }
 
@@ -326,12 +358,6 @@ func (s *Sim) Run() (Result, error) {
 	return res, nil
 }
 
-// advance moves a core forward by n cycles.
-func (c *core) advance(cycles float64) {
-	c.cycles += cycles
-	c.timeNs += cycles / c.freqGHz
-}
-
 // step executes one instruction on core c.
 func (s *Sim) step(c *core) {
 	if int(c.stats.Instructions) >= c.budget {
@@ -340,18 +366,20 @@ func (s *Sim) step(c *core) {
 	}
 	in := c.trace.Next()
 	c.stats.Instructions++
-	// Base issue cost: 1/width cycles per instruction.
-	c.advance(1 / float64(s.cfg.IssueWidth))
+	c.cycles += s.issueCycles
+	c.timeNs += c.issueNs
 
 	switch in.Kind {
 	case workload.KindInt:
 		c.stats.IntOps++
 	case workload.KindFP:
 		c.stats.FPOps++
-		c.advance(s.cfg.FPExtraCycles)
+		c.cycles += s.cfg.FPExtraCycles
+		c.timeNs += c.fpNs
 	case workload.KindBranch:
 		c.stats.Branches++
-		c.advance(s.cfg.BranchExtraCycles)
+		c.cycles += s.cfg.BranchExtraCycles
+		c.timeNs += c.branchNs
 	case workload.KindLoad:
 		c.stats.Loads++
 		s.load(c, in.Addr)
@@ -369,7 +397,8 @@ func (s *Sim) load(c *core, addr uint64) {
 	}
 	c.stats.L1DMisses++
 	// L1 miss: the L2 round trip stalls the pipeline.
-	c.advance(float64(s.cfg.L2Cycles))
+	c.cycles += float64(s.cfg.L2Cycles)
+	c.timeNs += c.l2Ns
 	c.stats.L2Accesses++
 	if l := c.l2.lookup(addr); l != nil {
 		c.l2.touch(l)
@@ -378,7 +407,7 @@ func (s *Sim) load(c *core, addr uint64) {
 	}
 	// L2 miss: bus + memory. Retire any completed outstanding misses.
 	c.stats.L2Misses++
-	s.drainCompleted(c)
+	c.loadQ = c.drain(c.loadQ)
 
 	// Dependent loads (pointer chases, permutation reads) block the
 	// pipeline for the full memory latency: their consumer issues next.
@@ -402,17 +431,7 @@ func (s *Sim) load(c *core, addr uint64) {
 	}
 	if len(c.loadQ) >= mlp {
 		// MSHRs full: stall until the earliest outstanding miss returns.
-		earliest := c.loadQ[0]
-		for _, t := range c.loadQ {
-			if t < earliest {
-				earliest = t
-			}
-		}
-		if earliest > c.timeNs {
-			c.stats.LoadStallNs += earliest - c.timeNs
-			c.stallUntil(earliest)
-		}
-		s.drainCompleted(c)
+		c.loadQ = c.waitForSlot(c.loadQ, &c.stats.LoadStallNs)
 	}
 	done := s.busFetch(c, addr, false)
 	c.stats.MissLatencyNs += done - c.timeNs
@@ -430,35 +449,25 @@ func (s *Sim) store(c *core, addr uint64) {
 	c.stats.L2Accesses++
 	if l := c.l2.lookup(addr); l != nil {
 		c.l2.touch(l)
-		switch l.state {
+		switch l.state() {
 		case stateModified:
 			return
 		case stateExclusive:
-			l.state = stateModified // silent E→M upgrade
+			l.setState(stateModified) // silent E→M upgrade
 			return
 		case stateShared:
 			// Upgrade: invalidate remote sharers; bus occupancy only.
 			s.busUpgrade(c, addr)
-			l.state = stateModified
+			l.setState(stateModified)
 			return
 		}
 	}
 	// L2 store miss: posted through the store queue; the core does not
 	// stall unless the queue is full.
 	c.stats.L2Misses++
-	s.drainCompletedStores(c)
+	c.storeQ = c.drain(c.storeQ)
 	if len(c.storeQ) >= s.cfg.StoreQueueDepth {
-		earliest := c.storeQ[0]
-		for _, t := range c.storeQ {
-			if t < earliest {
-				earliest = t
-			}
-		}
-		if earliest > c.timeNs {
-			c.stats.StoreStallNs += earliest - c.timeNs
-			c.stallUntil(earliest)
-		}
-		s.drainCompletedStores(c)
+		c.storeQ = c.waitForSlot(c.storeQ, &c.stats.StoreStallNs)
 	}
 	done := s.busFetch(c, addr, true)
 	c.storeQ = append(c.storeQ, done)
@@ -488,24 +497,31 @@ func (c *core) stallUntil(tNs float64) {
 	c.timeNs = tNs
 }
 
-func (s *Sim) drainCompleted(c *core) {
-	out := c.loadQ[:0]
-	for _, t := range c.loadQ {
+// drain drops the entries of a miss queue that have completed by now.
+func (c *core) drain(q []float64) []float64 {
+	out := q[:0]
+	for _, t := range q {
 		if t > c.timeNs {
 			out = append(out, t)
 		}
 	}
-	c.loadQ = out
+	return out
 }
 
-func (s *Sim) drainCompletedStores(c *core) {
-	out := c.storeQ[:0]
-	for _, t := range c.storeQ {
-		if t > c.timeNs {
-			out = append(out, t)
+// waitForSlot stalls the core until the earliest entry of the full
+// queue q completes, adding the wait to *stallNs, and drains q.
+func (c *core) waitForSlot(q []float64, stallNs *float64) []float64 {
+	earliest := q[0]
+	for _, t := range q {
+		if t < earliest {
+			earliest = t
 		}
 	}
-	c.storeQ = out
+	if earliest > c.timeNs {
+		*stallNs += earliest - c.timeNs
+		c.stallUntil(earliest)
+	}
+	return c.drain(q)
 }
 
 // l1Fill installs a line in the L1D (no writeback needed: write-through).
@@ -557,7 +573,7 @@ func (s *Sim) busFetch(c *core, addr uint64, exclusive bool) float64 {
 		if l == nil {
 			continue
 		}
-		switch l.state {
+		switch l.state() {
 		case stateModified:
 			// Remote dirty copy: cache-to-cache supply plus a memory
 			// update (MESI flush). The writeback consumes DRAM write
@@ -567,19 +583,19 @@ func (s *Sim) busFetch(c *core, addr uint64, exclusive bool) float64 {
 			s.mem.Access(busDone, addr, true)
 			c.stats.C2CTransfers++
 			if exclusive {
-				l.state = stateInvalid
+				l.setState(stateInvalid)
 				o.l1d.invalidate(addr)
 				o.stats.Invalidations++
 			} else {
-				l.state = stateShared
+				l.setState(stateShared)
 			}
 		case stateExclusive, stateShared:
 			if exclusive {
-				l.state = stateInvalid
+				l.setState(stateInvalid)
 				o.l1d.invalidate(addr)
 				o.stats.Invalidations++
 			} else {
-				l.state = stateShared
+				l.setState(stateShared)
 				supplied = true
 				supplyDone = busDone + s.cfg.C2CNs
 				c.stats.C2CTransfers++
@@ -596,10 +612,10 @@ func (s *Sim) busFetch(c *core, addr uint64, exclusive bool) float64 {
 
 	// Install in L2, evicting (and writing back) the victim.
 	v := c.l2.victim(addr)
-	if v.state != stateInvalid {
+	if st := v.state(); st != stateInvalid {
 		victimAddr := c.l2.lineAddr(v)
 		c.l1d.invalidate(victimAddr) // inclusion
-		if v.state == stateModified {
+		if st == stateModified {
 			s.mem.Access(done, victimAddr, true)
 		}
 	}

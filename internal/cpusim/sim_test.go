@@ -2,6 +2,7 @@ package cpusim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/workload"
@@ -243,6 +244,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, bad, nil); err == nil {
 		t.Fatal("zero frequency accepted")
 	}
+	// A NaN clock would never order against the others.
+	bad[2] = math.NaN()
+	if _, err := New(cfg, bad, nil); err == nil {
+		t.Fatal("NaN frequency accepted")
+	}
+	odd := cfg
+	odd.L2SizeKB = 192 // 384 sets: not a power of two
+	if _, err := New(odd, good, nil); err == nil {
+		t.Fatal("non-power-of-two L2 set count accepted")
+	}
 	if _, err := New(cfg, good, []Assignment{{Core: 99, App: p}}); err == nil {
 		t.Fatal("out-of-range core accepted")
 	}
@@ -302,5 +313,43 @@ func TestDRAMStatsPlumbing(t *testing.T) {
 	}
 	if len(res.DRAM.PerSliceAccesses) != DefaultConfig().DRAM.Slices {
 		t.Fatal("per-slice stats shape wrong")
+	}
+}
+
+// Core counts that are not a power of two (the earliest-core tournament
+// pads them) run every thread to its budget, and three threads give the
+// same result whether two idle cores sit beside them or not.
+func TestOddCoreCounts(t *testing.T) {
+	p, _ := workload.ByName("fft")
+	var first []CoreStats
+	for _, cores := range []int{3, 5} {
+		cfg := DefaultConfig()
+		cfg.Cores = cores
+		freqs := make([]float64, cores)
+		var as []Assignment
+		for i := range freqs {
+			freqs[i] = 2.4 + 0.1*float64(i)
+			if i < 3 {
+				as = append(as, Assignment{Core: i, App: p, Thread: i, Instructions: 8000, Warmup: 2000})
+			}
+		}
+		s, err := New(cfg, freqs, as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range as {
+			if res.Cores[i].Instructions != uint64(a.Instructions) {
+				t.Fatalf("%d cores: core %d retired %d, want %d", cores, i, res.Cores[i].Instructions, a.Instructions)
+			}
+		}
+		if first == nil {
+			first = res.Cores
+		} else if !reflect.DeepEqual(first, res.Cores[:3]) {
+			t.Fatalf("idle cores changed the busy cores' results:\n%+v\n%+v", first, res.Cores[:3])
+		}
 	}
 }

@@ -17,13 +17,16 @@ type evalMetrics struct {
 	external bool
 
 	activityRuns *obs.Counter
-	degraded     *obs.Counter
-	solves       *obs.Counter
-	solveIters   *obs.Counter
-	vcycles      *obs.Counter
-	iterHist     *obs.Histogram
-	greensHits   *obs.Counter
-	basisBuilds  *obs.Counter
+	// activityInstr counts instructions simulated by activity runs,
+	// warm-up included. Registry-only, like leakResolves.
+	activityInstr *obs.Counter
+	degraded      *obs.Counter
+	solves        *obs.Counter
+	solveIters    *obs.Counter
+	vcycles       *obs.Counter
+	iterHist      *obs.Histogram
+	greensHits    *obs.Counter
+	basisBuilds   *obs.Counter
 
 	leakIters     *obs.Histogram
 	leakDelta     *obs.Gauge
@@ -46,6 +49,7 @@ func newEvalMetrics(r *obs.Registry, external bool) *evalMetrics {
 		reg:           r,
 		external:      external,
 		activityRuns:  r.Counter("xylem_perf_activity_runs_total"),
+		activityInstr: r.Counter("xylem_perf_activity_instructions_total"),
 		degraded:      r.Counter("xylem_perf_degraded_solves_total"),
 		solves:        r.Counter("xylem_perf_solves_total"),
 		solveIters:    r.Counter("xylem_perf_solve_iters_total"),

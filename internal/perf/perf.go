@@ -356,19 +356,34 @@ func (e *Evaluator) Activity(slices int, freqs []float64, assigns []cpusim.Assig
 	return c.res, c.err
 }
 
-// runActivity executes one cpusim simulation (always a cache miss).
+// runActivity executes one cpusim simulation (always a cache miss). It
+// counts the instructions simulated, warm-up included (every core runs
+// exactly its warm-up and then its measured budget), so the registry
+// carries the work next to the perf.activity span's wall time.
 func (e *Evaluator) runActivity(slices int, freqs []float64, assigns []cpusim.Assignment) (cpusim.Result, error) {
+	m := e.metrics()
+	sp := m.trace.Start("perf.activity")
 	cfg := e.SimCfg
 	cfg.DRAM.Slices = slices
 	sim, err := cpusim.New(cfg, freqs, assigns)
 	if err != nil {
+		sp.End(obs.A("ok", 0))
 		return cpusim.Result{}, err
 	}
 	res, err := sim.Run()
 	if err != nil {
+		sp.End(obs.A("ok", 0))
 		return cpusim.Result{}, err
 	}
-	e.metrics().activityRuns.Inc()
+	instr := res.TotalInstructions()
+	for _, a := range assigns {
+		if a.Warmup > 0 {
+			instr += uint64(a.Warmup)
+		}
+	}
+	m.activityRuns.Inc()
+	m.activityInstr.Add(int64(instr))
+	sp.End(obs.A("ok", 1), obs.A("instructions", float64(instr)))
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package perf
 import (
 	"testing"
 
+	"github.com/xylem-sim/xylem/internal/obs"
 	"github.com/xylem-sim/xylem/internal/stack"
 	"github.com/xylem-sim/xylem/internal/thermal"
 )
@@ -91,5 +92,42 @@ func TestStatsSub(t *testing.T) {
 	}
 	if d.IterHist[4] != 2 || d.IterHist[5] != 2 {
 		t.Errorf("Sub histogram = %v", d.IterHist)
+	}
+}
+
+// The activity instruction counter is exact work: each simulated run
+// adds its measured and warm-up instructions, a cached key adds
+// nothing, and every run leaves one ok perf.activity span.
+func TestActivityInstructionCounter(t *testing.T) {
+	ev := NewEvaluator()
+	reg := obs.New()
+	ev.AttachObs(reg)
+	app := smallApp(t, "fft")
+	assigns := UniformAssignments(app, 3)
+	freqs := uniformFreqs(ev, 2.4)
+	for i := 0; i < 2; i++ {
+		if _, err := ev.Activity(2, freqs, assigns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ev.Activity(2, uniformFreqs(ev, 3.5), assigns[:1]); err != nil {
+		t.Fatal(err)
+	}
+	per := int64(app.Instructions + app.Instructions/2)
+	if got, want := reg.Counter("xylem_perf_activity_instructions_total").Value(), 4*per; got != want {
+		t.Errorf("activity instructions = %d, want %d (3 + 1 threads of %d)", got, want, per)
+	}
+	var spans []float64
+	for _, e := range reg.Trace().Events() {
+		if e.Name != "perf.activity" {
+			continue
+		}
+		if len(e.Attrs) != 2 || e.Attrs[0] != obs.A("ok", 1) || e.Attrs[1].Key != "instructions" {
+			t.Fatalf("perf.activity span attrs = %v", e.Attrs)
+		}
+		spans = append(spans, e.Attrs[1].Val)
+	}
+	if len(spans) != 2 || spans[0] != float64(3*per) || spans[1] != float64(per) {
+		t.Errorf("perf.activity spans carry %v instructions, want [%d %d]", spans, 3*per, per)
 	}
 }

@@ -1,5 +1,7 @@
 package workload
 
+import "math"
+
 // Instruction kinds emitted by the trace generator.
 type Kind uint8
 
@@ -27,9 +29,14 @@ type Instr struct {
 // thread. It is a generator, not a materialised slice, so arbitrarily
 // long traces cost no memory.
 type Trace struct {
-	p      Profile
-	thread int
-	rng    xorshift
+	p   Profile
+	rng xorshift
+
+	// Integer thresholds of the profile's probabilities (see threshold):
+	// a draw takes a branch exactly when its 53-bit value is below one.
+	memT, fpT, fpBranchT     uint64
+	storeT, localT, spatialT uint64
+	sharedT, l2ResidentT     uint64
 
 	// Address-generation state.
 	privBase   uint64
@@ -55,13 +62,34 @@ const (
 func NewTrace(p Profile, thread int) *Trace {
 	t := &Trace{
 		p:          p,
-		thread:     thread,
 		rng:        newXorshift(uint64(hashString(p.Name))*2654435761 + uint64(thread)*40503 + 1),
 		privBase:   uint64(thread+1) * privateWindow,
 		sharedBase: sharedWindow,
+		memT:       threshold(p.MemFrac),
+		fpT:        threshold(p.FPFrac),
+		// The sums keep the float rounding the comparisons always had.
+		fpBranchT:   threshold(p.FPFrac + p.BranchFrac),
+		storeT:      threshold(p.StoreFrac),
+		localT:      threshold(p.Locality),
+		spatialT:    threshold(p.Locality + (1-p.Locality)*0.5),
+		sharedT:     threshold(p.SharedFrac),
+		l2ResidentT: threshold(p.L2Resident),
 	}
 	t.lastAddr = t.privBase
 	return t
+}
+
+// threshold returns t such that a 53-bit draw m has float64(m)/2^53 < p
+// exactly when m < t: both sides scale exactly, so t = ceil(p·2^53),
+// with 0 for NaN or p ≤ 0 and 2^53 for p ≥ 1 (DESIGN.md §6).
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Emitted returns how many instructions the trace has produced so far.
@@ -71,16 +99,15 @@ func (t *Trace) Emitted() int { return t.emitted }
 // decide when to stop (profiles carry a suggested budget).
 func (t *Trace) Next() Instr {
 	t.emitted++
-	r := t.rng.float64()
-	if r < t.p.MemFrac {
+	if t.rng.draw() < t.memT {
 		return t.nextMem()
 	}
 	// Non-memory instruction: split between FP, branch and integer.
-	r = t.rng.float64()
+	r := t.rng.draw()
 	switch {
-	case r < t.p.FPFrac:
+	case r < t.fpT:
 		return Instr{Kind: KindFP}
-	case r < t.p.FPFrac+t.p.BranchFrac:
+	case r < t.fpBranchT:
 		return Instr{Kind: KindBranch}
 	default:
 		return Instr{Kind: KindInt}
@@ -89,25 +116,25 @@ func (t *Trace) Next() Instr {
 
 func (t *Trace) nextMem() Instr {
 	kind := KindLoad
-	if t.rng.float64() < t.p.StoreFrac {
+	if t.rng.draw() < t.storeT {
 		kind = KindStore
 	}
 	var addr uint64
-	r := t.rng.float64()
-	if r < t.p.Locality {
+	r := t.rng.draw()
+	if r < t.localT {
 		// Temporal reuse: hit the same line again. Real codes touch a
 		// line tens of times before moving on, which is what gives the
 		// L1s their >90% hit rates.
 		addr = t.lastAddr
-	} else if r < t.p.Locality+(1-t.p.Locality)*0.5 {
+	} else if r < t.spatialT {
 		// Spatial advance: the sequentially next line, kept inside the
 		// current region so a streak cannot wander into another window.
 		addr = t.clampToRegion(t.lastAddr + lineSize)
-	} else if t.rng.float64() < t.p.SharedFrac {
+	} else if t.rng.draw() < t.sharedT {
 		// Random reference into the shared region.
 		span := uint64(t.p.SharedWorkingSet)
 		addr = t.sharedBase + (t.rng.next()%span)&^uint64(lineSize-1)
-	} else if t.rng.float64() < t.p.L2Resident {
+	} else if t.rng.draw() < t.l2ResidentT {
 		// Random reference into the hot mid-size region: it fits the L2
 		// but not the L1, contributing cycle-domain (frequency-scaled)
 		// stall time rather than DRAM time.
@@ -156,10 +183,9 @@ func (x *xorshift) next() uint64 {
 	return s * 0x2545f4914f6cdd1d
 }
 
-// float64 returns a uniform value in [0, 1).
-func (x *xorshift) float64() float64 {
-	return float64(x.next()>>11) / float64(1<<53)
-}
+// draw returns a uniform 53-bit value; draw()/2^53 is uniform in
+// [0, 1). Compare it with a threshold of the probability.
+func (x *xorshift) draw() uint64 { return x.next() >> 11 }
 
 // hashString is FNV-1a over the app name, keeping traces stable across
 // runs without importing hash/fnv for a two-line function.
