@@ -65,8 +65,6 @@ func run(argv []string) int {
 		err = cmdTrace(args)
 	case "faults":
 		err = cmdFaults(args)
-	case "resume":
-		err = cmdResume(args)
 	case "serve":
 		err = cmdServe(args)
 	case "fleet":
@@ -113,7 +111,6 @@ func usage() {
   heatmap    render the processor-die temperature field
   trace      record a synthetic workload trace to a portable file
   faults     sensor/power fault-injection sweep of the guarded DTM
-  resume     continue an interrupted sweep from its -checkpoint directory
   serve      run the thermal-solve daemon (HTTP/JSON on -addr)
   fleet      deterministic fleet-scale trace replay over modeled stacks
 
@@ -121,23 +118,16 @@ Experiment commands accept -metrics-addr HOST:PORT to serve live
 Prometheus/JSON metrics and a trace dump while they run; 'xylem trace
 -obs HOST:PORT' fetches the trace ring from such a process.
 
-Sweep commands accept -checkpoint DIR to persist crash-safe progress
-snapshots, -resume to continue from them, and -retries/-quarantine to
-retry failing points down a degradation ladder.`)
+A sweep point whose solve fails fails the whole command with the
+point's app/scheme/GHz; rerun it to retry.`)
 }
 
 // cliOpts holds the shared experiment flags registered by optFlags.
 type cliOpts struct {
-	apps, freqs, precond   *string
+	apps, freqs            *string
 	grid, instr, workers   *int
 	cpuprofile, memprofile *string
 	metricsAddr            *string
-	checkpoint             *string
-	resume                 *bool
-	ckptEvery              *int
-	retries                *int
-	quarantine             *bool
-	retrySeed              *uint64
 }
 
 // optFlags registers the shared experiment flags on a FlagSet.
@@ -148,16 +138,9 @@ func optFlags(fs *flag.FlagSet) *cliOpts {
 		instr:       fs.Int("instr", 0, "per-thread instruction budget (0 = profile default)"),
 		workers:     fs.Int("workers", 0, "concurrent experiment points (0 = all CPUs, 1 = serial)"),
 		freqs:       fs.String("freqs", "2.4,2.8,3.2,3.5", "frequencies for temperature sweeps (GHz)"),
-		precond:     fs.String("precond", "", "CG preconditioner: auto (multigrid), mg, or jacobi"),
 		cpuprofile:  fs.String("cpuprofile", "", "write a CPU profile to this path"),
 		memprofile:  fs.String("memprofile", "", "write a heap profile to this path at exit"),
 		metricsAddr: fs.String("metrics-addr", "", "serve Prometheus/JSON metrics and a trace dump on this address (empty = off)"),
-		checkpoint:  fs.String("checkpoint", "", "persist crash-safe sweep progress in this directory (empty = off)"),
-		resume:      fs.Bool("resume", false, "resume the sweep from the -checkpoint directory"),
-		ckptEvery:   fs.Int("ckpt-every", 0, "ladder rungs between checkpoint snapshots (0 = every rung)"),
-		retries:     fs.Int("retries", 0, "retry failed sweep points down a degradation ladder this many times (0 = off)"),
-		quarantine:  fs.Bool("quarantine", false, "skip points that exhaust their retries instead of failing the sweep"),
-		retrySeed:   fs.Uint64("retry-seed", 1, "seed for the deterministic retry-backoff jitter"),
 	}
 }
 
@@ -179,7 +162,6 @@ func (c *cliOpts) options() (exp.Options, error) {
 	o.GridRows, o.GridCols = *c.grid, *c.grid
 	o.Instructions = *c.instr
 	o.Workers = *c.workers
-	o.Precond = *c.precond
 	if *c.freqs != "" {
 		o.Freqs = nil
 		for _, s := range strings.Split(*c.freqs, ",") {
@@ -190,22 +172,11 @@ func (c *cliOpts) options() (exp.Options, error) {
 			o.Freqs = append(o.Freqs, f)
 		}
 	}
-	if *c.resume && *c.checkpoint == "" {
-		return exp.Options{}, fmt.Errorf("-resume requires -checkpoint DIR")
-	}
-	if *c.checkpoint != "" {
-		o.Checkpoint = &exp.CkptConfig{Dir: *c.checkpoint, Every: *c.ckptEvery, Resume: *c.resume}
-	}
-	if *c.retries > 0 || *c.quarantine {
-		o.Supervise = &exp.SuperviseConfig{Retries: *c.retries, Seed: *c.retrySeed, Quarantine: *c.quarantine}
-	}
 	return o, nil
 }
 
-// newRunner parses the shared flags and builds a Runner. label names the
-// figure the command drives, recorded in the checkpoint manifest so
-// `xylem resume` can rerun it.
-func newRunner(fs *flag.FlagSet, args []string, label string) (*exp.Runner, error) {
+// newRunner parses the shared flags and builds a Runner.
+func newRunner(fs *flag.FlagSet, args []string) (*exp.Runner, error) {
 	c := optFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return nil, err
@@ -214,15 +185,12 @@ func newRunner(fs *flag.FlagSet, args []string, label string) (*exp.Runner, erro
 	if err != nil {
 		return nil, err
 	}
-	if o.Checkpoint != nil {
-		o.Checkpoint.Label = label
-	}
 	return exp.NewRunner(o)
 }
 
 func cmdBoost(args []string) error {
 	fs := flag.NewFlagSet("boost", flag.ContinueOnError)
-	r, err := newRunner(fs, args, "boost")
+	r, err := newRunner(fs, args)
 	if err != nil {
 		return err
 	}
@@ -252,9 +220,6 @@ func cmdFigureFlag(args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.Checkpoint != nil {
-		o.Checkpoint.Label = *id
-	}
 	r, err := exp.NewRunner(o)
 	if err != nil {
 		return err
@@ -270,7 +235,7 @@ var csvOut string
 
 func cmdFigure(id string, args []string) error {
 	fs := flag.NewFlagSet("temps", flag.ContinueOnError)
-	r, err := newRunner(fs, args, id)
+	r, err := newRunner(fs, args)
 	if err != nil {
 		return err
 	}
@@ -290,12 +255,6 @@ func runFigure(r *exp.Runner, id string) error {
 	if d.Solves > 0 {
 		fmt.Printf("solver work: %d solves, %d CG iters, %d V-cycles, %d degraded; iters/solve %s\n",
 			d.Solves, d.SolveIters, d.VCycles, d.DegradedSolves, d.IterHist)
-	}
-	if quar := r.Quarantined(); len(quar) > 0 {
-		fmt.Printf("quarantined %d point(s) — their table cells are gaps:\n", len(quar))
-		for _, q := range quar {
-			fmt.Printf("  %s\n", q.Error())
-		}
 	}
 	return nil
 }
@@ -388,16 +347,10 @@ func runFigureTable(r *exp.Runner, id string) error {
 
 func cmdAll(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
-	r, err := newRunner(fs, args, "all")
+	r, err := newRunner(fs, args)
 	if err != nil {
 		return err
 	}
-	return cmdAllFigures(r)
-}
-
-// cmdAllFigures regenerates every figure on one Runner; `xylem resume`
-// reuses it when the interrupted run was `xylem all`.
-func cmdAllFigures(r *exp.Runner) error {
 	ids := []string{"area", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19"}
 	for _, id := range ids {
 		if err := runFigure(r, id); err != nil {

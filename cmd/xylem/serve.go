@@ -10,21 +10,19 @@ import (
 	"time"
 
 	"github.com/xylem-sim/xylem/internal/serve"
-	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
 // serveFlags registers the daemon configuration flags and returns a
 // builder that assembles the serve.Config after parsing.
-func serveFlags(fs *flag.FlagSet) func() (serve.Config, string, error) {
+func serveFlags(fs *flag.FlagSet) func() (serve.Config, string) {
 	addr := fs.String("addr", "127.0.0.1:9378", "HTTP listen address")
 	queue := fs.Int("queue", 64, "requests that may wait for a solver (beyond solvers+queue = 429)")
 	cacheCap := fs.Int("cache", 8, "artifact cache capacity in stacks (0 = rebuild per request)")
 	solvers := fs.Int("solvers", 2, "concurrent solves")
 	workers := fs.Int("workers", 0, "CG kernel workers per solver (0 = serial)")
-	precond := fs.String("precond", "", "CG preconditioner: auto (multigrid), mg, or jacobi")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (empty = off)")
-	return func() (serve.Config, string, error) {
+	return func() (serve.Config, string) {
 		cfg := serve.DefaultConfig()
 		cfg.Addr = *addr
 		cfg.QueueCap = *queue
@@ -32,12 +30,7 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, string, error) {
 		cfg.Solvers = *solvers
 		cfg.Workers = *workers
 		cfg.RetryAfter = *retryAfter
-		pc, ok := thermal.ParsePrecond(*precond)
-		if !ok {
-			return cfg, "", fmt.Errorf("serve: unknown preconditioner %q", *precond)
-		}
-		cfg.Precond = pc
-		return cfg, *metricsAddr, nil
+		return cfg, *metricsAddr
 	}
 }
 
@@ -51,10 +44,7 @@ func cmdServe(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	cfg, metricsAddr, err := build()
-	if err != nil {
-		return err
-	}
+	cfg, metricsAddr := build()
 	reg, err := startMetrics(metricsAddr)
 	if err != nil {
 		return err

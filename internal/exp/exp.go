@@ -34,13 +34,9 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 
 	"github.com/xylem-sim/xylem/internal/core"
-	"github.com/xylem-sim/xylem/internal/fault"
 	"github.com/xylem-sim/xylem/internal/obs"
-	"github.com/xylem-sim/xylem/internal/perf"
-	"github.com/xylem-sim/xylem/internal/thermal"
 	"github.com/xylem-sim/xylem/internal/workload"
 )
 
@@ -66,31 +62,12 @@ type Options struct {
 	// the serial iteration order, and the evaluator underneath is
 	// concurrency-safe.
 	Workers int
-	// NoWarmStart disables seeding each frequency-ladder solve with the
-	// previous frequency's temperature field (used by benchmarks to
-	// measure the warm-start savings; results agree to solver tolerance
-	// either way).
-	NoWarmStart bool
-	// Precond selects the CG preconditioner for every thermal solve:
-	// "" or "auto" (multigrid default), "mg", or "jacobi". Results agree
-	// to solver tolerance either way (pinned by TestJacobiSweepTables),
-	// with Jacobi taking many more CG iterations.
-	Precond string
 	// Obs, when non-nil, wires the whole pipeline — experiment points,
 	// evaluator work counters, thermal solver spans, DTM events — to this
 	// metrics registry. Metrics are write-only and never feed back into
 	// any computation, so tables and CSVs are byte-identical with or
 	// without it (pinned by TestTablesIdenticalWithObs).
 	Obs *obs.Registry
-	// Checkpoint, when non-nil, makes the temperature sweeps crash-safe:
-	// progress persists to Checkpoint.Dir after every ladder rung (see
-	// checkpoint.go), and Checkpoint.Resume completes an interrupted run
-	// to byte-identical tables.
-	Checkpoint *CkptConfig
-	// Supervise, when non-nil, retries failed sweep points down a
-	// deterministic degradation ladder instead of failing the whole run
-	// on the first error (see supervise.go).
-	Supervise *SuperviseConfig
 }
 
 // workerCount resolves Workers to an effective pool size.
@@ -129,11 +106,6 @@ type Runner struct {
 	// obs holds the runner-level metric handles when Options.Obs is set
 	// (nil otherwise; see obs.go).
 	obs *runnerObs
-	// quarMu guards the supervisor's quarantine list and the work
-	// counters restored from checkpoints.
-	quarMu    sync.Mutex
-	quar      []*fault.QuarantinedPointError
-	ckptStats perf.Stats
 }
 
 // NewRunner builds a Runner.
@@ -153,11 +125,6 @@ func NewRunner(opts Options) (*Runner, error) {
 	// split their kernels above the thermal package's cell threshold,
 	// where a single solve dominates a point's cost.
 	sys.Ev.Workers = opts.workerCount()
-	pc, ok := thermal.ParsePrecond(opts.Precond)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown preconditioner %q (want auto, mg or jacobi)", opts.Precond)
-	}
-	sys.Ev.Precond = pc
 	if opts.Obs != nil {
 		sys.Ev.AttachObs(opts.Obs)
 		sys.DTM.AttachObs(opts.Obs)

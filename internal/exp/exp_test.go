@@ -9,6 +9,7 @@ import (
 
 	"github.com/xylem-sim/xylem/internal/perf"
 	"github.com/xylem-sim/xylem/internal/stack"
+	"github.com/xylem-sim/xylem/internal/thermal"
 )
 
 // quickRunner is shared across the package tests (runner construction is
@@ -497,8 +498,8 @@ func TestJacobiSweepTables(t *testing.T) {
 		// synchronisation.
 		t.Skip("runs two Figure 7 sweeps, one under Jacobi")
 	}
-	mg, mgStats := runFigure7(t, "")
-	jacobi, jacobiStats := runFigure7(t, "jacobi")
+	mg, mgStats := runFigure7(t, thermal.PrecondAuto)
+	jacobi, jacobiStats := runFigure7(t, thermal.PrecondJacobi)
 	for _, s := range []perf.Stats{mgStats, jacobiStats} {
 		if s.GreensHits != 0 || s.BasisBuilds != 0 {
 			t.Fatalf("sweep touched the Green's-function path: %+v", s)
@@ -514,16 +515,16 @@ func TestJacobiSweepTables(t *testing.T) {
 
 // runFigure7 renders Figure 7 on two quick-scale apps, serially, under
 // the given preconditioner and returns the table with the solver work.
-func runFigure7(t *testing.T, precond string) (string, perf.Stats) {
+func runFigure7(t *testing.T, precond thermal.Precond) (string, perf.Stats) {
 	t.Helper()
 	o := QuickOptions()
 	o.Apps = []string{"lu-nas", "fft"}
 	o.Workers = 1
-	o.Precond = precond
 	r, err := NewRunner(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Sys.Ev.Precond = precond
 	_, tab, err := r.Figure7()
 	if err != nil {
 		t.Fatal(err)

@@ -47,13 +47,9 @@ func (r *Runner) TempSweep() (TempSweep, error) {
 // Each chain walks its frequency ladder in order so every solve can
 // warm-start from the previous frequency's field; chains are independent
 // and results land by index, so point order — and therefore every table
-// and CSV derived from the sweep — matches the serial run exactly.
-//
-// With Options.Checkpoint set, every completed rung updates the chain's
-// durable state (points so far + bit-exact warm field), and a resumed
-// run re-enters each interrupted chain at its first missing rung —
-// producing the same solves, and therefore byte-identical tables, as an
-// uninterrupted run.
+// and CSV derived from the sweep — matches the serial run exactly. The
+// first failing point fails the sweep with its typed error, named by
+// app/scheme/GHz.
 func (r *Runner) TempSweepCtx(ctx context.Context) (TempSweep, error) {
 	apps, err := r.apps()
 	if err != nil {
@@ -69,68 +65,26 @@ func (r *Runner) TempSweepCtx(ctx context.Context) (TempSweep, error) {
 			chains = append(chains, chain{app, k})
 		}
 	}
-	ck, err := r.newSweepCkpt("tempsweep", apps)
-	if err != nil {
-		return TempSweep{}, err
-	}
 	results := make([][]TempPoint, len(chains))
-	quar := r.quarantinedSet()
-	pending := make([]int, 0, len(chains))
-	for i := range chains {
-		if quar[i] {
-			continue // condemned in an earlier incarnation: keep the gap
-		}
-		if raw, ok := ck.itemState(i); ok {
-			rung, cols, _, err := decodeChainState(raw)
-			if err != nil {
-				return TempSweep{}, fmt.Errorf("exp: checkpoint item %d: %w", i, err)
-			}
-			if rung >= len(r.Opts.Freqs) && len(cols) == 1 {
-				results[i] = cols[0]
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	label := func(i int) string { return chains[i].app.Name + "/" + chains[i].k.String() }
-	err = r.runPoints(ctx, pending, label, func(ctx context.Context, i int) error {
+	err = r.runIndexed(ctx, len(chains), func(ctx context.Context, i int) error {
 		c := chains[i]
-		start := 0
 		var warm thermal.Temperature
 		pts := make([]TempPoint, 0, len(r.Opts.Freqs))
-		if raw, ok := ck.itemState(i); ok {
-			rung, cols, warms, err := decodeChainState(raw)
-			if err != nil {
-				return fmt.Errorf("exp: checkpoint item %d: %w", i, err)
-			}
-			if len(cols) == 1 {
-				start, pts, warm = rung, cols[0], warms[0]
-			}
-		}
-		for fi := start; fi < len(r.Opts.Freqs); fi++ {
-			f := r.Opts.Freqs[fi]
+		for _, f := range r.Opts.Freqs {
 			o, err := r.Sys.EvaluateUniformWarmCtx(ctx, c.k, c.app, f, warm)
 			if err != nil {
 				return fmt.Errorf("exp: %s/%s/%.1f: %w", c.app.Name, c.k, f, err)
 			}
-			if !r.Opts.NoWarmStart {
-				warm = o.Temps
-			}
+			warm = o.Temps
 			pts = append(pts, TempPoint{
 				App: c.app.Name, Scheme: c.k, GHz: f,
 				ProcHotC: o.ProcHotC, DRAM0HotC: o.DRAM0HotC,
 			})
-			if err := ck.update(i, encodeChainState(fi+1, [][]TempPoint{pts}, []thermal.Temperature{warm})); err != nil {
-				return err
-			}
 		}
 		results[i] = pts
 		return nil
 	})
 	if err != nil {
-		return TempSweep{}, err
-	}
-	if err := ck.finish(); err != nil {
 		return TempSweep{}, err
 	}
 	var out TempSweep
@@ -165,31 +119,20 @@ func (r *Runner) tempTable(sweep TempSweep, title string, dram bool) Table {
 	for _, f := range r.Opts.Freqs {
 		t.Header = append(t.Header, fmt.Sprintf("%.1fGHz", f))
 	}
-	seen := map[string]bool{}
-	var appOrder []string
-	for _, p := range sweep.Points {
-		if !seen[p.App] {
-			seen[p.App] = true
-			appOrder = append(appOrder, p.App)
-		}
-	}
-	for _, app := range appOrder {
-		for _, k := range fig7Schemes {
-			row := []string{app, k.String()}
-			for _, f := range r.Opts.Freqs {
-				p, ok := sweep.Find(app, k, f)
-				if !ok {
-					row = append(row, "-")
-					continue
-				}
-				v := p.ProcHotC
-				if dram {
-					v = p.DRAM0HotC
-				}
-				row = append(row, f1(v))
+	// The sweep lists each (app, scheme) chain's frequency ladder in
+	// order, so every len(Freqs) consecutive points form one row.
+	n := len(r.Opts.Freqs)
+	for i := 0; n > 0 && i+n <= len(sweep.Points); i += n {
+		chain := sweep.Points[i : i+n]
+		row := []string{chain[0].App, chain[0].Scheme.String()}
+		for _, p := range chain {
+			v := p.ProcHotC
+			if dram {
+				v = p.DRAM0HotC
 			}
-			t.Rows = append(t.Rows, row)
+			row = append(row, f1(v))
 		}
+		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"a real system's DTM would throttle points above Tj,max (100°C proc, 95°C DRAM)")
@@ -284,9 +227,7 @@ func (r *Runner) Figure14() ([]IsoCountRow, Table, error) {
 			if err != nil {
 				return err
 			}
-			if !r.Opts.NoWarmStart {
-				warmBank, warmIso = bank.Temps, iso.Temps
-			}
+			warmBank, warmIso = bank.Temps, iso.Temps
 			out = append(out, IsoCountRow{
 				App: app.Name, GHz: f,
 				BankC: bank.ProcHotC, IsoCount: iso.ProcHotC,

@@ -3,8 +3,12 @@ package exp
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/xylem-sim/xylem/internal/fault"
+	"github.com/xylem-sim/xylem/internal/stack"
 )
 
 // The parallel sweep must reproduce the serial run byte for byte: same
@@ -100,5 +104,53 @@ func TestRunIndexedHonoursCancelledContext(t *testing.T) {
 	}
 	if ran {
 		t.Error("work ran under a cancelled context")
+	}
+}
+
+// A sweep point whose solves fail fails the whole sweep with its typed
+// error, wrapped with the app/scheme/GHz of the point: the first error
+// wins, and the user reruns the sweep.
+func TestSweepFailureIsTyped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick sweep up to the first failing point")
+	}
+	for _, workers := range []int{1, 2} {
+		o := QuickOptions()
+		o.Apps = []string{"lu-nas", "fft"}
+		o.GridRows, o.GridCols = 12, 12
+		o.Instructions = 40_000
+		o.Workers = workers
+		r, err := NewRunner(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every solve on the prior-scheme stack diverges.
+		solver, err := r.Sys.Ev.SolverFor(r.Sys.Stack(stack.Prior))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver.Hook = func() (int, error) {
+			return 0, &fault.DivergenceError{Injected: true, Detail: "forced"}
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("workers=%d: sweep panicked: %v", workers, p)
+				}
+			}()
+			_, _, err = r.Figure7()
+		}()
+		if !errors.Is(err, fault.ErrDiverged) {
+			t.Fatalf("workers=%d: err = %v, want a divergence", workers, err)
+		}
+		// Both prior chains fail on their first rung; serially lu-nas's
+		// comes first.
+		want := "/prior/2.4: "
+		if workers == 1 {
+			want = "lu-nas" + want
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("workers=%d: err = %q, want it to name the point %q", workers, err, want)
+		}
 	}
 }

@@ -49,12 +49,6 @@ var (
 	// than arising organically; an injected divergence satisfies both
 	// errors.Is(err, ErrDiverged) and errors.Is(err, ErrInjected).
 	ErrInjected = errors.New("fault: injected failure")
-	// ErrQuarantined marks a sweep point the run supervisor gave up on
-	// after exhausting its retry/degradation ladder: the point is
-	// skipped and reported instead of aborting the sweep. A sweep that
-	// finishes with quarantined points "completed with gaps" — callers
-	// distinguish that from clean success with errors.Is against this.
-	ErrQuarantined = errors.New("fault: point quarantined")
 )
 
 // DivergenceError reports a diverging or breaking-down linear solve with
@@ -167,36 +161,6 @@ func (e *BadTemperatureError) Error() string {
 
 // Is makes errors.Is(err, ErrBadTemp) match.
 func (e *BadTemperatureError) Is(target error) bool { return target == ErrBadTemp }
-
-// QuarantinedPointError reports one sweep point the supervisor
-// quarantined: which point, how hard it tried, and the failure that
-// finally condemned it.
-type QuarantinedPointError struct {
-	// Point is the point's index in the sweep's deterministic serial
-	// order; Label is its human name ("lu-nas/base") when known.
-	Point int
-	Label string
-	// Attempts is the total number of evaluation attempts made (the
-	// first try plus every rung of the retry/degradation ladder).
-	Attempts int
-	// Err is the last attempt's failure.
-	Err error
-}
-
-func (e *QuarantinedPointError) Error() string {
-	label := e.Label
-	if label == "" {
-		label = fmt.Sprintf("point %d", e.Point)
-	}
-	return fmt.Sprintf("quarantined %s after %d attempts: %v", label, e.Attempts, e.Err)
-}
-
-// Is makes errors.Is(err, ErrQuarantined) match.
-func (e *QuarantinedPointError) Is(target error) bool { return target == ErrQuarantined }
-
-// Unwrap exposes the final failure, so errors.Is also matches its class
-// (ErrDiverged, ErrBudget, ...).
-func (e *QuarantinedPointError) Unwrap() error { return e.Err }
 
 // SensorLossError reports a control interval with too few live sensors.
 type SensorLossError struct {

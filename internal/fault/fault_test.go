@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -317,42 +316,19 @@ func TestConfigZero(t *testing.T) {
 	}
 }
 
-func TestQuarantinedPointError(t *testing.T) {
-	inner := &DivergenceError{Iters: 12, Residual: 3, Best: 1, Tol: 1e-8}
-	err := error(&QuarantinedPointError{Point: 5, Label: "lu-nas/bank", Attempts: 3, Err: inner})
-	if !errors.Is(err, ErrQuarantined) {
-		t.Error("errors.Is(err, ErrQuarantined) = false")
-	}
-	// Unwrap must expose the condemning failure's class too.
-	if !errors.Is(err, ErrDiverged) {
-		t.Error("errors.Is(err, ErrDiverged) = false through Unwrap")
-	}
-	var qe *QuarantinedPointError
-	if !errors.As(fmt.Errorf("sweep: %w", err), &qe) || qe.Point != 5 || qe.Attempts != 3 {
-		t.Errorf("errors.As lost detail: %+v", qe)
-	}
-	msg := err.Error()
-	if msg == "" || !strings.Contains(msg, "lu-nas/bank") || !strings.Contains(msg, "3 attempts") {
-		t.Errorf("Error() = %q", msg)
-	}
-	unlabeled := &QuarantinedPointError{Point: 9, Attempts: 1, Err: inner}
-	if !strings.Contains(unlabeled.Error(), "point 9") {
-		t.Errorf("Error() = %q", unlabeled.Error())
-	}
-}
-
 func TestUnitDeterministicUniform(t *testing.T) {
-	if Unit(1, StreamBackoff, 2, 3) != Unit(1, StreamBackoff, 2, 3) {
+	const stream = 64 // any stream outside the injector's own
+	if Unit(1, stream, 2, 3) != Unit(1, stream, 2, 3) {
 		t.Error("Unit is not deterministic")
 	}
-	if Unit(1, StreamBackoff, 2, 3) == Unit(2, StreamBackoff, 2, 3) ||
-		Unit(1, StreamBackoff, 2, 3) == Unit(1, StreamBackoff, 2, 4) {
+	if Unit(1, stream, 2, 3) == Unit(2, stream, 2, 3) ||
+		Unit(1, stream, 2, 3) == Unit(1, stream, 2, 4) {
 		t.Error("Unit ignores a coordinate")
 	}
 	var sum float64
 	const n = 10000
 	for i := 0; i < n; i++ {
-		u := Unit(7, StreamBackoff, uint64(i), 0)
+		u := Unit(7, stream, uint64(i), 0)
 		if u < 0 || u >= 1 {
 			t.Fatalf("Unit out of [0,1): %g", u)
 		}

@@ -54,16 +54,10 @@ const (
 	streamSolverDiverge
 )
 
-// StreamBackoff is the exported draw stream for the run supervisor's
-// retry-backoff jitter (internal/exp). It shares the hash RNG's
-// guarantees — seedable, platform-independent, order-independent — so
-// retry schedules are bit-for-bit reproducible across runs.
-const StreamBackoff uint64 = 64
-
 // Unit returns the deterministic uniform [0, 1) draw at coordinates
 // (seed, stream, a, b) — the exported face of the hash RNG for
 // consumers outside the injector that need reproducible randomness
-// (e.g. capped-exponential backoff jitter keyed by point and attempt).
+// (e.g. synthetic power maps keyed by block and request).
 func Unit(seed, stream, a, b uint64) float64 {
 	return unit(hash(seed, stream, a, b))
 }

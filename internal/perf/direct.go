@@ -39,7 +39,7 @@ func (e *Evaluator) SolveBatch(ctx context.Context, st *stack.Stack, pms []therm
 	}
 	temps := make([]thermal.Temperature, len(pms))
 	errs := make([]error, len(pms))
-	tol := sl.baseTol(ctx)
+	tol := sl.s.Tol
 	for j, pm := range pms {
 		temps[j], errs[j] = e.steadyState(ctx, sl, pm, nil, tol)
 	}

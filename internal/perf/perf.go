@@ -208,8 +208,8 @@ type Stats struct {
 	// BatchedSolves, BatchedColumns and DeflatedColumns counted the
 	// multi-RHS batched solver's calls, columns and early-retired
 	// columns. Every solve is a single CG solve now, so they are always
-	// zero; they stay because the benchmark's per-layer report and the
-	// sweep checkpoint's stats section name them.
+	// zero; they stay because the benchmark's per-layer report names
+	// them.
 	BatchedSolves   int
 	BatchedColumns  int64
 	DeflatedColumns int64
@@ -260,9 +260,8 @@ func (s Stats) Sub(prev Stats) Stats {
 	return d
 }
 
-// Add returns the counter sums — the inverse of Sub, used by the resume
-// path to combine a checkpointed run's stats with the stats of the
-// process that finished it.
+// Add returns the counter sums — the inverse of Sub, for totalling
+// the work of several evaluators (e.g. a fleet's solver pool).
 func (s Stats) Add(o Stats) Stats {
 	t := Stats{
 		ActivityRuns:    s.ActivityRuns + o.ActivityRuns,
@@ -489,10 +488,9 @@ func retryableSolveErr(err error) bool {
 //
 //	tol_r = max(base, min(leakLooseTol, base·leakTolGrowth^r)),  r = LeakageIters−1−iter
 //
-// where base is the solver's Tol (or the degrade directive's widened
-// tolerance). The last iteration always runs at base, and a point that
-// converges early re-solves its final power map once at base, warm from
-// the loose field — so every reported field is a full-tolerance solve.
+// where base is the solver's Tol. The last iteration always runs at
+// base, and a point that converges early re-solves its final power map
+// once at base, warm from the loose field — so every reported field is a full-tolerance solve.
 // That re-solve keeps the power map built from the previous, loose
 // field; the leakLooseTol cap keeps the error this leaves below 1e-6 °C
 // against the all-Tol fixed point (a 1e-5 cap left up to 6.8e-6 °C).
@@ -511,15 +509,6 @@ func leakTol(base float64, r int) float64 {
 	return math.Max(base, math.Min(leakLooseTol, tol))
 }
 
-// baseTol is the full solve tolerance under ctx: the solver's Tol,
-// widened by the context's degrade directive if one is set.
-func (sl *solverSlot) baseTol(ctx context.Context) float64 {
-	if t := degradeFrom(ctx).tol(sl.s.Tol); t > 0 {
-		return t
-	}
-	return sl.s.Tol
-}
-
 // retryRelax is the degradation policy's tolerance multiplier: a solve
 // that diverges or runs out of budget is retried once at its tolerance
 // times retryRelax (graceful degradation instead of a failed experiment).
@@ -536,12 +525,11 @@ const retryRelax = 100
 // immediately. warm, when non-nil, seeds CG with a nearby field. The
 // slot's lock serialises solves on the shared solver.
 func (e *Evaluator) steadyState(ctx context.Context, sl *solverSlot, pm thermal.PowerMap, warm thermal.Temperature, tol float64) (thermal.Temperature, error) {
-	deg := degradeFrom(ctx)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	for retry := false; ; retry, tol = true, tol*retryRelax {
 		t, err := sl.s.SteadyStateOpts(ctx, pm, thermal.SolveOpts{
-			Warm: warm, Tol: tol, Precond: deg.Precond,
+			Warm: warm, Tol: tol,
 		})
 		e.noteSolve(sl.s)
 		switch {
@@ -612,7 +600,7 @@ func (e *Evaluator) ThermalWarmCtx(ctx context.Context, st *stack.Stack, freqs [
 // full tolerance.
 func (e *Evaluator) cgFixedPoint(ctx context.Context, st *stack.Stack, sl *solverSlot, freqs []float64, res cpusim.Result, warm thermal.Temperature) (Outcome, error) {
 	m := e.metrics()
-	base := sl.baseTol(ctx)
+	base := sl.s.Tol
 	var pm thermal.PowerMap
 	var tol float64
 	step := func(iter int, procBP []power.BlockPower, sliceP []power.SlicePower) (thermal.Temperature, error) {

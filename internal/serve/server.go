@@ -41,9 +41,6 @@ type Config struct {
 	// (0 = serial kernels). Solver results are bitwise-deterministic at
 	// any worker count, so this is a throughput knob only.
 	Workers int
-	// Precond configures each tenant's solver (the zero value resolves
-	// to multigrid).
-	Precond thermal.Precond
 	// RetryAfter is the client back-off hint attached to 429s.
 	RetryAfter time.Duration
 	// Obs, when non-nil, receives the serve metrics (and the perf/
@@ -144,7 +141,6 @@ func (s *Server) buildEntry(tk tenantKey) (*Entry, error) {
 	}
 	ev := perf.NewEvaluator()
 	ev.Workers = s.cfg.Workers
-	ev.Precond = s.cfg.Precond
 	ev.ShareActivityCache(s.rootEv)
 	if s.cfg.Obs != nil {
 		ev.AttachObs(s.cfg.Obs)

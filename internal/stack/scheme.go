@@ -44,8 +44,8 @@ var schemeNames = map[SchemeKind]string{
 // String returns the scheme name used throughout the evaluation.
 func (k SchemeKind) String() string { return schemeNames[k] }
 
-// ParseScheme inverts String. Checkpoints store schemes by name, so the
-// on-disk format is independent of the enum's numeric values.
+// ParseScheme inverts String. Requests name schemes by string, so the
+// wire format is independent of the enum's numeric values.
 func ParseScheme(name string) (SchemeKind, bool) {
 	for k, n := range schemeNames {
 		if n == name {

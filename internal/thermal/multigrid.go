@@ -74,14 +74,14 @@ const (
 	// defaults to PrecondMG).
 	PrecondAuto Precond = iota
 	// PrecondJacobi is plain diagonal scaling — the original solver's
-	// behaviour, kept as the fallback and comparison baseline.
+	// behaviour, kept as the comparison baseline.
 	PrecondJacobi
 	// PrecondMG applies one geometric multigrid V-cycle per CG
 	// iteration.
 	PrecondMG
 )
 
-// String names the preconditioner for diagnostics and flags.
+// String names the preconditioner for diagnostics.
 func (p Precond) String() string {
 	switch p {
 	case PrecondJacobi:
@@ -90,21 +90,6 @@ func (p Precond) String() string {
 		return "mg"
 	default:
 		return "auto"
-	}
-}
-
-// ParsePrecond maps a flag value to a Precond ("" and "auto" defer to
-// the solver default).
-func ParsePrecond(name string) (Precond, bool) {
-	switch name {
-	case "", "auto":
-		return PrecondAuto, true
-	case "jacobi":
-		return PrecondJacobi, true
-	case "mg":
-		return PrecondMG, true
-	default:
-		return PrecondAuto, false
 	}
 }
 

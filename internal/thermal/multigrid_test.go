@@ -10,27 +10,6 @@ import (
 	"github.com/xylem-sim/xylem/internal/fault"
 )
 
-func TestParsePrecond(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Precond
-		ok   bool
-	}{
-		{"", PrecondAuto, true},
-		{"auto", PrecondAuto, true},
-		{"jacobi", PrecondJacobi, true},
-		{"mg", PrecondMG, true},
-		{"multigrid", 0, false},
-		{"JACOBI", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := ParsePrecond(c.in)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("ParsePrecond(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 func TestStagnationWindowFor(t *testing.T) {
 	cases := []struct{ maxIter, want int }{
 		{20000, 2000}, // default budget keeps the seed's full window

@@ -69,7 +69,7 @@ type Solver struct {
 	// DefaultPrecond selects the preconditioner for solves that don't
 	// pick one via SolveOpts.Precond. PrecondAuto (the zero value)
 	// resolves to PrecondMG — the multigrid V-cycle is the default;
-	// Jacobi remains selectable as the fallback/baseline.
+	// Jacobi remains selectable as the comparison baseline.
 	DefaultPrecond Precond
 	// Workers is the number of goroutines the CG kernels may use for
 	// solves at or above parallelMinCells cells (0 or 1 = serial). The
@@ -528,8 +528,8 @@ type SolveOpts struct {
 	Warm Temperature
 	// Precond overrides the preconditioner for this solve only
 	// (PrecondAuto = use Solver.DefaultPrecond, which defaults to the
-	// multigrid V-cycle). The Jacobi/MG cross-check tests and the
-	// degrade ladder's Jacobi rung select per solve through here.
+	// multigrid V-cycle). The Jacobi/MG cross-check tests select per
+	// solve through here.
 	Precond Precond
 	// budget, when non-nil, is this solve's iteration budget drawn
 	// beforehand, and the hook is not consulted. Only the Green's basis

@@ -6,10 +6,10 @@ import (
 	"github.com/xylem-sim/xylem/internal/ckpt"
 )
 
-// Checkpointable solver warm state. A resumable sweep must reproduce,
-// bit for bit, the warm-start field each interrupted frequency ladder
-// would have carried into its next solve — CG iterates depend on the
-// seed, so "close" is not good enough for byte-identical tables. The
+// Checkpointable solver warm state. A resumed fleet replay must
+// reproduce, bit for bit, the warm-start field each stack would have
+// carried into its next solve — CG iterates depend on the seed, so
+// "close" is not good enough for byte-identical reports. The
 // encoding is therefore raw IEEE-754 bits through the ckpt codec, and
 // decoding validates the field's shape before any of it is used.
 
