@@ -36,6 +36,12 @@ func smallApp(t *testing.T, name string) workload.Profile {
 	return p
 }
 
+// migrateSmall runs Migrate at the test scale's fixed operating point:
+// two threads at 2.8 GHz rotating every 30 ms.
+func migrateSmall(c *Controller, st *stack.Stack, app workload.Profile, set []int, cycles int) (MigrationResult, error) {
+	return c.Migrate(st, app, set, 2, 2.8, 30, cycles)
+}
+
 func TestLimitsRespects(t *testing.T) {
 	l := DefaultLimits()
 	if l.ProcMaxC != 100 || l.DRAMMaxC != 95 {
