@@ -67,6 +67,7 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/sensitivity
 	$(GO) run ./examples/customdie
+	$(GO) run ./examples/dtmtrace
 
 clean:
 	$(GO) clean ./...

@@ -13,11 +13,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"github.com/xylem-sim/xylem/internal/core"
-	"github.com/xylem-sim/xylem/internal/dtm"
 	"github.com/xylem-sim/xylem/internal/floorplan"
 	"github.com/xylem-sim/xylem/internal/perf"
 	"github.com/xylem-sim/xylem/internal/stack"
@@ -42,11 +42,11 @@ func main() {
 	// Summary: inner vs outer migration on each scheme.
 	fmt.Printf("%-8s  %-18s  %-18s  %s\n", "scheme", "outer cores (°C)", "inner cores (°C)", "Δ")
 	for _, k := range []stack.SchemeKind{stack.Base, stack.Bank, stack.BankE} {
-		outer, err := sys.LambdaMigration(k, app, false, fGHz, periodMs)
+		outer, err := sys.LambdaMigration(context.Background(), k, app, false, fGHz, periodMs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		inner, err := sys.LambdaMigration(k, app, true, fGHz, periodMs)
+		inner, err := sys.LambdaMigration(context.Background(), k, app, true, fGHz, periodMs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,10 +59,12 @@ func main() {
 	// driven directly through the thermal solver.
 	fmt.Println("\nTransient hotspot trace (banke, inner cores, one rotation):")
 	st := sys.Stack(stack.BankE)
-	solver, err := thermal.NewSolver(st.Model)
+	shared, err := sys.Ev.SolverFor(st)
 	if err != nil {
 		log.Fatal(err)
 	}
+	solver := shared.Clone() // a transient run steps on its own clone
+	defer solver.Close()
 	freqs := sys.Uniform(fGHz)
 	set := floorplan.InnerCores
 	var maps []thermal.PowerMap
@@ -95,6 +97,4 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-
-	_ = dtm.DefaultLimits() // (see internal/dtm for the full DTM policies)
 }

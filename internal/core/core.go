@@ -268,10 +268,11 @@ func (s *System) LambdaBoost(k stack.SchemeKind, app workload.Profile) (single, 
 // LambdaMigration runs the Fig. 17 experiment: two threads of app
 // migrating every periodMs among the inner or the outer cores at a fixed
 // frequency; it returns the steady-rotation hotspot statistics.
-func (s *System) LambdaMigration(k stack.SchemeKind, app workload.Profile, inner bool, fGHz, periodMs float64) (dtm.MigrationResult, error) {
+// Cancelling ctx stops the transient run.
+func (s *System) LambdaMigration(ctx context.Context, k stack.SchemeKind, app workload.Profile, inner bool, fGHz, periodMs float64) (dtm.MigrationResult, error) {
 	set := floorplan.OuterCores
 	if inner {
 		set = floorplan.InnerCores
 	}
-	return s.DTM.Migrate(s.stacks[k], app, set, 2, fGHz, periodMs, 3)
+	return s.DTM.Migrate(ctx, s.stacks[k], app, set, 2, fGHz, periodMs, 3)
 }

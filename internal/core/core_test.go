@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/perf"
@@ -141,11 +142,11 @@ func TestLambdaBoost(t *testing.T) {
 func TestLambdaMigration(t *testing.T) {
 	sys := smallSystem(t)
 	app := smallApp(t, "radiosity")
-	outer, err := sys.LambdaMigration(stack.BankE, app, false, 2.8, 30)
+	outer, err := sys.LambdaMigration(context.Background(), stack.BankE, app, false, 2.8, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := sys.LambdaMigration(stack.BankE, app, true, 2.8, 30)
+	inner, err := sys.LambdaMigration(context.Background(), stack.BankE, app, true, 2.8, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

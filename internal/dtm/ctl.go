@@ -26,7 +26,7 @@ type SensorCtl struct {
 	GuardC float64
 	// Level is the current DVFS level index (0 = floor). The guarded
 	// policy starts at the floor and earns frequency; the naive policy
-	// starts at the ceiling like the idealised ThrottleTrace.
+	// starts optimistic, at the ceiling.
 	Level int
 
 	top      int

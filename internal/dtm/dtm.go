@@ -7,6 +7,7 @@
 package dtm
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/xylem-sim/xylem/internal/cpusim"
@@ -211,15 +212,18 @@ type MigrationResult struct {
 // them round-robin among the given core set every periodMs milliseconds,
 // and reports the processor hotspot statistics once the rotation reaches
 // a periodic steady state. The transient thermal solver advances in
-// stepMs sub-steps so the hotspot statistics see intra-period dynamics.
-func (c *Controller) Migrate(st *stack.Stack, app workload.Profile, coreSet []int, nThreads int, freqGHz, periodMs float64, cycles int) (MigrationResult, error) {
+// five sub-steps per period so the hotspot statistics see intra-period
+// dynamics. It steps on a clone of the evaluator's solver for st, so the
+// multigrid hierarchy is built once per stack and every solve lands in
+// the registry that solver feeds; cancelling ctx stops the run.
+func (c *Controller) Migrate(ctx context.Context, st *stack.Stack, app workload.Profile, coreSet []int, nThreads int, freqGHz, periodMs float64, cycles int) (MigrationResult, error) {
 	if nThreads <= 0 || nThreads > len(coreSet) {
 		return MigrationResult{}, fmt.Errorf("dtm: %d threads for %d cores", nThreads, len(coreSet))
 	}
 	if cycles < 2 {
 		return MigrationResult{}, fmt.Errorf("dtm: need at least 2 rotation cycles, got %d", cycles)
 	}
-	solver, err := thermal.NewSolver(st.Model)
+	shared, err := c.Ev.SolverFor(st)
 	if err != nil {
 		return MigrationResult{}, err
 	}
@@ -252,7 +256,9 @@ func (c *Controller) Migrate(st *stack.Stack, app workload.Profile, coreSet []in
 	}
 
 	// Start from the steady state of rotation state 0, then rotate.
-	init, err := solver.SteadyState(maps[0])
+	solver := shared.Clone()
+	defer solver.Close()
+	init, err := solver.SteadyStateCtx(ctx, maps[0])
 	if err != nil {
 		return MigrationResult{}, err
 	}
@@ -270,7 +276,7 @@ func (c *Controller) Migrate(st *stack.Stack, app workload.Profile, coreSet []in
 		last := cycle == cycles-1
 		for k := 0; k < n; k++ {
 			for s := 0; s < subSteps; s++ {
-				if err := ts.Step(maps[k], dt); err != nil {
+				if err := ts.StepCtx(ctx, maps[k], dt); err != nil {
 					return MigrationResult{}, err
 				}
 				if last {

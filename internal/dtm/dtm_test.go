@@ -1,11 +1,11 @@
 package dtm
 
 import (
+	"context"
 	"testing"
 
 	"github.com/xylem-sim/xylem/internal/perf"
 	"github.com/xylem-sim/xylem/internal/stack"
-	"github.com/xylem-sim/xylem/internal/thermal"
 	"github.com/xylem-sim/xylem/internal/workload"
 )
 
@@ -39,7 +39,7 @@ func smallApp(t *testing.T, name string) workload.Profile {
 // migrateSmall runs Migrate at the test scale's fixed operating point:
 // two threads at 2.8 GHz rotating every 30 ms.
 func migrateSmall(c *Controller, st *stack.Stack, app workload.Profile, set []int, cycles int) (MigrationResult, error) {
-	return c.Migrate(st, app, set, 2, 2.8, 30, cycles)
+	return c.Migrate(context.Background(), st, app, set, 2, 2.8, 30, cycles)
 }
 
 func TestLimitsRespects(t *testing.T) {
@@ -167,7 +167,7 @@ func TestMigrateBasics(t *testing.T) {
 	c, stacks := smallController(t)
 	app := smallApp(t, "radiosity")
 	st := stacks[stack.BankE]
-	res, err := c.Migrate(st, app, []int{1, 2, 5, 6}, 2, 2.8, 30, 2)
+	res, err := c.Migrate(context.Background(), st, app, []int{1, 2, 5, 6}, 2, 2.8, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,10 @@ func TestMigrateBasics(t *testing.T) {
 		t.Fatalf("average hotspot %.2f below ambient", res.AvgHotC)
 	}
 	// Validation.
-	if _, err := c.Migrate(st, app, []int{1, 2}, 3, 2.8, 30, 2); err == nil {
+	if _, err := c.Migrate(context.Background(), st, app, []int{1, 2}, 3, 2.8, 30, 2); err == nil {
 		t.Fatal("more threads than cores accepted")
 	}
-	if _, err := c.Migrate(st, app, []int{1, 2}, 1, 2.8, 30, 1); err == nil {
+	if _, err := c.Migrate(context.Background(), st, app, []int{1, 2}, 1, 2.8, 30, 1); err == nil {
 		t.Fatal("single cycle accepted")
 	}
 }
@@ -194,7 +194,7 @@ func TestMigrationBoundedByPinned(t *testing.T) {
 	app := smallApp(t, "lu-nas")
 	st := stacks[stack.Base]
 	set := []int{1, 2, 5, 6}
-	mig, err := c.Migrate(st, app, set, 2, 2.8, 30, 2)
+	mig, err := c.Migrate(context.Background(), st, app, set, 2, 2.8, 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMigrationBoundedByPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver, err := thermal.NewSolver(st.Model)
+	solver, err := c.Ev.SolverFor(st)
 	if err != nil {
 		t.Fatal(err)
 	}

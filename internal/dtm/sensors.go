@@ -14,17 +14,20 @@ import (
 	"github.com/xylem-sim/xylem/internal/workload"
 )
 
-// This file is the sensor-aware half of the DTM controller. ThrottleTrace
-// (throttle.go) models the paper's idealised DTM: the controller reads
-// the solver's exact junction temperatures. A real stack reads a handful
-// of noisy, failure-prone on-die sensors. SensorLoop replays the same
-// closed loop with every temperature routed through a fault.SensorBank,
-// and implements two policies over the (possibly missing) readings:
+// This file is the transient, closed-loop half of the DTM controller.
+// SensorLoop steps the stack through time one control period at a time
+// and routes every junction temperature through a fault.SensorBank, so
+// the controller sees what a real stack's handful of on-die sensors
+// would report. It implements two policies over the (possibly missing)
+// readings:
 //
-//   - NaivePolicy reproduces ThrottleTrace's reactive rule on whatever
-//     sensors happen to respond. Losing the hottest sensor makes it
-//     blindly hold or boost while the die cooks — the failure mode the
-//     guarded policy exists to remove.
+//   - NaivePolicy is §7.2's reactive DTM: step the DVFS level down when
+//     a limit is exceeded, back up when headroom reappears. With a
+//     fault-free bank it reads the solver's exact temperatures — the
+//     paper's idealised DTM and the fault sweep's oracle. Under faults
+//     it trusts whatever sensors respond: losing the hottest sensor
+//     makes it blindly hold or boost while the die cooks — the failure
+//     mode the guarded policy exists to remove.
 //   - GuardedPolicy fuses sensors conservatively: worst-case (minimum)
 //     headroom across live sensors, a guard band that absorbs sensor
 //     error, boosting only on complete and fresh data, and a worst-case
@@ -93,13 +96,38 @@ type SensorSample struct {
 const stuckWindow = 8
 
 // boostHystC is the extra headroom (°C) beyond the guard band required
-// before the controller steps frequency up — the same 1 °C hysteresis
-// the idealised ThrottleTrace uses.
+// before the controller steps frequency up (1 °C of hysteresis).
 const boostHystC = 1.0
 
+// SensorSites lays out the junction-temperature sensors of st: one per
+// core, one over the whole processor die and one over the bottom DRAM
+// die, guarding Limits' processor and DRAM ceilings. SensorLoop and the
+// fleet replayer share this layout.
+func (c *Controller) SensorSites(st *stack.Stack) []SensorSite {
+	sites := make([]SensorSite, 0, c.Ev.SimCfg.Cores+2)
+	for core := 0; core < c.Ev.SimCfg.Cores; core++ {
+		sites = append(sites, SensorSite{
+			Name:  fmt.Sprintf("core%d", core),
+			Layer: st.ProcMetalLayer, Rect: st.Proc.CoreRect(core),
+			LimitC: c.Limits.ProcMaxC,
+		})
+	}
+	return append(sites,
+		SensorSite{
+			Name: "proc-die", Layer: st.ProcMetalLayer,
+			Rect:   geom.NewRect(0, 0, st.Proc.Width, st.Proc.Height),
+			LimitC: c.Limits.ProcMaxC,
+		},
+		SensorSite{
+			Name: "dram0-die", Layer: st.DRAMMetalLayers[0],
+			Rect:   geom.NewRect(0, 0, st.DRAM.Width, st.DRAM.Height),
+			LimitC: c.Limits.DRAMMaxC,
+		})
+}
+
 // SensorLoop is a prepared sensor-driven closed-loop DTM simulation: the
-// per-level power maps and the solver are built once, so many fault
-// seeds and policies can be replayed cheaply against the same workload.
+// per-level power maps are built once, so many fault seeds and policies
+// can be replayed cheaply against the same workload.
 type SensorLoop struct {
 	c        *Controller
 	st       *stack.Stack
@@ -111,9 +139,8 @@ type SensorLoop struct {
 }
 
 // NewSensorLoop prepares the closed loop for n threads of app on st with
-// the given control period. Sensor sites are one per core plus a
-// processor-die and a bottom-DRAM-die sensor (the two limits of
-// Limits).
+// the given control period, over the sensor sites of SensorSites. Runs
+// step on clones of the evaluator's solver for st.
 func (c *Controller) NewSensorLoop(st *stack.Stack, app workload.Profile, nThreads int, periodMs float64) (*SensorLoop, error) {
 	if nThreads < 1 || nThreads > c.Ev.SimCfg.Cores {
 		return nil, fmt.Errorf("dtm: %d threads for %d cores", nThreads, c.Ev.SimCfg.Cores)
@@ -121,7 +148,7 @@ func (c *Controller) NewSensorLoop(st *stack.Stack, app workload.Profile, nThrea
 	if periodMs <= 0 {
 		return nil, fmt.Errorf("dtm: non-positive control period %g ms", periodMs)
 	}
-	solver, err := thermal.NewSolver(st.Model)
+	solver, err := c.Ev.SolverFor(st)
 	if err != nil {
 		return nil, err
 	}
@@ -138,27 +165,9 @@ func (c *Controller) NewSensorLoop(st *stack.Stack, app workload.Profile, nThrea
 			return nil, err
 		}
 	}
-	var sites []SensorSite
-	for core := 0; core < c.Ev.SimCfg.Cores; core++ {
-		sites = append(sites, SensorSite{
-			Name:  fmt.Sprintf("core%d", core),
-			Layer: st.ProcMetalLayer, Rect: st.Proc.CoreRect(core),
-			LimitC: c.Limits.ProcMaxC,
-		})
-	}
-	procDie := geom.NewRect(0, 0, st.Proc.Width, st.Proc.Height)
-	sites = append(sites, SensorSite{
-		Name: "proc-die", Layer: st.ProcMetalLayer, Rect: procDie,
-		LimitC: c.Limits.ProcMaxC,
-	})
-	sites = append(sites, SensorSite{
-		Name: "dram0-die", Layer: st.DRAMMetalLayers[0],
-		Rect:   geom.NewRect(0, 0, st.DRAM.Width, st.DRAM.Height),
-		LimitC: c.Limits.DRAMMaxC,
-	})
 	return &SensorLoop{
 		c: c, st: st, solver: solver, maps: maps, levels: levels,
-		sites: sites, periodMs: periodMs,
+		sites: c.SensorSites(st), periodMs: periodMs,
 	}, nil
 }
 
@@ -178,12 +187,15 @@ func (l *SensorLoop) NewBank(inj *fault.Injector) *fault.SensorBank {
 // guard band in °C; the naive policy ignores it.
 //
 // The guarded loop starts at the DVFS floor and earns its frequency; the
-// naive loop starts at the ceiling like the idealised ThrottleTrace.
+// naive loop starts optimistic, at the ceiling. Run(ctx, nil, nil,
+// NaivePolicy, 0, steps) is the idealised reactive DTM: exact
+// temperatures, clean power.
 //
 // Run is safe to call from multiple goroutines: each run advances its
-// own transient state on a clone of the prepared solver (the shared
-// conductance network is immutable; only scratch buffers are private),
-// so fault seeds of a sweep can replay in parallel.
+// own transient state on a clone of the evaluator's solver (the shared
+// conductance network is immutable; only scratch buffers are private)
+// and closes the clone when it returns, so fault seeds of a sweep can
+// replay in parallel.
 func (l *SensorLoop) Run(ctx context.Context, bank *fault.SensorBank, powerInj *fault.Injector, policy SensorPolicy, guardC float64, steps int) ([]SensorSample, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("dtm: need at least one step")
@@ -210,7 +222,9 @@ func (l *SensorLoop) Run(ctx context.Context, bank *fault.SensorBank, powerInj *
 	defer func() {
 		sp.End(obs.A("policy", float64(policy)), obs.A("steps", float64(steps)))
 	}()
-	ts := l.solver.Clone().NewTransientAmbient()
+	solver := l.solver.Clone()
+	defer solver.Close()
+	ts := solver.NewTransientAmbient()
 	tvs := make([]float64, len(l.sites))
 	out := make([]SensorSample, 0, steps)
 	for i := 0; i < steps; i++ {
@@ -261,8 +275,7 @@ func (l *SensorLoop) Run(ctx context.Context, bank *fault.SensorBank, powerInj *
 }
 
 // SettledSensorFrequency returns the mean frequency over the last
-// quarter of a sensor-driven run — the level the loop converged around
-// (the sensor-loop analogue of SettledFrequency).
+// quarter of a sensor-driven run — the level the loop converged around.
 func SettledSensorFrequency(samples []SensorSample) float64 {
 	if len(samples) == 0 {
 		return 0

@@ -178,3 +178,76 @@ func TestMaxLevelRespectingMonotone(t *testing.T) {
 		t.Fatalf("all ok: best = %d (%v), want top", best, err)
 	}
 }
+
+// reactiveLoop runs the idealised reactive DTM — the naive policy on
+// exact temperatures — for 8 threads of lu-nas on st under Table 3's
+// limits, 10 ms per interval.
+func reactiveLoop(t *testing.T, c *Controller, st *stack.Stack, steps int) []SensorSample {
+	t.Helper()
+	loop, err := c.NewSensorLoop(st, smallApp(t, "lu-nas"), 8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := loop.Run(context.Background(), nil, nil, NaivePolicy, 0, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
+}
+
+func TestReactiveLoopConvergesUnderLimit(t *testing.T) {
+	c, stacks := smallController(t)
+	trace := reactiveLoop(t, c, stacks[stack.Base], 80)
+	if len(trace) != 80 {
+		t.Fatalf("%d samples", len(trace))
+	}
+	// Time must advance monotonically.
+	for i := 1; i < len(trace); i++ {
+		if trace[i].TimeMs <= trace[i-1].TimeMs {
+			t.Fatal("time not monotone")
+		}
+	}
+	// The last quarter must respect the limit within the control slack
+	// (one period of overshoot at most).
+	for _, s := range trace[60:] {
+		if s.TrueHotC > c.Limits.ProcMaxC+3 {
+			t.Fatalf("late sample at %.2f °C, limit %.0f", s.TrueHotC, c.Limits.ProcMaxC)
+		}
+	}
+	f := SettledSensorFrequency(trace)
+	if f < c.DVFS.MinGHz || f > c.DVFS.MaxGHz {
+		t.Fatalf("settled frequency %.2f outside the DVFS range", f)
+	}
+}
+
+// The control loop must settle at least as high on banke as on base for a
+// hot workload.
+func TestReactiveLoopSettlesHigherOnBankE(t *testing.T) {
+	c, stacks := smallController(t)
+	base := SettledSensorFrequency(reactiveLoop(t, c, stacks[stack.Base], 80))
+	banke := SettledSensorFrequency(reactiveLoop(t, c, stacks[stack.BankE], 80))
+	if banke < base-0.05 {
+		t.Fatalf("banke settled at %.2f GHz, below base %.2f GHz", banke, base)
+	}
+}
+
+func TestSensorLoopValidation(t *testing.T) {
+	c, stacks := smallController(t)
+	app := smallApp(t, "fft")
+	if _, err := c.NewSensorLoop(stacks[stack.Base], app, 0, 10); err == nil {
+		t.Fatal("zero threads accepted")
+	}
+	if _, err := c.NewSensorLoop(stacks[stack.Base], app, 8, 0); err == nil {
+		t.Fatal("zero control period accepted")
+	}
+	loop, err := c.NewSensorLoop(stacks[stack.Base], app, 8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loop.Run(context.Background(), nil, nil, NaivePolicy, 0, 0); err == nil {
+		t.Fatal("zero steps accepted")
+	}
+	if f := SettledSensorFrequency(nil); f != 0 {
+		t.Fatalf("SettledSensorFrequency(nil) = %g", f)
+	}
+}

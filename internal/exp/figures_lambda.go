@@ -145,11 +145,11 @@ func (r *Runner) Figure17() ([]MigrationRow, Table, error) {
 	inner := make([]float64, len(lambdaSchemes)*len(apps))
 	err = r.runIndexed(context.Background(), len(outer), func(ctx context.Context, i int) error {
 		k, app := lambdaSchemes[i/len(apps)], apps[i%len(apps)]
-		o, err := r.Sys.LambdaMigration(k, app, false, r.Opts.MigrationGHz, r.Opts.MigrationPeriodMs)
+		o, err := r.Sys.LambdaMigration(ctx, k, app, false, r.Opts.MigrationGHz, r.Opts.MigrationPeriodMs)
 		if err != nil {
 			return err
 		}
-		in, err := r.Sys.LambdaMigration(k, app, true, r.Opts.MigrationGHz, r.Opts.MigrationPeriodMs)
+		in, err := r.Sys.LambdaMigration(ctx, k, app, true, r.Opts.MigrationGHz, r.Opts.MigrationPeriodMs)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,7 +18,8 @@ func TestTablesIdenticalWithObs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("too slow under the race detector")
 	}
-	run := func(reg *obs.Registry, workers int) (string, string) {
+	names := []string{"Figure 7", "Figure 8", "Figure 17"}
+	run := func(reg *obs.Registry, workers int) []string {
 		t.Helper()
 		o := QuickOptions()
 		o.Workers = workers
@@ -34,19 +36,24 @@ func TestTablesIdenticalWithObs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return t7.String(), t8.String()
+		// Figure 17 is transient work on clones of the evaluator's
+		// solvers; its raw rows are compared too, not just the
+		// rounded table.
+		rows17, t17, err := r.Figure17()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []string{t7.String(), t8.String(), t17.String() + fmt.Sprint(rows17)}
 	}
-	base7, base8 := run(nil, 1)
+	bare := run(nil, 1)
 	for _, workers := range []int{1, 4} {
 		reg := obs.New()
-		g7, g8 := run(reg, workers)
-		if g7 != base7 {
-			t.Errorf("workers=%d: Figure 7 table differs with metrics attached\n--- bare ---\n%s\n--- observed ---\n%s",
-				workers, base7, g7)
-		}
-		if g8 != base8 {
-			t.Errorf("workers=%d: Figure 8 table differs with metrics attached\n--- bare ---\n%s\n--- observed ---\n%s",
-				workers, base8, g8)
+		got := run(reg, workers)
+		for i, name := range names {
+			if got[i] != bare[i] {
+				t.Errorf("workers=%d: %s differs with metrics attached\n--- bare ---\n%s\n--- observed ---\n%s",
+					workers, name, bare[i], got[i])
+			}
 		}
 		// The run must actually have been observed: points, solver spans
 		// and per-layer counters all live.

@@ -14,7 +14,6 @@ import (
 	"github.com/xylem-sim/xylem/internal/cpusim"
 	"github.com/xylem-sim/xylem/internal/dtm"
 	"github.com/xylem-sim/xylem/internal/fault"
-	"github.com/xylem-sim/xylem/internal/geom"
 	"github.com/xylem-sim/xylem/internal/obs"
 	"github.com/xylem-sim/xylem/internal/perf"
 	"github.com/xylem-sim/xylem/internal/stack"
@@ -128,20 +127,13 @@ type stackState struct {
 	prevProcW, prevDRAMW float64
 }
 
-// site is one sensor site of the fleet's (shared) sensor layout.
-type site struct {
-	layer  int
-	rect   geom.Rect
-	limitC float64
-}
-
 // Engine is a prepared fleet replay.
 type Engine struct {
 	cfg    Config
 	sys    *core.System
 	st     *stack.Stack
 	levels []float64
-	sites  []site
+	sites  []dtm.SensorSite
 	limits []float64
 	apps   []workload.Profile
 	stacks []*stackState
@@ -203,11 +195,15 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg: cfg, sys: sys, st: st, pool: []*perf.Evaluator{sys.Ev},
 		levels: sys.DTM.DVFS.Levels(),
+		sites:  sys.DTM.SensorSites(st),
 		apps:   apps,
 		met:    newMetrics(),
 		obsH:   newFleetObs(cfg.Obs),
 	}
-	e.buildSites()
+	e.limits = make([]float64, len(e.sites))
+	for i, s := range e.sites {
+		e.limits[i] = s.LimitC
+	}
 	for i := 0; i < cfg.Stacks; i++ {
 		ctl, err := dtm.NewSensorCtl(cfg.Policy, cfg.GuardC, len(e.sites), len(e.levels))
 		if err != nil {
@@ -239,32 +235,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("fleet: resume requires a checkpoint directory")
 	}
 	return e, nil
-}
-
-// buildSites lays out the shared sensor geometry: one sensor per core,
-// a whole-processor-die sensor, and a bottom-DRAM-die sensor — the same
-// layout dtm.SensorLoop uses.
-func (e *Engine) buildSites() {
-	lim := e.sys.DTM.Limits
-	for c := 0; c < e.sys.Ev.SimCfg.Cores; c++ {
-		e.sites = append(e.sites, site{
-			layer: e.st.ProcMetalLayer, rect: e.st.Proc.CoreRect(c), limitC: lim.ProcMaxC,
-		})
-	}
-	e.sites = append(e.sites, site{
-		layer:  e.st.ProcMetalLayer,
-		rect:   geom.NewRect(0, 0, e.st.Proc.Width, e.st.Proc.Height),
-		limitC: lim.ProcMaxC,
-	})
-	e.sites = append(e.sites, site{
-		layer:  e.st.DRAMMetalLayers[0],
-		rect:   geom.NewRect(0, 0, e.st.DRAM.Width, e.st.DRAM.Height),
-		limitC: lim.DRAMMaxC,
-	})
-	e.limits = make([]float64, len(e.sites))
-	for i, s := range e.sites {
-		e.limits[i] = s.limitC
-	}
 }
 
 // phase returns stack i's hash-assigned phase cohort.
@@ -525,7 +495,7 @@ func (e *Engine) apply(ev *event) {
 	d := s.ctl.Observe(e.limits, func(si int) (float64, bool) {
 		trueC := e.sys.Ev.Power.TRefC
 		if temps != nil {
-			trueC = temps.MaxOver(grid, e.sites[si].layer, e.sites[si].rect)
+			trueC = temps.MaxOver(grid, e.sites[si].Layer, e.sites[si].Rect)
 		}
 		return s.bank.Read(si, trueC)
 	})

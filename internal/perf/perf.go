@@ -439,7 +439,11 @@ func (e *Evaluator) slot(st *stack.Stack) (*solverSlot, error) {
 // SolverFor exposes the cached solver for a stack, building it if
 // needed. Fault-injection experiments use this to install a solve hook
 // on exactly the solver the evaluation pipeline will use; do so before
-// the evaluator is shared across goroutines.
+// the evaluator is shared across goroutines. The DTM transient runs
+// (dtm's Migrate and SensorLoop.Run) step on Clones of this solver, and
+// a clone copies its settings — Hook included — so a hook installed
+// here reaches the DTM clones too, possibly from several goroutines at
+// once.
 func (e *Evaluator) SolverFor(st *stack.Stack) (*thermal.Solver, error) {
 	sl, err := e.slot(st)
 	if err != nil {
