@@ -1,10 +1,9 @@
 // DTM trace: a closed-loop dynamic-thermal-management run. A hot 8-thread
 // workload starts cold at the DVFS ceiling; the idealised reactive
-// controller (the naive sensor-loop policy on exact temperatures) steps
-// the clock down whenever a limit is exceeded, every 10 ms. On the stock
-// (base) stack the clock ramps down to settle near 3.0 GHz; on the banke
-// stack the same workload holds the ceiling almost to the end — the
-// transient view of the paper's frequency-boost result.
+// controller (the naive sensor loop on exact temperatures) throttles
+// against Tj,max every 10 ms. On the stock (base) stack the clock ramps
+// down to settle near 3.0 GHz; on banke it holds the ceiling almost to the
+// end — the transient view of the paper's frequency-boost result.
 //
 // Run with:
 //
