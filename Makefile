@@ -63,11 +63,14 @@ figures:
 faults-smoke:
 	$(GO) run ./cmd/xylem faults -quick -grid 16 -seeds 2 -steps 60
 
+# Every example, end to end.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/sensitivity
 	$(GO) run ./examples/customdie
 	$(GO) run ./examples/dtmtrace
+	$(GO) run ./examples/threadplacement
+	$(GO) run ./examples/migration
 
 clean:
 	$(GO) clean ./...

@@ -1,4 +1,4 @@
-package ckpt
+package main
 
 import (
 	"fmt"
@@ -7,13 +7,13 @@ import (
 	"path/filepath"
 )
 
-// WriteFileAtomic writes a file via write-temp → fsync → rename →
+// writeFileAtomic writes a file via write-temp → fsync → rename →
 // fsync-dir, so readers (and a post-crash restart) see either the old
 // content or the complete new content, never a truncated half-write.
 // write renders the content; any error it returns aborts the write and
-// removes the temp file. Every artifact the pipeline persists — result
-// JSON, figure CSVs, checkpoint snapshots — goes through here.
-func WriteFileAtomic(path string, write func(w io.Writer) error) error {
+// removes the temp file. Every file the CLI writes — figure CSVs, PPM
+// images, traces, heap profiles — goes through here.
+func writeFileAtomic(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -46,12 +46,4 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 		d.Close()
 	}
 	return nil
-}
-
-// WriteFileAtomicBytes is WriteFileAtomic for pre-rendered content.
-func WriteFileAtomicBytes(path string, b []byte) error {
-	return WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
-	})
 }

@@ -31,9 +31,6 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 	slo := fs.Float64("slo", def.SLOMs, "served-latency objective (ms)")
 	dropout := fs.Float64("dropout", def.Fault.SensorDropoutRate, "per-read sensor dropout rate")
 	solverFault := fs.Float64("solverfault", def.Fault.SolverDivergeRate, "per-solve injected solver fault rate")
-	checkpoint := fs.String("checkpoint", "", "persist crash-safe replay snapshots in this directory")
-	resume := fs.Bool("resume", false, "resume the replay from the -checkpoint directory")
-	ckptEvery := fs.Int("ckpt-every", def.CkptEveryRounds, "rounds between checkpoint snapshots")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus/JSON metrics on this address (empty = off)")
 	return func() (fleet.Config, error) {
 		cfg := def
@@ -41,7 +38,6 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 		cfg.PeriodMs, cfg.Phases = *period, *phases
 		cfg.GuardC, cfg.Instructions, cfg.Grid = *guard, *instr, *grid
 		cfg.Workers, cfg.SLOMs = *workers, *slo
-		cfg.Checkpoint, cfg.Resume, cfg.CkptEveryRounds = *checkpoint, *resume, *ckptEvery
 		cfg.Fault.SensorDropoutRate = *dropout
 		cfg.Fault.SolverDivergeRate = *solverFault
 		cfg.Fault.SolverBudgetRate = *solverFault
@@ -62,9 +58,6 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 		}
 		if *apps != "" {
 			cfg.Apps = strings.Split(*apps, ",")
-		}
-		if *resume && *checkpoint == "" {
-			return cfg, fmt.Errorf("fleet: -resume requires -checkpoint DIR")
 		}
 		if cfg.Obs, err = startMetrics(*metricsAddr); err != nil {
 			return cfg, err

@@ -4,12 +4,17 @@
 //
 // Usage:
 //
-//	xylem temps   [-apps a,b,c] [-freqs 2.4,3.5] [-grid 32] [-instr N]
-//	xylem boost   [-apps a,b,c] [-grid 32] [-instr N]
-//	xylem figure  -id 7|8|9|10|11|12|13|14|15|16|17|18|19|area [...]
-//	xylem all     [...]            regenerate every figure (slow)
+//	xylem temps     [-apps a,b,c] [-freqs 2.4,3.5] [-grid 32] [-instr N]
+//	xylem boost     [-apps a,b,c] [-grid 32] [-instr N]
+//	xylem figure    -id 7..19|area|refresh|d2d|workloads|org|profile [...]
+//	xylem all       [...]          regenerate every figure (slow)
 //	xylem schemes                  print Table 2 (scheme inventory)
 //	xylem floorplan                dump the processor & DRAM floorplans
+//	xylem heatmap   [-scheme banke] [-config f.json] [-ppm out.ppm]
+//	xylem trace     [-app lu-nas] [-n N] [-o out] [-obs HOST:PORT]
+//	xylem faults    [-scheme base] [-rates 0,0.01] [-seeds N] [-quick]
+//	xylem serve     [-addr 127.0.0.1:9378] [...]   thermal-solve daemon
+//	xylem fleet     [-stacks N] [-events N] [-shape mixed] [...]
 package main
 
 import (
@@ -23,12 +28,12 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/config"
 	"github.com/xylem-sim/xylem/internal/core"
 	"github.com/xylem-sim/xylem/internal/exp"
 	"github.com/xylem-sim/xylem/internal/floorplan"
 	"github.com/xylem-sim/xylem/internal/geom"
+	"github.com/xylem-sim/xylem/internal/perf"
 	"github.com/xylem-sim/xylem/internal/render"
 	"github.com/xylem-sim/xylem/internal/stack"
 	"github.com/xylem-sim/xylem/internal/workload"
@@ -251,12 +256,17 @@ func runFigure(r *exp.Runner, id string) error {
 	if err := runFigureTable(r, id); err != nil {
 		return err
 	}
-	d := r.Sys.Ev.Stats().Sub(prev)
+	printSolverWork(r.Sys.Ev.Stats().Sub(prev))
+	return nil
+}
+
+// printSolverWork prints the solver-work line for a Stats delta, if it
+// holds any solve.
+func printSolverWork(d perf.Stats) {
 	if d.Solves > 0 {
 		fmt.Printf("solver work: %d solves, %d CG iters, %d V-cycles, %d degraded; iters/solve %s\n",
 			d.Solves, d.SolveIters, d.VCycles, d.DegradedSolves, d.IterHist)
 	}
-	return nil
 }
 
 func runFigureTable(r *exp.Runner, id string) error {
@@ -266,7 +276,7 @@ func runFigureTable(r *exp.Runner, id string) error {
 		}
 		t.Fprint(os.Stdout)
 		if csvOut != "" {
-			if err := ckpt.WriteFileAtomic(csvOut, t.CSV); err != nil {
+			if err := writeFileAtomic(csvOut, t.CSV); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", csvOut)
@@ -417,7 +427,7 @@ func cmdHeatmap(args []string) error {
 		return err
 	}
 	if *ppmPath != "" {
-		err := ckpt.WriteFileAtomic(*ppmPath, func(w io.Writer) error {
+		err := writeFileAtomic(*ppmPath, func(w io.Writer) error {
 			return render.PPM(w, st.Model.Grid, o.Temps[st.ProcMetalLayer], 16)
 		})
 		if err != nil {
@@ -492,13 +502,15 @@ func cmdFaults(args []string) error {
 	if err != nil {
 		return err
 	}
+	prev := r.Sys.Ev.Stats()
 	_, t, err := r.FaultSweep(context.Background(), fo)
 	if err != nil {
 		return err
 	}
 	t.Fprint(os.Stdout)
+	printSolverWork(r.Sys.Ev.Stats().Sub(prev))
 	if *csvPath != "" {
-		if err := ckpt.WriteFileAtomic(*csvPath, t.CSV); err != nil {
+		if err := writeFileAtomic(*csvPath, t.CSV); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *csvPath)
@@ -520,7 +532,7 @@ func cmdTrace(args []string) error {
 		if *out == "" {
 			return fetchTrace(*obsAddr, os.Stdout)
 		}
-		return ckpt.WriteFileAtomic(*out, func(w io.Writer) error {
+		return writeFileAtomic(*out, func(w io.Writer) error {
 			return fetchTrace(*obsAddr, w)
 		})
 	}
@@ -535,7 +547,7 @@ func cmdTrace(args []string) error {
 	if *out == "" {
 		return write(os.Stdout)
 	}
-	if err := ckpt.WriteFileAtomic(*out, write); err != nil {
+	if err := writeFileAtomic(*out, write); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d instructions to %s\n", *n, *out)

@@ -28,18 +28,28 @@ func runCaptured(t *testing.T, argv ...string) (int, string) {
 	return code, <-out
 }
 
-// A flag-parse error is reported once, by the FlagSet, and exits 2.
+// A flag-parse error is reported once, by the FlagSet, and exits 2 —
+// also for the retired fleet checkpoint flags.
 func TestUnknownFlagExits2(t *testing.T) {
-	for _, cmd := range []string{"figure", "boost", "heatmap", "fleet", "serve"} {
-		code, stderr := runCaptured(t, cmd, "-no-such-flag")
+	for _, argv := range [][]string{
+		{"figure", "-no-such-flag"},
+		{"boost", "-no-such-flag"},
+		{"heatmap", "-no-such-flag"},
+		{"fleet", "-no-such-flag"},
+		{"serve", "-no-such-flag"},
+		{"fleet", "-checkpoint", "DIR"},
+		{"fleet", "-resume"},
+		{"fleet", "-ckpt-every", "2"},
+	} {
+		code, stderr := runCaptured(t, argv...)
 		if code != 2 {
-			t.Errorf("%s -no-such-flag: exit %d, want 2", cmd, code)
+			t.Errorf("%q: exit %d, want 2", argv, code)
 		}
-		if n := strings.Count(stderr, "flag provided but not defined: -no-such-flag"); n != 1 {
-			t.Errorf("%s -no-such-flag: error printed %d times, want once:\n%s", cmd, n, stderr)
+		if n := strings.Count(stderr, "flag provided but not defined: "+argv[1]); n != 1 {
+			t.Errorf("%q: error printed %d times, want once:\n%s", argv, n, stderr)
 		}
 		if strings.Contains(stderr, "xylem:") {
-			t.Errorf("%s -no-such-flag: error repeated with the xylem: prefix:\n%s", cmd, stderr)
+			t.Errorf("%q: error repeated with the xylem: prefix:\n%s", argv, stderr)
 		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-
-	"github.com/xylem-sim/xylem/internal/ckpt"
 )
 
 // profileStop, when non-nil, finishes profiling: it stops the CPU
@@ -21,7 +19,7 @@ var profileStop func() error
 //
 // Both profiles reach their destination atomically. The heap snapshot
 // is rendered at stop time, so it goes straight through
-// ckpt.WriteFileAtomic; the CPU profile must stream while the command
+// writeFileAtomic; the CPU profile must stream while the command
 // runs, so it streams into a temp file in the destination directory and
 // is fsync+renamed into place at stop — a crash mid-run leaves only the
 // temp file, never a truncated profile under the requested name.
@@ -63,7 +61,7 @@ func startProfiles(cpuPath, memPath string) error {
 		}
 		if memPath != "" {
 			runtime.GC() // flush garbage so the snapshot shows live heap
-			if err := ckpt.WriteFileAtomic(memPath, func(w io.Writer) error {
+			if err := writeFileAtomic(memPath, func(w io.Writer) error {
 				return pprof.Lookup("heap").WriteTo(w, 0)
 			}); err != nil {
 				return err

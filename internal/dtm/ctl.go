@@ -3,8 +3,6 @@ package dtm
 import (
 	"fmt"
 	"math"
-
-	"github.com/xylem-sim/xylem/internal/ckpt"
 )
 
 // SensorCtl is the per-interval half of the sensor-driven DTM loop,
@@ -16,9 +14,7 @@ import (
 //
 // The controller's whole memory is this struct: the current DVFS level
 // index, the interval counter, and the per-site stuck-at detection
-// state. All of it round-trips bit-exactly through EncodeState/
-// DecodeState, which is what lets a checkpointed fleet replay resume to
-// byte-identical control traces.
+// state.
 type SensorCtl struct {
 	// Policy selects the fusion rule (guarded or naive); GuardC is the
 	// guarded policy's guard band in °C (ignored by naive).
@@ -79,9 +75,6 @@ func NewSensorCtl(policy SensorPolicy, guardC float64, sites, levels int) (*Sens
 
 // NumSites returns the number of sensor sites the controller fuses.
 func (c *SensorCtl) NumSites() int { return len(c.lastRead) }
-
-// Interval returns how many intervals the controller has observed.
-func (c *SensorCtl) Interval() uint64 { return c.interval }
 
 // Observe runs one control interval: read every site through the read
 // callback (ok=false models dropout), fuse conservatively, apply the
@@ -157,49 +150,4 @@ func (c *SensorCtl) Observe(limits []float64, read func(site int) (float64, bool
 		}
 	}
 	return d
-}
-
-// EncodeState appends the controller's mutable state to e — bit-exact
-// float encoding, so a resumed controller continues the identical
-// trace. Policy, GuardC and the site/level counts are configuration,
-// not state: the decoder checks them against the receiver.
-func (c *SensorCtl) EncodeState(e *ckpt.Enc) {
-	e.U64(c.interval)
-	e.U32(uint32(c.Level))
-	e.F64s(c.lastRead)
-	e.U32(uint32(len(c.stale)))
-	for _, s := range c.stale {
-		e.I64(int64(s))
-	}
-}
-
-// DecodeState reads EncodeState's layout back into a controller built
-// with the same configuration. It commits only a fully validated state:
-// a rejected one leaves the controller unchanged.
-func (c *SensorCtl) DecodeState(d *ckpt.Dec) error {
-	interval := d.U64()
-	lvl := int(d.U32())
-	lastRead := d.F64s()
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(lastRead) != len(c.lastRead) || n != len(c.stale) {
-		return fmt.Errorf("dtm: sensor control state has %d/%d sites, controller has %d", len(lastRead), n, len(c.lastRead))
-	}
-	if lvl < 0 || lvl > c.top {
-		return fmt.Errorf("dtm: sensor control level %d outside [0, %d]", lvl, c.top)
-	}
-	stale := make([]int, n)
-	for i := range stale {
-		stale[i] = int(d.I64())
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.interval = interval
-	c.Level = lvl
-	copy(c.lastRead, lastRead)
-	copy(c.stale, stale)
-	return nil
 }

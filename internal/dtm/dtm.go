@@ -214,8 +214,8 @@ type MigrationResult struct {
 // a periodic steady state. The transient thermal solver advances in
 // five sub-steps per period so the hotspot statistics see intra-period
 // dynamics. It steps on a clone of the evaluator's solver for st, so the
-// multigrid hierarchy is built once per stack and every solve lands in
-// the registry that solver feeds; cancelling ctx stops the run.
+// multigrid hierarchy is built once per stack and every solve counts in
+// the evaluator's Stats and registry; cancelling ctx stops the run.
 func (c *Controller) Migrate(ctx context.Context, st *stack.Stack, app workload.Profile, coreSet []int, nThreads int, freqGHz, periodMs float64, cycles int) (MigrationResult, error) {
 	if nThreads <= 0 || nThreads > len(coreSet) {
 		return MigrationResult{}, fmt.Errorf("dtm: %d threads for %d cores", nThreads, len(coreSet))
@@ -259,6 +259,7 @@ func (c *Controller) Migrate(ctx context.Context, st *stack.Stack, app workload.
 	solver := shared.Clone()
 	defer solver.Close()
 	init, err := solver.SteadyStateCtx(ctx, maps[0])
+	c.Ev.NoteSolve(solver)
 	if err != nil {
 		return MigrationResult{}, err
 	}
@@ -276,7 +277,9 @@ func (c *Controller) Migrate(ctx context.Context, st *stack.Stack, app workload.
 		last := cycle == cycles-1
 		for k := 0; k < n; k++ {
 			for s := 0; s < subSteps; s++ {
-				if err := ts.StepCtx(ctx, maps[k], dt); err != nil {
+				err := ts.StepCtx(ctx, maps[k], dt)
+				c.Ev.NoteSolve(solver)
+				if err != nil {
 					return MigrationResult{}, err
 				}
 				if last {

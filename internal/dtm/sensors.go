@@ -230,7 +230,9 @@ func (l *SensorLoop) Run(ctx context.Context, bank *fault.SensorBank, powerInj *
 	for i := 0; i < steps; i++ {
 		bank.Advance()
 		pm := thermal.PowerMap(powerInj.PerturbPower(l.maps[ctl.Level]))
-		if err := ts.StepCtx(ctx, pm, l.periodMs*1e-3); err != nil {
+		err := ts.StepCtx(ctx, pm, l.periodMs*1e-3)
+		l.c.Ev.NoteSolve(solver)
+		if err != nil {
 			return out, err
 		}
 		field := ts.Field()

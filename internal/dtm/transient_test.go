@@ -15,9 +15,9 @@ import (
 )
 
 // Every transient step runs on a clone of the evaluator's solver, so
-// with a registry attached each one is counted: Migrate solves one
-// steady state plus five backward-Euler steps per core per cycle, and
-// SensorLoop.Run one step per interval.
+// each one is counted, in the attached registry and in the evaluator's
+// Stats: Migrate solves one steady state plus five backward-Euler steps
+// per core per cycle, and SensorLoop.Run one step per interval.
 func TestTransientSolvesCounted(t *testing.T) {
 	c, stacks := smallController(t)
 	reg := obs.New()
@@ -26,12 +26,18 @@ func TestTransientSolvesCounted(t *testing.T) {
 	app := smallApp(t, "lu-nas")
 
 	const cycles = 2
-	before := solves()
+	before, stats := solves(), c.Ev.Stats()
 	if _, err := migrateSmall(c, stacks[stack.Base], app, floorplan.InnerCores, cycles); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := solves()-before, int64(1+cycles*len(floorplan.InnerCores)*5); got != want {
+	want := int64(1 + cycles*len(floorplan.InnerCores)*5)
+	if got := solves() - before; got != want {
 		t.Errorf("Migrate counted %d solves, want %d", got, want)
+	}
+	d := c.Ev.Stats().Sub(stats)
+	if int64(d.Solves) != want || d.SolveIters < want || d.VCycles < want {
+		t.Errorf("Migrate added %d solves, %d CG iterations, %d V-cycles to Stats; want %d solves and at least as many iterations and V-cycles",
+			d.Solves, d.SolveIters, d.VCycles, want)
 	}
 
 	loop, err := c.NewSensorLoop(stacks[stack.Base], app, 8, 10)
@@ -39,12 +45,15 @@ func TestTransientSolvesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	const steps = 7
-	before = solves()
+	before, stats = solves(), c.Ev.Stats()
 	if _, err := loop.Run(context.Background(), nil, nil, NaivePolicy, 0, steps); err != nil {
 		t.Fatal(err)
 	}
 	if got := solves() - before; got != steps {
 		t.Errorf("SensorLoop.Run counted %d solves, want %d", got, steps)
+	}
+	if d := c.Ev.Stats().Sub(stats); d.Solves != steps || d.SolveIters < steps {
+		t.Errorf("SensorLoop.Run added %d solves, %d CG iterations to Stats; want %d solves", d.Solves, d.SolveIters, steps)
 	}
 }
 

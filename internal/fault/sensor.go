@@ -37,9 +37,6 @@ func NewSensorBank(inj *Injector, sites int) *SensorBank {
 // NumSites returns the number of sensor sites.
 func (b *SensorBank) NumSites() int { return b.n }
 
-// Interval returns the current control-interval index.
-func (b *SensorBank) Interval() uint64 { return b.step }
-
 // Advance moves the bank to the next control interval.
 func (b *SensorBank) Advance() { b.step++ }
 

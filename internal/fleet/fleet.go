@@ -2,14 +2,12 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/core"
 	"github.com/xylem-sim/xylem/internal/cpusim"
 	"github.com/xylem-sim/xylem/internal/dtm"
@@ -20,11 +18,6 @@ import (
 	"github.com/xylem-sim/xylem/internal/thermal"
 	"github.com/xylem-sim/xylem/internal/workload"
 )
-
-// ErrKilled is returned by a replay whose Config.KillAfterSaves
-// crash-injection hook fired: the engine exits right after writing a
-// snapshot, exactly as a hard kill at that moment would.
-var ErrKilled = errors.New("fleet: killed at checkpoint boundary (crash-injection hook)")
 
 // Config parameterises a fleet replay.
 type Config struct {
@@ -59,10 +52,9 @@ type Config struct {
 	// It never changes a result — every event's fixed point is solved
 	// identically on whichever solver takes it, and chunked kernel
 	// parallelism is bitwise-deterministic — so it is a pure throughput
-	// lever (and excluded from the checkpoint signature). Workers does
-	// not bound the activity lookahead: with two or more phases and
-	// GOMAXPROCS > 1, one more goroutine runs the next cohort's cpusim
-	// simulations beside each round's solve.
+	// lever. Workers does not bound the activity lookahead: with two or
+	// more phases and GOMAXPROCS > 1, one more goroutine runs the next
+	// cohort's cpusim simulations beside each round's solve.
 	Workers int
 	// Fault configures the per-stack injectors; each stack derives its
 	// own seed from Seed, so streams are independent and reproducible.
@@ -71,14 +63,6 @@ type Config struct {
 	// service latency of the queueing model.
 	SLOMs     float64
 	BaseLatMs float64
-	// Checkpoint enables crash-safe snapshots in this directory;
-	// CkptEveryRounds is the round stride between snapshots; Resume
-	// loads the newest intact snapshot and continues. KillAfterSaves is
-	// the crash-injection hook (see ErrKilled).
-	Checkpoint      string
-	CkptEveryRounds int
-	Resume          bool
-	KillAfterSaves  int
 	// Obs, when non-nil, receives the live write-only metrics mirror.
 	Obs *obs.Registry
 }
@@ -86,22 +70,21 @@ type Config struct {
 // DefaultConfig returns a production-shaped replay configuration.
 func DefaultConfig() Config {
 	return Config{
-		Scheme:          stack.Base,
-		Grid:            16,
-		Stacks:          1000,
-		Events:          4000,
-		Shape:           Mixed,
-		Seed:            1,
-		PeriodMs:        100,
-		Phases:          2,
-		Policy:          dtm.GuardedPolicy,
-		GuardC:          3,
-		Apps:            []string{"lu-nas", "fft"},
-		Instructions:    60_000,
-		Workers:         0,
-		SLOMs:           25,
-		BaseLatMs:       2,
-		CkptEveryRounds: 4,
+		Scheme:       stack.Base,
+		Grid:         16,
+		Stacks:       1000,
+		Events:       4000,
+		Shape:        Mixed,
+		Seed:         1,
+		PeriodMs:     100,
+		Phases:       2,
+		Policy:       dtm.GuardedPolicy,
+		GuardC:       3,
+		Apps:         []string{"lu-nas", "fft"},
+		Instructions: 60_000,
+		Workers:      0,
+		SLOMs:        25,
+		BaseLatMs:    2,
 		Fault: fault.Config{
 			SensorNoiseSigmaC: 0.3,
 			SensorDropoutRate: 0.01,
@@ -112,8 +95,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// stackState is one modeled machine's mutable state. Everything here
-// round-trips through the checkpoint codec.
+// stackState is one modeled machine's mutable state.
 type stackState struct {
 	shape Shape
 	ctl   *dtm.SensorCtl
@@ -141,16 +123,12 @@ type Engine struct {
 	// its activity cache, added as solve first needs them.
 	pool []*perf.Evaluator
 
-	round  uint64
-	met    *metrics
-	obsH   fleetObs
-	store  *ckpt.Store
-	saves  int
-	killed bool
+	round uint64
+	met   *metrics
+	obsH  fleetObs
 }
 
-// New prepares a fleet replay. With cfg.Resume set, the engine restores
-// the newest intact snapshot from cfg.Checkpoint before returning.
+// New prepares a fleet replay.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Stacks < 1 {
 		return nil, fmt.Errorf("fleet: need at least one stack, got %d", cfg.Stacks)
@@ -219,21 +197,6 @@ func New(cfg Config) (*Engine, error) {
 			bank:  fault.NewSensorBank(inj, len(e.sites)),
 		})
 	}
-	if cfg.Checkpoint != "" {
-		store, err := ckpt.Open(cfg.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		e.store = store
-		if cfg.Resume {
-			if err := e.resume(); err != nil {
-				return nil, err
-			}
-			e.obsH.seed(e.met)
-		}
-	} else if cfg.Resume {
-		return nil, fmt.Errorf("fleet: resume requires a checkpoint directory")
-	}
 	return e, nil
 }
 
@@ -256,57 +219,47 @@ type event struct {
 
 // Run replays the fleet until the configured event budget is consumed,
 // then returns the rendered fleet report. The report is a pure function
-// of Config's replay-defining fields: worker count, pool size, and
-// checkpoint kills never change a byte of it.
-//
-// While a round samples and solves, one helper goroutine warms the
-// activity cache for the next round's cohort (see lookahead). Each round
-// joins its solver pool and its helper before applying its events, so no
-// goroutine outlives the round that started it: none runs across a
-// snapshot, a kill, a cancel or the return.
+// of Config's replay-defining fields: neither the worker count nor the
+// pool size changes a byte of it. A replay that fails is rerun.
 func (e *Engine) Run(ctx context.Context) (string, error) {
 	for e.met.events < uint64(e.cfg.Events) {
-		if err := ctx.Err(); err != nil {
+		if err := e.step(ctx); err != nil {
 			return "", err
-		}
-		due := e.due(e.round)
-		var ahead sync.WaitGroup
-		if e.lookahead(len(due)) {
-			next, round := e.due(e.round+1), e.round+1
-			ahead.Add(1)
-			go func() {
-				defer ahead.Done()
-				e.prefetch(ctx, round, next)
-			}()
-		}
-		evs, err := e.processRound(ctx, due)
-		ahead.Wait()
-		if err != nil {
-			return "", err
-		}
-		for _, ev := range evs {
-			e.apply(ev)
-		}
-		e.round++
-		e.obsH.round.Set(float64(e.round))
-		if e.store != nil && e.cfg.CkptEveryRounds > 0 && e.round%uint64(e.cfg.CkptEveryRounds) == 0 {
-			if err := e.save(); err != nil {
-				return "", err
-			}
-			if e.killed {
-				return "", ErrKilled
-			}
-		}
-	}
-	if e.store != nil {
-		if err := e.save(); err != nil {
-			return "", err
-		}
-		if e.killed {
-			return "", ErrKilled
 		}
 	}
 	return e.report(), nil
+}
+
+// step replays one round. While the round samples and solves, one
+// helper goroutine warms the activity cache for the next round's cohort
+// (see lookahead). The round joins its solver pool and its helper before
+// applying its events, so no goroutine outlives the step that started
+// it: none runs across a cancel or Run's return.
+func (e *Engine) step(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	due := e.due(e.round)
+	var ahead sync.WaitGroup
+	if e.lookahead(len(due)) {
+		next, round := e.due(e.round+1), e.round+1
+		ahead.Add(1)
+		go func() {
+			defer ahead.Done()
+			e.prefetch(ctx, round, next)
+		}()
+	}
+	evs, err := e.processRound(ctx, due)
+	ahead.Wait()
+	if err != nil {
+		return err
+	}
+	for _, ev := range evs {
+		e.apply(ev)
+	}
+	e.round++
+	e.obsH.round.Set(float64(e.round))
+	return nil
 }
 
 // due returns the stacks whose phase cohort falls due in a round, in
@@ -388,8 +341,8 @@ func (e *Engine) processRound(ctx context.Context, due []int) ([]*event, error) 
 		// The injector draws one solver-fault decision per control
 		// event. A fault skips the solve and replays the stack's warm
 		// temperatures — except on a cold stack, which has no field to
-		// reuse yet (the draw is still consumed, so resumed and
-		// uninterrupted runs stay aligned).
+		// reuse yet (the draw is still consumed, so the stack's fault
+		// stream does not depend on when it warmed).
 		maxIter, ferr := s.inj.SolveFault()
 		if (ferr != nil || maxIter > 0) && s.warm != nil {
 			ev.skip = true

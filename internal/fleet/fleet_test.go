@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -62,59 +61,6 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFleetKillResumeByteIdentical pins the checkpoint contract: a
-// replay killed at a snapshot boundary and resumed — even at a
-// different worker count — produces the uninterrupted run's report,
-// byte for byte.
-func TestFleetKillResumeByteIdentical(t *testing.T) {
-	want := runFleet(t, testConfig())
-
-	cfg := testConfig()
-	cfg.Checkpoint = t.TempDir()
-	cfg.CkptEveryRounds = 1
-	cfg.KillAfterSaves = 2
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(context.Background()); !errors.Is(err, ErrKilled) {
-		t.Fatalf("crash hook: got %v, want ErrKilled", err)
-	}
-
-	cfg.KillAfterSaves = 0
-	cfg.Resume = true
-	cfg.Workers = 4
-	got := runFleet(t, cfg)
-	if got != want {
-		t.Fatalf("resumed report diverged:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
-	}
-	if !strings.Contains(got, "injected solver faults") {
-		t.Fatalf("report lost its solver-fault line:\n%s", got)
-	}
-}
-
-// TestFleetResumeRejectsOtherConfig pins the signature check: a
-// snapshot only restores into the replay that wrote it.
-func TestFleetResumeRejectsOtherConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.Checkpoint = t.TempDir()
-	cfg.CkptEveryRounds = 1
-	cfg.KillAfterSaves = 1
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(context.Background()); !errors.Is(err, ErrKilled) {
-		t.Fatal(err)
-	}
-	cfg.KillAfterSaves = 0
-	cfg.Resume = true
-	cfg.Seed++
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "different replay configuration") {
-		t.Fatalf("seed-changed resume accepted: %v", err)
-	}
-}
-
 // TestFleetThousandStacks replays a 1000-stack fleet — the scale the
 // CLI defaults target — and sanity-checks the aggregate.
 func TestFleetThousandStacks(t *testing.T) {
@@ -158,7 +104,6 @@ func TestFleetValidatesConfig(t *testing.T) {
 		func(c *Config) { c.PeriodMs = 0 },
 		func(c *Config) { c.Apps = nil },
 		func(c *Config) { c.Apps = []string{"no-such-app"} },
-		func(c *Config) { c.Resume = true }, // resume without checkpoint dir
 	} {
 		cfg := testConfig()
 		mod(&cfg)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/xylem-sim/xylem/internal/ckpt"
 	"github.com/xylem-sim/xylem/internal/obs"
 )
 
@@ -17,11 +16,10 @@ var latBoundsMs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 var roundBoundsMs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
 // metrics is the engine-owned fleet aggregate. It — not the obs
-// registry — is the source of truth for the end-of-run report: every
-// field checkpoints bit-exactly and floats accumulate in event order,
-// which is what makes the report byte-identical across kill/resume and
-// across worker counts. The obs registry is a write-only live mirror
-// (see engine.mirror), re-seeded from this struct on resume.
+// registry — is the source of truth for the end-of-run report: floats
+// accumulate in event order, which is what makes the report
+// byte-identical across worker counts. The obs registry is a write-only
+// live mirror (fleetObs).
 type metrics struct {
 	events       uint64
 	solves       uint64
@@ -67,54 +65,6 @@ func (m *metrics) observeLatency(shape Shape, ms float64) {
 	m.latCount[s]++
 	m.latSum[s] += ms
 	m.latBkt[s][latBucket(ms)]++
-}
-
-// encode appends the aggregate to e (floats as raw bits).
-func (m *metrics) encode(e *ckpt.Enc) {
-	for _, v := range []uint64{
-		m.events, m.solves, m.solverFaults, m.dropouts, m.staleReads,
-		m.fallbacks, m.guardHits, m.throttles, m.boosts, m.sloViol,
-	} {
-		e.U64(v)
-	}
-	e.F64(m.energyJ)
-	e.F64(m.throttleMin)
-	for s := 0; s < numShapes; s++ {
-		e.U64(m.latCount[s])
-		e.F64(m.latSum[s])
-		e.U32(uint32(len(m.latBkt[s])))
-		for _, c := range m.latBkt[s] {
-			e.U64(c)
-		}
-	}
-}
-
-// decode reads encode's layout back.
-func (m *metrics) decode(d *ckpt.Dec) error {
-	us := []*uint64{
-		&m.events, &m.solves, &m.solverFaults, &m.dropouts, &m.staleReads,
-		&m.fallbacks, &m.guardHits, &m.throttles, &m.boosts, &m.sloViol,
-	}
-	for _, p := range us {
-		*p = d.U64()
-	}
-	m.energyJ = d.F64()
-	m.throttleMin = d.F64()
-	for s := 0; s < numShapes; s++ {
-		m.latCount[s] = d.U64()
-		m.latSum[s] = d.F64()
-		n := int(d.U32())
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if n != len(latBoundsMs)+1 {
-			return fmt.Errorf("fleet: checkpointed histogram has %d buckets, want %d", n, len(latBoundsMs)+1)
-		}
-		for i := 0; i < n; i++ {
-			m.latBkt[s][i] = d.U64()
-		}
-	}
-	return d.Err()
 }
 
 // latQuantile returns the histogram-resolution quantile label for a
@@ -177,34 +127,9 @@ func newFleetObs(r *obs.Registry) fleetObs {
 	}
 }
 
-// seed replays a restored aggregate into the mirror, so a resumed
-// replay's live metrics continue from the restored totals instead of
-// zero. Histogram buckets re-seed through ObserveN at each bucket's
-// upper bound — bucket-exact, which is all a fixed-bucket mirror can
-// represent.
-func (o fleetObs) seed(m *metrics) {
-	o.events.Add(int64(m.events))
-	o.solves.Add(int64(m.solves))
-	o.solverFaults.Add(int64(m.solverFaults))
-	o.dropouts.Add(int64(m.dropouts))
-	o.fallbacks.Add(int64(m.fallbacks))
-	o.sloViol.Add(int64(m.sloViol))
-	o.throttles.Add(int64(m.throttles))
-	o.boosts.Add(int64(m.boosts))
-	for s := 0; s < numShapes; s++ {
-		for i, c := range m.latBkt[s] {
-			v := 2 * latBoundsMs[len(latBoundsMs)-1]
-			if i < len(latBoundsMs) {
-				v = latBoundsMs[i]
-			}
-			o.latency.ObserveN(v, int64(c))
-		}
-	}
-}
-
 // report renders the end-of-run fleet report. Everything printed comes
-// from the checkpointed engine state, formatted with fixed verbs, so
-// equal state renders to equal bytes.
+// from the engine state, formatted with fixed verbs, so equal state
+// renders to equal bytes.
 func (e *Engine) report() string {
 	m := e.met
 	var b strings.Builder

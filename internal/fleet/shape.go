@@ -8,13 +8,8 @@
 // stack order; because every solve is independent of the pool it ran
 // on and solver-internal parallelism is bitwise-deterministic at any
 // worker count, the replay produces byte-identical fleet reports at any
-// -workers setting.
-//
-// The whole engine state — virtual clock, per-stack controller and
-// fault-injector cursors, warm solver fields, aggregated metrics —
-// checkpoints through internal/ckpt, so a killed replay resumes to a
-// byte-identical final report (pinned by
-// TestFleetKillResumeByteIdentical).
+// -workers setting. The report is a pure function of the replay
+// configuration, so a replay that fails is simply rerun.
 package fleet
 
 import (
@@ -24,7 +19,7 @@ import (
 
 // Shape selects the traffic-trace generator a stack replays. Every
 // shape is a pure function of (seed, stack, virtual time): no generator
-// RNG cursor exists, so traces need no checkpoint state of their own.
+// RNG cursor exists, so traces carry no state of their own.
 type Shape int
 
 const (

@@ -125,26 +125,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveN records n observations of v in one shot (no-op when n <= 0).
-// It exists for consumers that keep their own authoritative histogram —
-// e.g. a checkpointed engine re-seeding its metrics mirror on resume —
-// so a restored state can be replayed into the registry without looping.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if h == nil || n <= 0 {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(n)
-	h.count.Add(n)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Count returns the total number of observations (0 on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {

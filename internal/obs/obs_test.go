@@ -81,50 +81,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveN(t *testing.T) {
-	r := New()
-	h := r.Histogram("lat", []float64{1, 10})
-	h.ObserveN(0.5, 3)
-	h.ObserveN(5, 2)
-	h.ObserveN(100, 1)
-	h.ObserveN(7, 0)  // no-op
-	h.ObserveN(7, -4) // no-op
-	got := h.BucketCounts()
-	want := []int64{3, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d (all %v)", i, got[i], want[i], got)
-		}
-	}
-	if h.Count() != 6 {
-		t.Errorf("count = %d, want 6", h.Count())
-	}
-	if h.Sum() != 0.5*3+5*2+100 {
-		t.Errorf("sum = %g, want %g", h.Sum(), 0.5*3+5*2+100.0)
-	}
-	// A nil handle stays a no-op, like every other mutator.
-	var nilH *Histogram
-	nilH.ObserveN(1, 1)
-
-	// ObserveN(v, n) must land exactly where n Observe(v) calls land, so a
-	// checkpoint-restored mirror equals the live-updated one.
-	a := r.Histogram("a", []float64{0, 2, 4})
-	b := r.Histogram("b", []float64{0, 2, 4})
-	for i := 0; i < 5; i++ {
-		a.Observe(3)
-	}
-	b.ObserveN(3, 5)
-	ac, bc := a.BucketCounts(), b.BucketCounts()
-	for i := range ac {
-		if ac[i] != bc[i] {
-			t.Fatalf("ObserveN diverged from repeated Observe: %v vs %v", bc, ac)
-		}
-	}
-	if a.Count() != b.Count() || a.Sum() != b.Sum() {
-		t.Fatalf("count/sum diverged: (%d, %g) vs (%d, %g)", b.Count(), b.Sum(), a.Count(), a.Sum())
-	}
-}
-
 func TestPowerOfTwoBounds(t *testing.T) {
 	b := PowerOfTwoBounds(5)
 	want := []float64{0, 1, 3, 7, 15}

@@ -32,8 +32,8 @@ type evalMetrics struct {
 	leakDelta     *obs.Gauge
 	leakExhausted *obs.Counter
 	// leakResolves counts full-tolerance re-solves of points whose fixed
-	// point converged on a loose solve. It is registry-only: Stats (and
-	// so the checkpoint format) does not carry it.
+	// point converged on a loose solve. It is registry-only: Stats does
+	// not carry it.
 	leakResolves *obs.Counter
 
 	trace *obs.TraceRing

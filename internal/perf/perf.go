@@ -443,7 +443,7 @@ func (e *Evaluator) slot(st *stack.Stack) (*solverSlot, error) {
 // (dtm's Migrate and SensorLoop.Run) step on Clones of this solver, and
 // a clone copies its settings — Hook included — so a hook installed
 // here reaches the DTM clones too, possibly from several goroutines at
-// once.
+// once. Their solves count in Stats through NoteSolve.
 func (e *Evaluator) SolverFor(st *stack.Stack) (*thermal.Solver, error) {
 	sl, err := e.slot(st)
 	if err != nil {
@@ -452,10 +452,12 @@ func (e *Evaluator) SolverFor(st *stack.Stack) (*thermal.Solver, error) {
 	return sl.s, nil
 }
 
-// noteSolve records one finished CG solve in the work counters, reading
-// the iteration and V-cycle counts off the solver that just ran (the
-// slot lock is still held, so LastIters/LastVCycles are this solve's).
-func (e *Evaluator) noteSolve(solver *thermal.Solver) {
+// NoteSolve records one finished CG solve in the work counters, reading
+// the iteration and V-cycle counts off the solver that just ran. The
+// caller must own the solver until NoteSolve returns, so LastIters and
+// LastVCycles are this solve's: the evaluator's own solves hold the slot
+// lock, and the DTM transients note the steps of their private clones.
+func (e *Evaluator) NoteSolve(solver *thermal.Solver) {
 	m := e.metrics()
 	m.solves.Inc()
 	m.solveIters.Add(int64(solver.LastIters))
@@ -535,7 +537,7 @@ func (e *Evaluator) steadyState(ctx context.Context, sl *solverSlot, pm thermal.
 		t, err := sl.s.SteadyStateOpts(ctx, pm, thermal.SolveOpts{
 			Warm: warm, Tol: tol,
 		})
-		e.noteSolve(sl.s)
+		e.NoteSolve(sl.s)
 		switch {
 		case err == nil:
 			if retry {
