@@ -44,8 +44,9 @@ bench-smoke:
 
 # CI gate for the hot kernels: a short run of the three solver kernel
 # micro-benchmarks (stencil apply, Thomas sweep, CG's fused apply+dot
-# pass) and of one Figure 7 cpusim activity run. The Go tests gate the
-# Figure 7 tables these kernels produce and cpusim's results bit for bit.
+# pass) and of two Figure 7 cpusim activity runs (BenchmarkCpusimRun's
+# lu-nas and is, the least and most memory-bound apps). The Go tests gate
+# the Figure 7 tables these kernels produce and cpusim's results bit for bit.
 kernel-smoke:
 	$(GO) test -short -bench 'BenchmarkStencilApply|BenchmarkThomasSweep|BenchmarkFusedReduction|BenchmarkCpusimRun' -benchtime=1x -run XXX -timeout 10m .
 

@@ -479,33 +479,39 @@ func BenchmarkThermalTransientStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCpusimRun prices one Figure 7 activity run: lu-nas on all
+// BenchmarkCpusimRun prices one Figure 7 activity run per app: all
 // eight cores at 3.5 GHz, 150k measured instructions per thread after a
 // 75k-instruction warm-up, as perf.UniformAssignments sets it up. Every
 // figure pays this once per (app, GHz) pair before its thermal solves;
-// "bytes" are simulated instructions, warm-up included.
+// "bytes" are simulated instructions, warm-up included. lu-nas and is
+// bound the loads-and-stores share of the apps (MemFrac 0.27 and 0.50),
+// the instructions that cpusim orders across cores.
 func BenchmarkCpusimRun(b *testing.B) {
-	p, err := workload.ByName("lu-nas")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cpusim.DefaultConfig()
-	freqs := make([]float64, cfg.Cores)
-	for i := range freqs {
-		freqs[i] = 3.5
-	}
-	p.Instructions = 150_000
-	as := perf.UniformAssignments(p, cfg.Cores)
-	b.SetBytes(int64((p.Instructions + as[0].Warmup) * cfg.Cores))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := cpusim.New(cfg, freqs, as)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
+	for _, app := range []string{"lu-nas", "is"} {
+		b.Run(app, func(b *testing.B) {
+			p, err := workload.ByName(app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := cpusim.DefaultConfig()
+			freqs := make([]float64, cfg.Cores)
+			for i := range freqs {
+				freqs[i] = 3.5
+			}
+			p.Instructions = 150_000
+			as := perf.UniformAssignments(p, cfg.Cores)
+			b.SetBytes(int64((p.Instructions + as[0].Warmup) * cfg.Cores))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := cpusim.New(cfg, freqs, as)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -52,6 +52,7 @@ type cache struct {
 	setMask   uint64
 	lines     []cacheLine // sets*assoc, set-major
 	lruTick   uint64
+	last      int // index of the way lookup last returned, checked first
 }
 
 func newCache(sizeBytes, assoc, lineSize int) (*cache, error) {
@@ -83,14 +84,19 @@ func (c *cache) set(ln uint64) []cacheLine {
 }
 
 // lookup returns the line holding addr, or nil. It does not touch LRU.
+// No set holds two valid ways for one line (fill runs only after a
+// miss), so a last way that holds addr's line is the one a scan finds.
 func (c *cache) lookup(addr uint64) *cacheLine {
 	ln := addr >> c.lineShift
 	want := ln << stateBits
-	ways := c.set(ln)
-	for i := range ways {
-		l := &ways[i]
-		if k := l.key; k&^stateMask == want && k != want {
-			return l
+	if k := c.lines[c.last].key; k&^stateMask == want && k != want {
+		return &c.lines[c.last]
+	}
+	base := int(ln&c.setMask) * c.assoc
+	for i, l := range c.lines[base : base+c.assoc] {
+		if l.key&^stateMask == want && l.key != want {
+			c.last = base + i
+			return &c.lines[c.last]
 		}
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
+	"slices"
 
 	"github.com/xylem-sim/xylem/internal/dram"
 	"github.com/xylem-sim/xylem/internal/workload"
@@ -76,7 +78,9 @@ type Assignment struct {
 	// the App profile's synthetic trace (e.g. a workload.RecordedTrace
 	// replaying an externally captured trace). The App profile still
 	// provides the microarchitectural knobs (MLP, dependent-load
-	// fraction) and the instruction budget default.
+	// fraction) and the instruction budget default. Each core reads its
+	// stream ahead of the others, up to its next load or store, so two
+	// assignments may not share one stream (New rejects it).
 	Stream workload.Stream
 	// Instructions overrides the profile's budget when non-zero.
 	Instructions int
@@ -168,6 +172,7 @@ type core struct {
 	cycles float64
 	done   bool
 	active bool
+	next   workload.Instr // the drawn load or store runPhase issues next
 
 	// Per-instruction costs in ns: cycles/freqGHz, divided out once.
 	issueNs, fpNs, branchNs, l2Ns float64
@@ -244,13 +249,20 @@ func New(cfg Config, freqGHz []float64, assigns []Assignment) (*Sim, error) {
 			issueNs: s.issueCycles / f, fpNs: cfg.FPExtraCycles / f,
 			branchNs: cfg.BranchExtraCycles / f, l2Ns: float64(cfg.L2Cycles) / f}
 	}
-	for _, a := range assigns {
+	for i, a := range assigns {
 		if a.Core < 0 || a.Core >= cfg.Cores {
 			return nil, fmt.Errorf("cpusim: assignment to core %d of %d", a.Core, cfg.Cores)
 		}
 		c := s.cores[a.Core]
 		if c.active {
 			return nil, fmt.Errorf("cpusim: core %d assigned twice", a.Core)
+		}
+		if a.Instructions < 0 || a.Warmup < 0 {
+			return nil, fmt.Errorf("cpusim: core %d: %d instructions, %d warm-up", a.Core, a.Instructions, a.Warmup)
+		}
+		if a.Stream != nil && reflect.ValueOf(a.Stream).Comparable() &&
+			slices.ContainsFunc(assigns[:i], func(b Assignment) bool { return b.Stream == a.Stream }) {
+			return nil, fmt.Errorf("cpusim: core %d shares its stream with another core", a.Core)
 		}
 		budget := a.Instructions
 		if budget == 0 {
@@ -272,16 +284,19 @@ func New(cfg Config, freqGHz []float64, assigns []Assignment) (*Sim, error) {
 	return s, nil
 }
 
-// runPhase executes every unfinished core to its current budget,
-// advancing the earliest-in-time core first (the lowest index on a tie)
-// so bus transactions interleave deterministically.
+// runPhase executes every unfinished core to its current budget. Each
+// core runs ahead to its next load or store; those issue earliest clock
+// first (the lowest index on a tie), so bus transactions interleave
+// deterministically and exactly as in instruction order (DESIGN.md §6).
 func (s *Sim) runPhase() {
 	for _, c := range s.cores {
+		s.local(c)
 		s.setLeaf(c)
 	}
 	for s.tree[1].t != doneClock {
 		c := s.cores[s.tree[1].id]
-		s.step(c)
+		s.issueMem(c)
+		s.local(c)
 		s.setLeaf(c)
 	}
 }
@@ -289,7 +304,7 @@ func (s *Sim) runPhase() {
 // setLeaf stores core c's clock in s.tree, a tournament whose leaves
 // n..2n-1 are the cores and whose node k is the earlier of its children
 // (the left, lower-indexed one on a tie), and replays c's path to the
-// root, node 1: the core to step next.
+// root, node 1: the core to issue next.
 func (s *Sim) setLeaf(c *core) {
 	n := len(s.tree) / 2
 	leaf := clockNode{doneClock, c.id}
@@ -358,34 +373,45 @@ func (s *Sim) Run() (Result, error) {
 	return res, nil
 }
 
-// step executes one instruction on core c.
-func (s *Sim) step(c *core) {
-	if int(c.stats.Instructions) >= c.budget {
-		c.done = true
-		return
+// local runs core c's other instructions up to its next load or store,
+// which it leaves in c.next, or to its budget, never drawing past it.
+func (s *Sim) local(c *core) {
+	for int(c.stats.Instructions) < c.budget {
+		in := c.trace.Next()
+		if in.Kind == workload.KindLoad || in.Kind == workload.KindStore {
+			c.next = in
+			return
+		}
+		c.stats.Instructions++
+		c.cycles += s.issueCycles
+		c.timeNs += c.issueNs
+		switch in.Kind {
+		case workload.KindInt:
+			c.stats.IntOps++
+		case workload.KindFP:
+			c.stats.FPOps++
+			c.cycles += s.cfg.FPExtraCycles
+			c.timeNs += c.fpNs
+		case workload.KindBranch:
+			c.stats.Branches++
+			c.cycles += s.cfg.BranchExtraCycles
+			c.timeNs += c.branchNs
+		}
 	}
-	in := c.trace.Next()
+	c.done = true
+}
+
+// issueMem executes core c's pending load or store.
+func (s *Sim) issueMem(c *core) {
 	c.stats.Instructions++
 	c.cycles += s.issueCycles
 	c.timeNs += c.issueNs
-
-	switch in.Kind {
-	case workload.KindInt:
-		c.stats.IntOps++
-	case workload.KindFP:
-		c.stats.FPOps++
-		c.cycles += s.cfg.FPExtraCycles
-		c.timeNs += c.fpNs
-	case workload.KindBranch:
-		c.stats.Branches++
-		c.cycles += s.cfg.BranchExtraCycles
-		c.timeNs += c.branchNs
-	case workload.KindLoad:
+	if c.next.Kind == workload.KindLoad {
 		c.stats.Loads++
-		s.load(c, in.Addr)
-	case workload.KindStore:
+		s.load(c, c.next.Addr)
+	} else {
 		c.stats.Stores++
-		s.store(c, in.Addr)
+		s.store(c, c.next.Addr)
 	}
 }
 

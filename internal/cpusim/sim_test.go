@@ -260,7 +260,32 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, good, []Assignment{{Core: 0, App: p}, {Core: 0, App: p, Thread: 1}}); err == nil {
 		t.Fatal("double assignment accepted")
 	}
+	// A negative budget would retire nothing; a negative warm-up was
+	// ignored.
+	if _, err := New(cfg, good, []Assignment{{Core: 0, App: p, Instructions: -1}}); err == nil {
+		t.Fatal("negative instruction budget accepted")
+	}
+	if _, err := New(cfg, good, []Assignment{{Core: 0, App: p, Warmup: -1}}); err == nil {
+		t.Fatal("negative warm-up accepted")
+	}
+	// Each core reads its stream ahead to its next load or store, so a
+	// shared stream would not interleave in time order.
+	shared := workload.NewTrace(p, 0)
+	if _, err := New(cfg, good, []Assignment{{Core: 0, App: p, Stream: shared}, {Core: 3, App: p, Stream: shared}}); err == nil {
+		t.Fatal("shared stream accepted")
+	}
+	// Distinct streams of a type that == cannot compare are accepted.
+	funcs := []Assignment{{Core: 0, App: p, Stream: streamFunc(workload.NewTrace(p, 0).Next)},
+		{Core: 1, App: p, Stream: streamFunc(workload.NewTrace(p, 1).Next)}}
+	if _, err := New(cfg, good, funcs); err != nil {
+		t.Fatal(err)
+	}
 }
+
+// streamFunc adapts a function to workload.Stream.
+type streamFunc func() workload.Instr
+
+func (f streamFunc) Next() workload.Instr { return f() }
 
 // An externally recorded trace must drive a core through the Stream hook.
 func TestRecordedTraceStream(t *testing.T) {

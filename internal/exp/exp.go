@@ -121,9 +121,11 @@ func NewRunner(opts Options) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The same worker budget feeds the CG kernel pools; solvers only
-	// split their kernels above the thermal package's cell threshold,
-	// where a single solve dominates a point's cost.
+	// The same worker budget feeds the CG kernel pools. Solvers split
+	// their kernels only above the thermal package's 32,768-cell
+	// threshold, which no paper-scale grid reaches; at grids 64 and 96,
+	// where the pool engages, it ran slower than serial kernels
+	// (ROADMAP item 9).
 	sys.Ev.Workers = opts.workerCount()
 	if opts.Obs != nil {
 		sys.Ev.AttachObs(opts.Obs)
