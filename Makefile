@@ -22,8 +22,9 @@ test: vet
 test-fast:
 	$(GO) test ./...
 
-# The simulator is single-threaded per run, but the race detector still
-# guards the test harness itself. The timeout matches `make test` and CI:
+# The race detector guards cpusim's read-ahead helper (a second goroutine
+# per run when a CPU is free), fleet's lookahead and solver pool, and the
+# test harness itself. The timeout matches `make test` and CI:
 # internal/perf alone takes ~13-15 min under race on a 2-vCPU host.
 race:
 	$(GO) test -race -timeout 30m ./internal/...
@@ -45,10 +46,13 @@ bench-smoke:
 # CI gate for the hot kernels: a short run of the three solver kernel
 # micro-benchmarks (stencil apply, Thomas sweep, CG's fused apply+dot
 # pass) and of two Figure 7 cpusim activity runs (BenchmarkCpusimRun's
-# lu-nas and is, the least and most memory-bound apps). The Go tests gate
-# the Figure 7 tables these kernels produce and cpusim's results bit for bit.
+# lu-nas and is, the least and most memory-bound apps). The cpusim runs go
+# at -cpu 1 (streams read inline) and -cpu 2 (drawn on the read-ahead
+# helper). The Go tests gate the Figure 7 tables these kernels produce and
+# cpusim's results bit for bit.
 kernel-smoke:
-	$(GO) test -short -bench 'BenchmarkStencilApply|BenchmarkThomasSweep|BenchmarkFusedReduction|BenchmarkCpusimRun' -benchtime=1x -run XXX -timeout 10m .
+	$(GO) test -short -bench 'BenchmarkStencilApply|BenchmarkThomasSweep|BenchmarkFusedReduction' -benchtime=1x -run XXX -timeout 10m .
+	$(GO) test -short -bench 'BenchmarkCpusimRun' -cpu 1,2 -benchtime=1x -run XXX -timeout 10m .
 
 # CPU+heap profile of a Figure 7 sweep; inspect with
 # `go tool pprof cpu.prof`.

@@ -80,7 +80,11 @@ type Assignment struct {
 	// provides the microarchitectural knobs (MLP, dependent-load
 	// fraction) and the instruction budget default. Each core reads its
 	// stream ahead of the others, up to its next load or store, so two
-	// assignments may not share one stream (New rejects it).
+	// assignments may not share one stream (New rejects it). Run may
+	// read a *workload.Trace or a non-empty *workload.RecordedTrace
+	// from a helper goroutine, never concurrently; it calls any other
+	// Stream on its own goroutine, in simulation order. Run is done
+	// with the stream when it returns.
 	Stream workload.Stream
 	// Instructions overrides the profile's budget when non-zero.
 	Instructions int
@@ -176,6 +180,19 @@ type core struct {
 
 	// Per-instruction costs in ns: cycles/freqGHz, divided out once.
 	issueNs, fpNs, branchNs, l2Ns float64
+	// extraNs is fpNs and branchNs by kind, +0 for the other kinds.
+	extraNs [kindSlots]float64
+
+	// ahead is the chunk local reads, at kinds[pos] and addrs[apos],
+	// when the helper draws the stream (nil otherwise); full and free
+	// carry chunks from and back to the helper.
+	ahead      *chunk
+	pos, apos  int
+	full, free chan *chunk
+
+	// windows has bit w set once the L2 has filled a line of the 1 GiB
+	// address window w (mod 64); a snoop skips a core without the bit.
+	windows uint64
 
 	// outstanding load-miss completion times (bounded by the profile's
 	// MLP); the core stalls when full.
@@ -197,8 +214,18 @@ type Sim struct {
 	warmupEndNs float64
 	// issueCycles is the base issue cost, 1/width cycles per instruction.
 	issueCycles float64
+	// extraCycles is FPExtraCycles and BranchExtraCycles by kind, +0
+	// for the other kinds.
+	extraCycles [kindSlots]float64
 	// tree is runPhase's tournament over the cores' clocks.
 	tree []clockNode
+	// ahead lists the cores the read-ahead helper draws for; wake
+	// rouses it (see refill), which counts the chunks freed in freed.
+	// fault is its panic, set before it closes the cores' full channels.
+	ahead []*core
+	wake  chan struct{}
+	freed int
+	fault any
 }
 
 // clockNode is a core's clock as IEEE bits (doneClock once it is done,
@@ -227,6 +254,8 @@ func New(cfg Config, freqGHz []float64, assigns []Assignment) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{cfg: cfg, mem: mem, issueCycles: 1 / float64(cfg.IssueWidth)}
+	s.extraCycles[workload.KindFP] = cfg.FPExtraCycles
+	s.extraCycles[workload.KindBranch] = cfg.BranchExtraCycles
 	s.tree = make([]clockNode, 2<<bits.Len(uint(cfg.Cores-1)))
 	for k := range s.tree {
 		s.tree[k].t = doneClock
@@ -245,9 +274,12 @@ func New(cfg Config, freqGHz []float64, assigns []Assignment) (*Sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.cores[i] = &core{id: i, freqGHz: f, l1d: l1d, l2: l2, done: true,
+		c := &core{id: i, freqGHz: f, l1d: l1d, l2: l2, done: true,
 			issueNs: s.issueCycles / f, fpNs: cfg.FPExtraCycles / f,
 			branchNs: cfg.BranchExtraCycles / f, l2Ns: float64(cfg.L2Cycles) / f}
+		c.extraNs[workload.KindFP] = c.fpNs
+		c.extraNs[workload.KindBranch] = c.branchNs
+		s.cores[i] = c
 	}
 	for i, a := range assigns {
 		if a.Core < 0 || a.Core >= cfg.Cores {
@@ -321,8 +353,11 @@ func (s *Sim) setLeaf(c *core) {
 	}
 }
 
-// Run executes all threads to completion and returns the result.
+// Run executes all threads to completion and returns the result. When
+// a helper slot is free, a helper goroutine draws the cores' streams
+// ahead (readAhead); the Result is bit-identical either way.
 func (s *Sim) Run() (Result, error) {
+	defer s.readAhead()()
 	// Warm-up phase: execute, then barrier-synchronise and reset all
 	// measurement state.
 	anyWarm := false
@@ -376,6 +411,10 @@ func (s *Sim) Run() (Result, error) {
 // local runs core c's other instructions up to its next load or store,
 // which it leaves in c.next, or to its budget, never drawing past it.
 func (s *Sim) local(c *core) {
+	if c.ahead != nil {
+		s.localAhead(c)
+		return
+	}
 	for int(c.stats.Instructions) < c.budget {
 		in := c.trace.Next()
 		if in.Kind == workload.KindLoad || in.Kind == workload.KindStore {
@@ -398,6 +437,40 @@ func (s *Sim) local(c *core) {
 			c.timeNs += c.branchNs
 		}
 	}
+	c.done = true
+}
+
+// localAhead is local on the instructions the helper drew into
+// chunks; refill counts each chunk's Int, FP and branch instructions.
+// The clock and cycle count take the same float adds in the same
+// order: the FP or branch extra comes from a table whose other entries
+// are +0, and x + (+0) is x for every clock and cycle count, which are
+// never −0. They stay in registers, as nothing in the loop is a call.
+func (s *Sim) localAhead(c *core) {
+	n, cycles, t := int(c.stats.Instructions), c.cycles, c.timeNs
+	issueCycles, issueNs := s.issueCycles, c.issueNs
+	for n < c.budget {
+		if c.pos == len(c.ahead.kinds) {
+			s.refill(c)
+		}
+		run := c.ahead.kinds[c.pos:min(len(c.ahead.kinds), c.pos+c.budget-n)]
+		for i, k := range run {
+			if k == workload.KindLoad || k == workload.KindStore {
+				c.next = workload.Instr{Kind: k, Addr: c.ahead.addrs[c.apos]}
+				c.pos += i + 1
+				c.apos++
+				c.stats.Instructions, c.cycles, c.timeNs = uint64(n), cycles, t
+				return
+			}
+			n++
+			cycles += issueCycles
+			t += issueNs
+			cycles += s.extraCycles[k&(kindSlots-1)]
+			t += c.extraNs[k&(kindSlots-1)]
+		}
+		c.pos += len(run)
+	}
+	c.stats.Instructions, c.cycles, c.timeNs = uint64(n), cycles, t
 	c.done = true
 }
 
@@ -568,8 +641,9 @@ func (s *Sim) busAcquire(tNs float64) float64 {
 func (s *Sim) busUpgrade(c *core, addr uint64) {
 	c.stats.BusTx++
 	end := s.busAcquire(c.timeNs)
+	w := window(addr)
 	for _, o := range s.cores {
-		if o == c {
+		if o == c || o.windows&w == 0 {
 			continue
 		}
 		if st := o.l2.invalidate(addr); st != stateInvalid {
@@ -588,11 +662,12 @@ func (s *Sim) busFetch(c *core, addr uint64, exclusive bool) float64 {
 	c.stats.BusTx++
 	busDone := s.busAcquire(c.timeNs)
 
-	// Snoop.
+	// Snoop the cores whose L2 may hold the line.
 	var supplied bool
 	var supplyDone float64
+	w := window(addr)
 	for _, o := range s.cores {
-		if o == c {
+		if o == c || o.windows&w == 0 {
 			continue
 		}
 		l := o.l2.lookup(addr)
@@ -652,5 +727,12 @@ func (s *Sim) busFetch(c *core, addr uint64, exclusive bool) float64 {
 		newState = stateExclusive
 	}
 	c.l2.fill(v, addr, newState)
+	c.windows |= w
 	return done
 }
+
+// window returns the windows bit of addr's 1 GiB address window. L2
+// fills happen only in busFetch, which sets the bit, and an L1D holds
+// only lines its L2 holds, so a core without the bit holds no copy of
+// addr, and skipping its lookup skips a miss that changes no state.
+func window(addr uint64) uint64 { return 1 << (addr >> 30 & 63) }

@@ -15,6 +15,11 @@ import (
 // captured traces, so real workload recordings (from a binary
 // instrumentation tool, for instance) can drive the simulator instead of
 // the synthetic profiles.
+//
+// cpusim's Run may call the Next of a Trace or a non-empty RecordedTrace
+// from a helper goroutine, ahead of the simulation but never
+// concurrently; it calls any other Stream on its own goroutine, in
+// simulation order. Run is done with a stream when it returns.
 type Stream interface {
 	// Next returns the next dynamic instruction. Streams are infinite:
 	// finite recordings loop.
